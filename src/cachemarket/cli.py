@@ -1,13 +1,16 @@
 """Command-line interface.
 
 Subcommands: verify-coverage, sweep-gamma, sweep-storage, per-vr, solve.
-Exit codes: 0 success, 1 config error, 2 equilibrium verification
-failure, 3 simulator-analytic mismatch beyond tolerance.
+Exit codes: 0 success, 1 config error (including a non-finite number
+in a flag or config file), 2 equilibrium verification failure,
+3 simulator-analytic mismatch beyond tolerance, 4 numerical failure
+(an ArithmeticError, such as a series that does not converge).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -60,6 +63,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    flags = [(flag, getattr(args, f"cfg_{dest}")) for flag, dest, _ in _OVERRIDES]
+    flags += [(f"--{n}", getattr(args, n, None)) for n in ("start", "stop", "step")]
+    for flag, value in flags:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     cfg = ExperimentConfig()
     if args.config:
         cfg = load_config(args.config, cfg)
@@ -160,6 +168,9 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

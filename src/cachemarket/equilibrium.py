@@ -97,6 +97,21 @@ class EquilibriumOutcome:
     report: ProfitReport
 
 
+def _best_responses(
+    prices: np.ndarray,
+    gammas: np.ndarray,
+    cfg: EconomicConfig,
+    constants: CoverageConstants,
+) -> np.ndarray:
+    """Unchecked best_response_fraction, elementwise over positive prices."""
+    theta = constants.theta
+    lam_big = constants.lambda_big
+    root = np.sqrt(
+        gammas * lam_big * cfg.local_surcharge / (theta**2 * cfg.sbs_intensity * prices)
+    )
+    return np.maximum(root - lam_big / theta, 0.0)
+
+
 def best_response_fraction(
     s_v: float,
     gamma_v: float,
@@ -111,12 +126,7 @@ def best_response_fraction(
     """
     if s_v <= 0:
         raise ValueError(f"price must be positive, got {s_v}")
-    theta = constants.theta
-    lam_big = constants.lambda_big
-    root = math.sqrt(
-        gamma_v * lam_big * cfg.local_surcharge / (theta**2 * cfg.sbs_intensity * s_v)
-    )
-    return max(root - lam_big / theta, 0.0)
+    return float(_best_responses(s_v, gamma_v, cfg, constants))
 
 
 def participation_thresholds(
@@ -334,9 +344,22 @@ _FOLLOWER_FACTORS = (0.0, 0.25, 0.5, 0.8, 0.9, 0.99, 1.01, 1.1, 1.25, 1.5, 2.0)
 _LEADER_FACTORS = (0.5, 0.8, 0.9, 0.95, 0.99, 1.01, 1.05, 1.1, 1.25, 2.0)
 
 
+def _hit_probabilities(tau: np.ndarray, constants: CoverageConstants) -> np.ndarray:
+    """coverage.hit_probability without its range check, elementwise.
+
+    The leader checks evaluate it at trial best responses above 1, which
+    the checked scalar version rejects, before discarding them as
+    infeasible.
+    """
+    return tau / (constants.theta * tau + constants.lambda_big)
+
+
 def _vr_profit_at(
     tau_v: float, s_v: float, gamma_v: float, instance: GameInstance
 ) -> float:
+    # Spells out Gamma s^ld Pr(tau) in the follower check's original
+    # operation order: factoring Pr out rounds differently, and relative
+    # to a profit near 0 that moves follower_max_gain by about 1e-12.
     theta = instance.constants.theta
     lam_big = instance.constants.lambda_big
     surcharge = (
@@ -359,12 +382,22 @@ def verify_equilibrium(
 
     Follower side: moving any retailer's fraction off its posted value
     (prices fixed) must not raise that retailer's profit.  Leader side:
-    scaling any posted price (followers re-best-responding, keeping the
-    SBS budget feasible) must not raise the leader's objective -- the
+    scaling any posted price by each of _LEADER_FACTORS (followers
+    re-best-responding) must not raise the leader's objective -- the
     provider's total profit under NUPS, the back-haul saving under UPS.
-    For the water-filling allocation no prices exist; instead, mass
-    transfers between fractions must not raise the sum profit.  Raises
-    VerificationFailure naming the violated condition.
+    A scaled price counts as a check only when it stays in the leader's
+    feasible set: every best response at most 1 and their sum at most
+    1 + 1e-9.  For the water-filling allocation no prices exist;
+    instead, mass transfers between fractions must not raise the sum
+    profit.  Raises VerificationFailure naming the violated condition
+    and the retailers involved.
+
+    Every checked objective is a sum of per-retailer terms, and a
+    follower's best response depends only on its own price, so a
+    perturbation changes one or two terms.  Each check costs O(1) array
+    work: O(V) for the price checks, O(V^2) for the V (V - 1) transfer
+    pairs, computed in blocks of bounded memory.  No solver closed form
+    is used.
     """
     if outcome.scheme == "WATERFILL":
         return _verify_waterfill(outcome, instance, rel_tol)
@@ -396,60 +429,60 @@ def verify_equilibrium(
                     f"to {cand:.6g}"
                 )
 
+    econ = instance.econ
+    constants = instance.constants
+    posted = [i for i, p in enumerate(outcome.prices.prices) if p is not EXCLUDED]
+    price = np.array([outcome.prices.prices[i] for i in posted], dtype=float)
+    gamma = gammas[posted]
     # UPS sets its price to maximize the back-haul saving, not the
     # provider's total profit; check the objective each scheme claims.
-    if outcome.scheme == "UPS":
-        objective = lambda rep: rep.nsp_backhaul_saving  # noqa: E731
+    ups = outcome.scheme == "UPS"
+
+    def objective_terms(tau, s, g):
+        saving = g * _hit_probabilities(tau, constants) * econ.backhaul_cost
+        return saving if ups else tau * econ.sbs_intensity * s + saving
+
+    if ups:
         base_value = outcome.report.nsp_backhaul_saving
         label = "back-haul saving"
     else:
-        objective = lambda rep: rep.nsp_total  # noqa: E731
         base_value = outcome.report.nsp_total
         label = "provider profit"
     profit_scale = max(abs(base_value), 1e-9)
-    leader_gain = -math.inf
-    leader_checks = 0
-    posted = list(outcome.prices.prices)
-    for i, price in enumerate(posted):
-        if price is EXCLUDED:
-            continue
-        for factor in _LEADER_FACTORS:
-            trial = list(posted)
-            trial[i] = price * factor
-            fractions = []
-            feasible = True
-            for p, g in zip(trial, gammas):
-                if p is EXCLUDED:
-                    fractions.append(0.0)
-                    continue
-                tau = best_response_fraction(p, g, instance.econ, instance.constants)
-                if tau > 1.0:
-                    feasible = False
-                    break
-                fractions.append(tau)
-            if not feasible or sum(fractions) > 1.0 + 1e-9:
-                continue  # outside the leader's feasible set
-            report = profit_report(
-                FractionVector(fractions=tuple(fractions)),
-                PriceVector(prices=tuple(trial)),
-                instance.pops,
-                instance.econ,
-                instance.constants,
-            )
-            gain = (objective(report) - base_value) / profit_scale
-            leader_gain = max(leader_gain, gain)
-            leader_checks += 1
-            if gain > rel_tol:
-                raise VerificationFailure(
-                    f"leader condition violated: scaling price {i + 1} by "
-                    f"{factor} gains {gain:.3e} (relative) in {label}"
-                )
+
+    # rows: posted retailers; columns: _LEADER_FACTORS
+    tau0 = _best_responses(price, gamma, econ, constants)
+    terms0 = objective_terms(tau0, price, gamma)
+    trial_price = price[:, None] * np.array(_LEADER_FACTORS)
+    tau1 = _best_responses(trial_price, gamma[:, None], econ, constants)
+    terms1 = objective_terms(tau1, trial_price, gamma[:, None])
+    over = tau0 > 1.0
+    others_over = np.count_nonzero(over) - over
+    feasible = (
+        (tau1 <= 1.0)
+        & (others_over == 0)[:, None]
+        & ((tau0.sum() - tau0)[:, None] + tau1 <= 1.0 + 1e-9)
+    )
+    gains = ((terms0.sum() - terms0)[:, None] + terms1 - base_value) / profit_scale
+    violated = feasible & (gains > rel_tol)
+    if violated.any():
+        row, col = np.unravel_index(np.argmax(violated), violated.shape)
+        raise VerificationFailure(
+            f"leader condition violated: scaling price {posted[row] + 1} by "
+            f"{_LEADER_FACTORS[col]} gains {gains[row, col]:.3e} (relative) in {label}"
+        )
     return VerificationRecord(
         follower_max_gain=follower_gain,
-        leader_max_gain=leader_gain,
+        leader_max_gain=float(gains[feasible].max(initial=-math.inf)),
         follower_checks=follower_checks,
-        leader_checks=leader_checks,
+        leader_checks=int(np.count_nonzero(feasible)),
     )
+
+
+_TRANSFER_STEPS = (1e-4, 1e-3, 1e-2)
+# entries of the (source x destination x step) gain array built at once,
+# so its memory stays O(V)
+_TRANSFER_BLOCK = 1 << 16
 
 
 def _verify_waterfill(
@@ -457,40 +490,57 @@ def _verify_waterfill(
     instance: GameInstance,
     rel_tol: float,
 ) -> VerificationRecord:
-    """Pairwise mass transfers on the simplex must not raise the sum profit."""
+    """Pairwise mass transfers on the simplex must not raise the sum profit.
+
+    For each step, every retailer i with tau_i > 0 moves min(step, tau_i)
+    of the budget to every other retailer j (capped at 1).  The sum
+    profit is sum_v f_v(tau_v) with f_v = Gamma_v (s^bh + s^ld) Pr, so a
+    transfer changes it by a loss in f_i plus a gain in f_j.
+    """
+    tau = outcome.fractions.as_array()
+    n = tau.size
+    constants = instance.constants
+    weight = instance.gammas() * (
+        instance.econ.backhaul_cost + instance.econ.local_surcharge
+    )
+    terms = weight * _hit_probabilities(tau, constants)
     base = outcome.report.global_total
     scale = max(abs(base), 1e-9)
-    fractions = list(outcome.fractions.fractions)
-    n = len(fractions)
+    offset = terms.sum() - base  # sum profit at the outcome, relative to base
+    sources = np.flatnonzero(tau > 0.0)
+    checks = len(_TRANSFER_STEPS) * sources.size * (n - 1)
+    if checks == 0:
+        return VerificationRecord(
+            follower_max_gain=math.nan,
+            leader_max_gain=-math.inf,
+            follower_checks=0,
+            leader_checks=0,
+        )
+
+    # gains[row, j, k]: relative gain of moving step k out of rows[row] into j
+    steps = np.array(_TRANSFER_STEPS)
     max_gain = -math.inf
-    checks = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for step in (1e-4, 1e-3, 1e-2):
-                move = min(step, fractions[i])
-                if move <= 0.0:
-                    continue
-                trial = list(fractions)
-                trial[i] -= move
-                trial[j] = min(trial[j] + move, 1.0)
-                report = profit_report(
-                    FractionVector(fractions=tuple(trial)),
-                    outcome.prices,
-                    instance.pops,
-                    instance.econ,
-                    instance.constants,
-                )
-                gain = (report.global_total - base) / scale
-                max_gain = max(max_gain, gain)
-                checks += 1
-                if gain > rel_tol:
-                    raise VerificationFailure(
-                        f"sum-profit condition violated: moving {move:.1e} of "
-                        f"the budget from retailer {i + 1} to {j + 1} gains "
-                        f"{gain:.3e} (relative)"
-                    )
+    block = max(1, _TRANSFER_BLOCK // (n * steps.size))
+    for lo in range(0, sources.size, block):
+        rows = sources[lo : lo + block]
+        move = np.minimum(steps, tau[rows, None])
+        left = tau[rows, None] - move
+        loss = weight[rows, None] * _hit_probabilities(left, constants)
+        loss -= terms[rows, None]
+        filled = np.minimum(tau[:, None] + move[:, None, :], 1.0)
+        rise = weight[:, None] * _hit_probabilities(filled, constants) - terms[:, None]
+        rise[np.arange(rows.size), rows] = -math.inf  # no transfer to oneself
+        gains = (offset + loss[:, None, :] + rise) / scale
+        violated = gains > rel_tol
+        if violated.any():
+            # report the first violation in (source, destination, step) order
+            row, j, k = np.unravel_index(np.argmax(violated), violated.shape)
+            raise VerificationFailure(
+                f"sum-profit condition violated: moving {move[row, k]:.1e} of "
+                f"the budget from retailer {rows[row] + 1} to {j + 1} gains "
+                f"{gains[row, j, k]:.3e} (relative)"
+            )
+        max_gain = max(max_gain, float(gains.max()))
     return VerificationRecord(
         follower_max_gain=math.nan,
         leader_max_gain=max_gain,

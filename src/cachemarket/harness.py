@@ -21,6 +21,7 @@ from .economics import EXCLUDED, EconomicConfig
 from .equilibrium import (
     EquilibriumOutcome,
     GameInstance,
+    VerificationFailure,
     nups_solve,
     participation_thresholds,
     ups_solve,
@@ -109,11 +110,20 @@ _KEY_MAP = {
 }
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def _convert(raw: str, kind) -> object:
     if kind == "float_list":
-        return tuple(float(x) for x in raw.split(","))
+        return tuple(_finite(x) for x in raw.split(","))
     if kind == "int_list":
         return tuple(int(x) for x in raw.split(","))
+    if kind is float:
+        return _finite(raw)
     return kind(raw)
 
 
@@ -271,7 +281,7 @@ def _check_outcome(outcome: EquilibriumOutcome) -> None:
     posted = outcome.prices.n_posted()
     positive = sum(1 for f in outcome.fractions.fractions if f > 0)
     if not outcome.n_participants == posted == positive:
-        raise AssertionError(
+        raise VerificationFailure(
             f"inconsistent outcome: participants={outcome.n_participants}, "
             f"posted prices={posted}, positive fractions={positive}"
         )

@@ -1,10 +1,12 @@
 """Config parsing, sweep runners, CSV formatting, and the CLI."""
 
+from dataclasses import replace
+
 import pytest
 
-from cachemarket import cli
+from cachemarket import cli, harness
 from cachemarket.economics import EXCLUDED
-from cachemarket.equilibrium import VerificationFailure
+from cachemarket.equilibrium import VerificationFailure, nups_solve
 from cachemarket.harness import (
     COVERAGE_HEADER,
     ConfigError,
@@ -12,6 +14,7 @@ from cachemarket.harness import (
     format_rows,
     load_config,
     make_instance,
+    run_per_vr,
     run_solve,
     run_sweep_gamma,
     run_verify_coverage,
@@ -64,6 +67,14 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.cfg"))
+
+    @pytest.mark.parametrize("line", ["gamma = nan", "delta = inf", "tau_grid = 0.5, nan"])
+    def test_non_finite_value(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"bad value for {key}: must be finite"):
+            load_config(str(path))
 
 
 class TestHelpers:
@@ -161,6 +172,55 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_solve", broken)
         assert cli.main(["solve"]) == 2
+
+    def test_inconsistent_outcome_exit_code(self, monkeypatch):
+        def inconsistent(instance, storage):
+            outcome = nups_solve(instance, storage)
+            return replace(outcome, n_participants=outcome.n_participants + 1)
+
+        monkeypatch.setattr(harness, "nups_solve", inconsistent)
+        with pytest.raises(VerificationFailure, match="inconsistent outcome"):
+            run_per_vr(ExperimentConfig())
+        assert cli.main(["per-vr"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--delta", "2e4"],  # the 2F1 series does not converge
+            # Theta = A - C + 1 cancels: best responses sum past 1 + 1e-9
+            ["solve", "--scheme", "nups", "--alpha", "2.2193288013645645",
+             "--delta", "80.49250043716155", "--beta", "0.42371299266268153",
+             "--V", "11", "--N", "500", "--gamma", "0.18531846939972652",
+             "--Q", "10"],
+        ],
+    )
+    def test_numerical_failure_exit_code(self, capsys, argv):
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["solve", "--alpha", "nan"], "--alpha"),
+            (["solve", "--gamma", "nan"], "--gamma"),
+            (["solve", "--lambda", "inf"], "--lambda"),
+            (["sweep-gamma", "--start", "nan"], "--start"),
+            (["sweep-storage", "--step=-inf"], "--step"),
+        ],
+    )
+    def test_non_finite_flag_exit_code(self, capsys, argv, flag):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag} must be finite")
+        assert err.count("\n") == 1
+
+    def test_non_finite_config_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "nan.cfg"
+        path.write_text("gamma = nan\n")
+        assert cli.main(["solve", "--config", str(path)]) == 1
+        assert "bad value for gamma: must be finite" in capsys.readouterr().err
 
     def test_coverage_mismatch_exit_code(self, monkeypatch, tmp_path):
         def mismatched(cfg, jobs=1):
