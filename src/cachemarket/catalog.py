@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,17 @@ class DivisibilityError(ValueError):
     """Raised when exact file grouping needs Q to divide N and it does not."""
 
 
+def _require_finite_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class CatalogConfig:
     """Video catalog: N files, per-SBS storage of Q files, Zipf exponent beta."""
 
     n_files: int
-    storage: int
+    storage: float  # real-valued for analytic sweeps, with no exact grouping
     file_exponent: float = DEFAULT_FILE_EXPONENT
 
     def __post_init__(self) -> None:
@@ -40,8 +46,7 @@ class CatalogConfig:
             raise ValueError(
                 f"storage must satisfy 1 <= Q <= N, got Q={self.storage}, N={self.n_files}"
             )
-        if self.file_exponent < 0:
-            raise ValueError(f"file_exponent must be >= 0, got {self.file_exponent}")
+        _require_finite_nonnegative("file_exponent", self.file_exponent)
 
     @property
     def f_groups(self) -> float:
@@ -59,8 +64,7 @@ class VrConfig:
     def __post_init__(self) -> None:
         if self.n_vrs < 1:
             raise ValueError(f"n_vrs must be >= 1, got {self.n_vrs}")
-        if self.vr_exponent < 0:
-            raise ValueError(f"vr_exponent must be >= 0, got {self.vr_exponent}")
+        _require_finite_nonnegative("vr_exponent", self.vr_exponent)
 
 
 @dataclass(frozen=True)
@@ -68,13 +72,12 @@ class PopularityVectors:
     """Normalized popularity vectors t (files), p (groups), q (retailers).
 
     p is None when N/Q is not an integer; the closed forms only need the
-    real-valued group count f_groups, but exact grouping is undefined.
+    real-valued group count N/Q, but exact grouping is undefined.
     """
 
     t: np.ndarray
     p: np.ndarray | None
     q: np.ndarray
-    f_groups: float
 
 
 def zipf_vector(n: int, exponent: float) -> np.ndarray:
@@ -110,8 +113,9 @@ def vr_preference(config: VrConfig) -> np.ndarray:
 def build_popularity(catalog: CatalogConfig, vrs: VrConfig) -> PopularityVectors:
     """Assemble all popularity vectors for one scenario."""
     t = file_popularity(catalog)
-    if catalog.n_files % catalog.storage == 0:
-        p = group_popularity(t, catalog.storage)
+    storage = catalog.storage
+    if float(storage).is_integer() and catalog.n_files % int(storage) == 0:
+        p = group_popularity(t, int(storage))
     else:
         p = None
-    return PopularityVectors(t=t, p=p, q=vr_preference(vrs), f_groups=catalog.f_groups)
+    return PopularityVectors(t=t, p=p, q=vr_preference(vrs))

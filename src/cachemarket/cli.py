@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: verify-coverage, sweep-gamma, sweep-storage, per-vr, solve.
-Exit codes: 0 success, 1 config error (including a non-finite number
-in a flag or config file), 2 equilibrium verification failure,
-3 simulator-analytic mismatch beyond tolerance, 4 numerical failure
+Exit codes: 0 success, 1 config error (including a usage error and a
+non-finite number in a flag or config file), 2 equilibrium verification
+failure, 3 simulator-analytic mismatch beyond tolerance, 4 numerical failure
 (an ArithmeticError, such as a series that does not converge).
 """
 
@@ -87,8 +87,16 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means a verification failure."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cachemarket",
         description="Stackelberg pricing for small-cell video caching",
     )

@@ -8,6 +8,7 @@ serialization stays exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,8 +67,14 @@ class EconomicConfig:
             "sbs_intensity",
         ):
             value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        # every demand density Gamma_v = q_v zeta K scales with zeta K
+        if not math.isfinite(self.mu_intensity * self.requests_per_mu):
+            raise ValueError(
+                f"zeta * K = {self.mu_intensity} * {self.requests_per_mu} "
+                "overflows a float"
+            )
 
 
 @dataclass(frozen=True)

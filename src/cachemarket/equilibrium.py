@@ -64,11 +64,12 @@ class GameInstance:
     econ: EconomicConfig
     constants: CoverageConstants
     n_files: int
+    storage: float  # Q in [1, N]: sets Lambda = C N / Q and the brackets alike
 
     def __post_init__(self) -> None:
-        expected = self.constants.c * self.pops.f_groups
+        expected = self.constants.c * self.n_files / self.storage
         if abs(expected - self.constants.lambda_big) > 1e-9 * max(expected, 1.0):
-            raise ValueError("coverage constants disagree with the group count")
+            raise ValueError("coverage constants disagree with the storage")
 
     @property
     def n_vrs(self) -> int:
@@ -129,18 +130,14 @@ def best_response_fraction(
     return float(_best_responses(s_v, gamma_v, cfg, constants))
 
 
-def participation_thresholds(
-    pops: PopularityVectors,
-    constants: CoverageConstants,
-    n_files: int,
-) -> ParticipationThresholds:
+def participation_thresholds(instance: GameInstance) -> ParticipationThresholds:
     """Storage thresholds controlling how many retailers can stay in the game.
 
     U_v    = N C (sum_{j<=v} (q_j/q_v)^(1/3) - v) / Theta
     Ubar_v = same with square roots; Ubar_v >= U_v, both 0 at v = 1.
     """
-    q = np.asarray(pops.q, dtype=float)
-    scale = n_files * constants.c / constants.theta
+    q = np.asarray(instance.pops.q, dtype=float)
+    scale = instance.n_files * instance.constants.c / instance.constants.theta
     v_idx = np.arange(1, q.size + 1, dtype=float)
     # cumulative sums of (q_j / q_v)^(1/3) and ^(1/2) for each v
     cbrt_q = np.cbrt(q)
@@ -148,15 +145,6 @@ def participation_thresholds(
     u_values = scale * (np.cumsum(cbrt_q) / cbrt_q - v_idx)
     u_bar_values = scale * (np.cumsum(sqrt_q) / sqrt_q - v_idx)
     return ParticipationThresholds(u_values=u_values, u_bar_values=u_bar_values)
-
-
-def _effective_storage(storage: float, n_files: int) -> float:
-    # storage beyond the catalog size behaves exactly like Q = N
-    if storage > n_files:
-        return float(n_files)
-    if storage < 1:
-        raise ValueError(f"storage must be >= 1, got {storage}")
-    return float(storage)
 
 
 def _bracket_count(thresholds: np.ndarray, storage: float) -> int:
@@ -197,19 +185,6 @@ def nups_prices_for_u(u: int, instance: GameInstance) -> PriceVector:
     return PriceVector(prices=tuple(prices))
 
 
-def _nups_surrogate(u: int, instance: GameInstance) -> float:
-    """Negated-profit surrogate S_u minimized over the participant count."""
-    gammas = instance.gammas()
-    lam_big = instance.constants.lambda_big
-    theta = instance.constants.theta
-    s_bh = instance.econ.backhaul_cost
-    cbrt_sum = np.cbrt(gammas[:u]).sum()
-    return float(
-        lam_big**2 * s_bh * cbrt_sum**3 / (u * lam_big + theta) ** 2
-        - s_bh * gammas[:u].sum()
-    )
-
-
 def _ups_price_for_u(u: int, instance: GameInstance) -> float:
     gammas = instance.gammas()
     lam_big = instance.constants.lambda_big
@@ -220,18 +195,6 @@ def _ups_price_for_u(u: int, instance: GameInstance) -> float:
         * instance.econ.backhaul_cost
         * sqrt_sum**2
         / (instance.econ.sbs_intensity * (u * lam_big + theta) ** 2)
-    )
-
-
-def _ups_surrogate(u: int, instance: GameInstance) -> float:
-    gammas = instance.gammas()
-    lam_big = instance.constants.lambda_big
-    theta = instance.constants.theta
-    s_bh = instance.econ.backhaul_cost
-    sqrt_sum = np.sqrt(gammas[:u]).sum()
-    return float(
-        u * lam_big**2 * s_bh * sqrt_sum**2 / (u * lam_big + theta) ** 2
-        - s_bh * gammas[:u].sum()
     )
 
 
@@ -263,34 +226,51 @@ def _outcome_from_prices(
     )
 
 
-def nups_solve(instance: GameInstance, storage: float) -> EquilibriumOutcome:
+def nups_solve(instance: GameInstance) -> EquilibriumOutcome:
     """Equilibrium under per-retailer pricing.
 
     Determines the feasible participant range from the U_v brackets,
-    minimizes the surrogate S_u over it, and posts the closed-form
-    prices for the winning count.
+    minimizes the negated-profit surrogate
+    S_u = Lambda^2 s^bh (sum_{j<=u} Gamma_j^(1/3))^3 / (u Lambda + Theta)^2
+          - s^bh sum_{j<=u} Gamma_j
+    over it, and posts the closed-form prices for the winning count.
     """
     _require_matched_surcharge(instance.econ)
-    q_eff = _effective_storage(storage, instance.n_files)
-    thresholds = participation_thresholds(
-        instance.pops, instance.constants, instance.n_files
+    thresholds = participation_thresholds(instance)
+    t_max = _bracket_count(thresholds.u_values, instance.storage)
+    gammas = instance.gammas()[:t_max]
+    lam_big = instance.constants.lambda_big
+    s_bh = instance.econ.backhaul_cost
+    u = np.arange(1, t_max + 1)
+    surrogates = (
+        lam_big**2 * s_bh * np.cumsum(np.cbrt(gammas)) ** 3
+        / (u * lam_big + instance.constants.theta) ** 2
+        - s_bh * np.cumsum(gammas)
     )
-    t_max = _bracket_count(thresholds.u_values, q_eff)
-    surrogates = [_nups_surrogate(u, instance) for u in range(1, t_max + 1)]
     u_hat = 1 + int(np.argmin(surrogates))  # argmin takes the smallest u on ties
     prices = nups_prices_for_u(u_hat, instance)
     return _outcome_from_prices("NUPS", prices, u_hat, instance)
 
 
-def ups_solve(instance: GameInstance, storage: float) -> EquilibriumOutcome:
-    """Equilibrium under a single shared price."""
+def ups_solve(instance: GameInstance) -> EquilibriumOutcome:
+    """Equilibrium under a single shared price.
+
+    Same as nups_solve with the Ubar_v brackets and the surrogate
+    S_u = u Lambda^2 s^bh (sum_{j<=u} Gamma_j^(1/2))^2 / (u Lambda + Theta)^2
+          - s^bh sum_{j<=u} Gamma_j.
+    """
     _require_matched_surcharge(instance.econ)
-    q_eff = _effective_storage(storage, instance.n_files)
-    thresholds = participation_thresholds(
-        instance.pops, instance.constants, instance.n_files
+    thresholds = participation_thresholds(instance)
+    t_max = _bracket_count(thresholds.u_bar_values, instance.storage)
+    gammas = instance.gammas()[:t_max]
+    lam_big = instance.constants.lambda_big
+    s_bh = instance.econ.backhaul_cost
+    u = np.arange(1, t_max + 1)
+    surrogates = (
+        u * lam_big**2 * s_bh * np.cumsum(np.sqrt(gammas)) ** 2
+        / (u * lam_big + instance.constants.theta) ** 2
+        - s_bh * np.cumsum(gammas)
     )
-    t_max = _bracket_count(thresholds.u_bar_values, q_eff)
-    surrogates = [_ups_surrogate(u, instance) for u in range(1, t_max + 1)]
     u_hat = 1 + int(np.argmin(surrogates))
     shared = _ups_price_for_u(u_hat, instance)
     prices = PriceVector(

@@ -177,18 +177,9 @@ def make_instance(
     q_eff = min(q_req, cfg.n_files)  # Q > N behaves exactly like Q = N
     if q_eff < 1:
         raise ConfigError(f"storage must be >= 1, got {q_req}")
-    f_groups = cfg.n_files / q_eff
-    storage_int = int(q_eff) if float(q_eff).is_integer() else None
-    catalog = CatalogConfig(
-        n_files=cfg.n_files,
-        storage=storage_int if storage_int is not None else 1,
-        file_exponent=cfg.beta,
-    )
+    catalog = CatalogConfig(n_files=cfg.n_files, storage=q_eff, file_exponent=cfg.beta)
     vrs = VrConfig(n_vrs=cfg.n_vrs, vr_exponent=gamma if gamma is not None else cfg.gamma)
     pops = build_popularity(catalog, vrs)
-    if storage_int is None:
-        # non-integer group count: analytics only, no exact grouping
-        pops = replace(pops, p=None, f_groups=f_groups)
     econ = EconomicConfig(
         backhaul_cost=cfg.s_bh,
         local_surcharge=cfg.local_surcharge,
@@ -196,8 +187,10 @@ def make_instance(
         mu_intensity=cfg.mu_intensity,
         sbs_intensity=cfg.sbs_intensity,
     )
-    constants = make_constants(cfg.delta, cfg.alpha, f_groups)
-    return GameInstance(pops=pops, econ=econ, constants=constants, n_files=cfg.n_files)
+    constants = make_constants(cfg.delta, cfg.alpha, catalog.f_groups)
+    return GameInstance(
+        pops=pops, econ=econ, constants=constants, n_files=cfg.n_files, storage=q_eff
+    )
 
 
 COVERAGE_HEADER = [
@@ -296,11 +289,9 @@ def run_sweep_gamma(
     rows = []
     for gamma in gammas:
         instance = make_instance(cfg, gamma=gamma)
-        thresholds = participation_thresholds(
-            instance.pops, instance.constants, cfg.n_files
-        )
-        nups = nups_solve(instance, cfg.storage)
-        ups = ups_solve(instance, cfg.storage)
+        thresholds = participation_thresholds(instance)
+        nups = nups_solve(instance)
+        ups = ups_solve(instance)
         _check_outcome(nups)
         _check_outcome(ups)
         if verify:
@@ -342,8 +333,8 @@ def run_sweep_storage(
     rows = []
     for storage in storages:
         instance = make_instance(cfg, storage=storage)
-        nups = nups_solve(instance, storage)
-        ups = ups_solve(instance, storage)
+        nups = nups_solve(instance)
+        ups = ups_solve(instance)
         _check_outcome(nups)
         _check_outcome(ups)
         if verify:
@@ -375,8 +366,8 @@ PER_VR_HEADER = [
 def run_per_vr(cfg: ExperimentConfig, verify: bool = False) -> list[tuple]:
     """Per-retailer prices and fractions under both pricing schemes."""
     instance = make_instance(cfg)
-    nups = nups_solve(instance, cfg.storage)
-    ups = ups_solve(instance, cfg.storage)
+    nups = nups_solve(instance)
+    ups = ups_solve(instance)
     _check_outcome(nups)
     _check_outcome(ups)
     if verify:
@@ -413,9 +404,9 @@ def run_solve(
     instance = make_instance(cfg)
     scheme = scheme.upper()
     if scheme == "NUPS":
-        outcome = nups_solve(instance, cfg.storage)
+        outcome = nups_solve(instance)
     elif scheme == "UPS":
-        outcome = ups_solve(instance, cfg.storage)
+        outcome = ups_solve(instance)
     elif scheme == "WATERFILL":
         outcome = waterfill_solve(instance)
     else:

@@ -84,7 +84,7 @@ def test_criterion_3_nups_prices_beat_a_brute_force_grid(capsys):
     """No price vector on a 17^3 grid improves the leader's profit by > 0.1%."""
     cfg = ExperimentConfig(n_vrs=3, gamma=0.5, storage=500)
     instance = make_instance(cfg)
-    outcome = nups_solve(instance, cfg.storage)
+    outcome = nups_solve(instance)
     base = outcome.report.nsp_total
     gammas = instance.gammas()
     con = instance.constants
@@ -119,14 +119,14 @@ def random_instances(count, seed):
             gamma=float(rng.uniform(0.05, 1.0)),
             storage=int(rng.integers(10, 501)),
         )
-        yield make_instance(cfg), cfg
+        yield make_instance(cfg)
 
 
 def test_criterion_4_shared_price_equals_waterfilling(capsys):
     """UPS allocations coincide with direct sum-profit maximization."""
     worst = 0.0
-    for instance, cfg in random_instances(100, seed=2024):
-        ups = ups_solve(instance, cfg.storage)
+    for instance in random_instances(100, seed=2024):
+        ups = ups_solve(instance)
         wf = waterfill_solve(instance)
         diff = max(
             abs(a - b)
@@ -141,10 +141,10 @@ def test_criterion_4_shared_price_equals_waterfilling(capsys):
 def test_criterion_5_sum_profit_identity(capsys):
     """With matched tariffs the market-wide profit is exactly twice the saving."""
     worst = 0.0
-    for instance, cfg in random_instances(30, seed=77):
+    for instance in random_instances(30, seed=77):
         for outcome in (
-            nups_solve(instance, cfg.storage),
-            ups_solve(instance, cfg.storage),
+            nups_solve(instance),
+            ups_solve(instance),
             waterfill_solve(instance),
         ):
             rep = outcome.report
@@ -159,15 +159,15 @@ def test_criterion_5_sum_profit_identity(capsys):
 
 def test_criterion_6_participation_thresholds(capsys):
     """Threshold ordering and the bracket boundary drive the participant count."""
-    instance = make_instance(ExperimentConfig())
-    th = participation_thresholds(instance.pops, instance.constants, 500)
+    cfg = ExperimentConfig()
+    th = participation_thresholds(make_instance(cfg))
     increasing = all(b > a for a, b in zip(th.u_values, th.u_values[1:]))
     dominated = all(
         ub >= u - 1e-12 for u, ub in zip(th.u_values, th.u_bar_values)
     )
     q_min = float(th.u_values[-1])
-    above = nups_solve(instance, q_min + 1e-6).n_participants
-    below = nups_solve(instance, q_min - 1e-6).n_participants
+    above = nups_solve(make_instance(cfg, storage=q_min + 1e-6)).n_participants
+    below = nups_solve(make_instance(cfg, storage=q_min - 1e-6)).n_participants
     ok = increasing and dominated and above == 15 and below == 14
     announce(capsys, 6,
         ok,
@@ -226,8 +226,8 @@ def test_criterion_8_equilibria_survive_perturbation(capsys):
     for cfg in scenarios:
         instance = make_instance(cfg)
         for outcome in (
-            nups_solve(instance, cfg.storage),
-            ups_solve(instance, cfg.storage),
+            nups_solve(instance),
+            ups_solve(instance),
             waterfill_solve(instance),
         ):
             record = verify_equilibrium(outcome, instance, rel_tol=1e-6)
@@ -235,8 +235,8 @@ def test_criterion_8_equilibria_survive_perturbation(capsys):
             if outcome.scheme != "WATERFILL":
                 worst = max(worst, record.follower_max_gain)
             checked += 1
-    for instance, cfg in random_instances(10, seed=5150):
-        record = verify_equilibrium(nups_solve(instance, cfg.storage), instance)
+    for instance in random_instances(10, seed=5150):
+        record = verify_equilibrium(nups_solve(instance), instance)
         worst = max(worst, record.leader_max_gain, record.follower_max_gain)
         checked += 1
     ok = worst <= 1e-6

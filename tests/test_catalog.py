@@ -1,5 +1,7 @@
 """Popularity vector construction and grouping."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -110,12 +112,20 @@ def test_gamma_collapse_is_beta_independent():
 
 
 def test_build_popularity_non_divisible():
-    pops = build_popularity(
-        CatalogConfig(n_files=10, storage=3, file_exponent=0.8),
-        VrConfig(n_vrs=2, vr_exponent=0.5),
-    )
+    catalog = CatalogConfig(n_files=10, storage=3, file_exponent=0.8)
+    pops = build_popularity(catalog, VrConfig(n_vrs=2, vr_exponent=0.5))
     assert pops.p is None
-    assert pops.f_groups == pytest.approx(10 / 3)
+    assert catalog.f_groups == pytest.approx(10 / 3)
+
+
+def test_build_popularity_real_valued_storage():
+    vrs = VrConfig(n_vrs=2, vr_exponent=0.5)
+    assert build_popularity(CatalogConfig(n_files=10, storage=2.5), vrs).p is None
+    whole = build_popularity(CatalogConfig(n_files=10, storage=5.0), vrs)
+    np.testing.assert_array_equal(
+        whole.p, build_popularity(CatalogConfig(n_files=10, storage=5), vrs).p
+    )
+    assert whole.p.size == 2
 
 
 def test_config_validation():
@@ -125,3 +135,17 @@ def test_config_validation():
         CatalogConfig(n_files=0, storage=1)
     with pytest.raises(ValueError):
         VrConfig(n_vrs=0, vr_exponent=1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+def test_config_rejects_non_finite_or_negative_exponents(value):
+    with pytest.raises(ValueError, match="vr_exponent must be finite and >= 0"):
+        VrConfig(n_vrs=3, vr_exponent=value)
+    with pytest.raises(ValueError, match="file_exponent must be finite and >= 0"):
+        CatalogConfig(n_files=10, storage=5, file_exponent=value)
+
+
+@pytest.mark.parametrize("storage", [math.nan, math.inf, 0.5])
+def test_config_rejects_storage_outside_catalog(storage):
+    with pytest.raises(ValueError, match="1 <= Q <= N"):
+        CatalogConfig(n_files=10, storage=storage)

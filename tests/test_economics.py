@@ -38,12 +38,10 @@ def make_econ(**overrides):
 
 
 def make_scenario(n_vrs=2, gamma=0.6, n_files=100, storage=20, **econ_overrides):
-    pops = build_popularity(
-        CatalogConfig(n_files=n_files, storage=storage, file_exponent=0.8),
-        VrConfig(n_vrs=n_vrs, vr_exponent=gamma),
-    )
+    catalog = CatalogConfig(n_files=n_files, storage=storage, file_exponent=0.8)
+    pops = build_popularity(catalog, VrConfig(n_vrs=n_vrs, vr_exponent=gamma))
     econ = make_econ(**econ_overrides)
-    constants = make_constants(0.01, 4.0, pops.f_groups)
+    constants = make_constants(0.01, 4.0, catalog.f_groups)
     return pops, econ, constants
 
 
@@ -183,3 +181,24 @@ def test_gamma_vector_units():
     np.testing.assert_allclose(
         gamma_vector([0.6, 0.4], econ), [300.0, 200.0], rtol=1e-14
     )
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "backhaul_cost",
+        "local_surcharge",
+        "requests_per_mu",
+        "mu_intensity",
+        "sbs_intensity",
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_economic_config_rejects_non_positive_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        make_econ(**{field: value})
+
+
+def test_economic_config_rejects_overflowing_demand_scale():
+    with pytest.raises(ValueError, match=r"zeta \* K .* overflows"):
+        make_econ(requests_per_mu=1e300, mu_intensity=1e300)

@@ -35,12 +35,12 @@ def default_instance():
 def small_instance(n_vrs=3, gamma=0.5, storage=500, n_files=500, **overrides):
     cfg = ExperimentConfig(n_vrs=n_vrs, gamma=gamma, storage=storage,
                            n_files=n_files, **overrides)
-    return make_instance(cfg), cfg
+    return make_instance(cfg)
 
 
 class TestBestResponse:
     def test_opt_out_threshold(self):
-        inst, _ = small_instance(n_vrs=1)
+        inst = small_instance(n_vrs=1)
         gamma_v = float(inst.gammas()[0])
         threshold = gamma_v * inst.econ.local_surcharge / (
             inst.constants.lambda_big * inst.econ.sbs_intensity
@@ -54,7 +54,7 @@ class TestBestResponse:
 
     def test_matches_grid_search(self):
         # oracle: maximize the concave retailer profit on a fine grid
-        inst, _ = small_instance(n_vrs=1, n_files=500, storage=500)
+        inst = small_instance(n_vrs=1, n_files=500, storage=500)
         con = inst.constants
         econ = inst.econ
         gamma_v = 500.0
@@ -72,22 +72,27 @@ class TestBestResponse:
         assert tau_star > 1.0  # single greedy retailer at a low price
 
     def test_rejects_nonpositive_price(self):
-        inst, _ = small_instance(n_vrs=1)
+        inst = small_instance(n_vrs=1)
         with pytest.raises(ValueError):
             best_response_fraction(0.0, 500.0, inst.econ, inst.constants)
 
 
+class TestGameInstance:
+    def test_rejects_storage_that_disagrees_with_lambda(self, default_instance):
+        # Lambda = C N / Q was built for Q = 500; Q = 100 would set F = 5
+        with pytest.raises(ValueError, match="disagree with the storage"):
+            replace(default_instance, storage=100.0)
+
+
 class TestParticipationThresholds:
     def test_first_thresholds_are_zero(self, default_instance):
-        th = participation_thresholds(
-            default_instance.pops, default_instance.constants, 500
-        )
+        th = participation_thresholds(default_instance)
         assert th.u_values[0] == 0.0
         assert th.u_bar_values[0] == 0.0
 
     def test_uniform_preference_collapses(self):
-        inst, _ = small_instance(n_vrs=8, gamma=0.0)
-        th = participation_thresholds(inst.pops, inst.constants, 500)
+        inst = small_instance(n_vrs=8, gamma=0.0)
+        th = participation_thresholds(inst)
         np.testing.assert_allclose(th.u_values, 0.0, atol=1e-12)
         np.testing.assert_allclose(th.u_bar_values, 0.0, atol=1e-12)
 
@@ -96,14 +101,12 @@ class TestParticipationThresholds:
         for _ in range(15):
             n_vrs = int(rng.integers(2, 51))
             gamma = float(rng.uniform(0.02, 1.0))
-            inst, _ = small_instance(n_vrs=n_vrs, gamma=gamma)
-            th = participation_thresholds(inst.pops, inst.constants, 500)
+            inst = small_instance(n_vrs=n_vrs, gamma=gamma)
+            th = participation_thresholds(inst)
             assert all(b > a for a, b in zip(th.u_values, th.u_values[1:]))
 
     def test_shared_price_needs_more_storage(self, default_instance):
-        th = participation_thresholds(
-            default_instance.pops, default_instance.constants, 500
-        )
+        th = participation_thresholds(default_instance)
         assert all(
             ub >= u - 1e-12 for u, ub in zip(th.u_values, th.u_bar_values)
         )
@@ -137,7 +140,7 @@ class TestNupsPrices:
         )
 
     def test_single_vr_algebra(self):
-        inst, _ = small_instance(n_vrs=1)
+        inst = small_instance(n_vrs=1)
         g = float(inst.gammas()[0])
         lam_big = inst.constants.lambda_big
         theta = inst.constants.theta
@@ -169,14 +172,14 @@ class TestNupsPrices:
 
 class TestNupsSolve:
     def test_single_vr(self):
-        inst, _ = small_instance(n_vrs=1)
-        outcome = nups_solve(inst, 500)
+        inst = small_instance(n_vrs=1)
+        outcome = nups_solve(inst)
         assert outcome.n_participants == 1
         assert outcome.prices.prices == nups_prices_for_u(1, inst).prices
 
     def test_symmetric_preferences(self):
-        inst, _ = small_instance(n_vrs=5, gamma=0.0)
-        outcome = nups_solve(inst, 500)
+        inst = small_instance(n_vrs=5, gamma=0.0)
+        outcome = nups_solve(inst)
         assert outcome.n_participants == 5
         assert max(outcome.prices.prices) == pytest.approx(
             min(outcome.prices.prices), rel=1e-12
@@ -184,7 +187,7 @@ class TestNupsSolve:
         np.testing.assert_allclose(outcome.fractions.fractions, 0.2, atol=1e-9)
 
     def test_default_instance_keeps_all(self, default_instance):
-        outcome = nups_solve(default_instance, 500)
+        outcome = nups_solve(default_instance)
         assert outcome.n_participants == 15
         # leader profit matches the closed form for the chosen count
         gammas = default_instance.gammas()
@@ -197,55 +200,55 @@ class TestNupsSolve:
         assert outcome.report.nsp_total == pytest.approx(closed, rel=1e-9)
 
     def test_price_ordering(self, default_instance):
-        outcome = nups_solve(default_instance, 500)
+        outcome = nups_solve(default_instance)
         posted = [p for p in outcome.prices.prices if p is not EXCLUDED]
         assert all(a >= b - 1e-12 for a, b in zip(posted, posted[1:]))
 
     def test_participants_form_popularity_prefix(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
-            inst, cfg = small_instance(
+            inst = small_instance(
                 n_vrs=int(rng.integers(2, 16)),
                 gamma=float(rng.uniform(0.05, 1.0)),
                 storage=int(rng.integers(10, 501)),
             )
-            outcome = nups_solve(inst, cfg.storage)
+            outcome = nups_solve(inst)
             u = outcome.n_participants
             assert all(f > 0 for f in outcome.fractions.fractions[:u])
             assert all(f == 0 for f in outcome.fractions.fractions[u:])
             assert sum(outcome.fractions.fractions) == pytest.approx(1.0, abs=1e-9)
 
     def test_oversized_storage_behaves_like_full(self, default_instance):
-        full = nups_solve(default_instance, 500)
-        oversized = nups_solve(default_instance, 10_000)
+        full = nups_solve(default_instance)
+        oversized = nups_solve(make_instance(ExperimentConfig(), storage=10_000))
         assert oversized.prices.prices == full.prices.prices
 
     def test_requires_matched_surcharge(self):
-        inst, _ = small_instance(n_vrs=2, s_ld=2.0)
+        inst = small_instance(n_vrs=2, s_ld=2.0)
         with pytest.raises(ValueError, match="surcharge"):
-            nups_solve(inst, 500)
+            nups_solve(inst)
 
 
 class TestUpsSolve:
     def test_single_vr_coincides_with_nups(self):
-        inst, _ = small_instance(n_vrs=1)
-        assert ups_solve(inst, 500).prices.prices == pytest.approx(
-            nups_solve(inst, 500).prices.prices
+        inst = small_instance(n_vrs=1)
+        assert ups_solve(inst).prices.prices == pytest.approx(
+            nups_solve(inst).prices.prices
         )
 
     def test_symmetric_preferences_coincide(self):
-        inst, _ = small_instance(n_vrs=5, gamma=0.0)
-        ups = ups_solve(inst, 500)
-        nups = nups_solve(inst, 500)
+        inst = small_instance(n_vrs=5, gamma=0.0)
+        ups = ups_solve(inst)
+        nups = nups_solve(inst)
         np.testing.assert_allclose(ups.prices.prices, nups.prices.prices, rtol=1e-12)
 
     def test_shared_price(self, default_instance):
-        outcome = ups_solve(default_instance, 500)
+        outcome = ups_solve(default_instance)
         posted = [p for p in outcome.prices.prices if p is not EXCLUDED]
         assert len(set(posted)) == 1
 
     def test_fractions_equal_waterfilling(self, default_instance):
-        ups = ups_solve(default_instance, 500)
+        ups = ups_solve(default_instance)
         wf = waterfill_solve(default_instance)
         np.testing.assert_allclose(
             ups.fractions.fractions, wf.fractions.fractions, atol=1e-9
@@ -254,11 +257,11 @@ class TestUpsSolve:
 
 class TestWaterfill:
     def test_single_vr_takes_everything(self):
-        inst, _ = small_instance(n_vrs=1)
+        inst = small_instance(n_vrs=1)
         assert waterfill_solve(inst).fractions.fractions == (1.0,)
 
     def test_symmetric_split(self):
-        inst, _ = small_instance(n_vrs=4, gamma=0.0)
+        inst = small_instance(n_vrs=4, gamma=0.0)
         np.testing.assert_allclose(
             waterfill_solve(inst).fractions.fractions, 0.25, atol=1e-12
         )
@@ -296,13 +299,13 @@ class TestSchemeComparisons:
     def test_dominance(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            inst, cfg = small_instance(
+            inst = small_instance(
                 n_vrs=int(rng.integers(2, 16)),
                 gamma=float(rng.uniform(0.05, 1.0)),
                 storage=int(rng.integers(10, 501)),
             )
-            nups = nups_solve(inst, cfg.storage)
-            ups = ups_solve(inst, cfg.storage)
+            nups = nups_solve(inst)
+            ups = ups_solve(inst)
             assert nups.report.nsp_total >= ups.report.nsp_total - 1e-9
             assert (
                 ups.report.nsp_backhaul_saving
@@ -312,34 +315,33 @@ class TestSchemeComparisons:
     def test_leader_profit_rises_with_preference_skew(self):
         profits = []
         for gamma in np.arange(0.1, 1.05, 0.1):
-            inst, _ = small_instance(n_vrs=15, gamma=float(gamma))
-            profits.append(nups_solve(inst, 500).report.nsp_total)
+            inst = small_instance(n_vrs=15, gamma=float(gamma))
+            profits.append(nups_solve(inst).report.nsp_total)
         assert all(b >= a - 1e-9 for a, b in zip(profits, profits[1:]))
 
     def test_full_participation_bracket(self, default_instance):
-        th = participation_thresholds(
-            default_instance.pops, default_instance.constants, 500
-        )
-        outcome = nups_solve(default_instance, float(th.u_values[-1]) + 1e-6)
+        q_min = float(participation_thresholds(default_instance).u_values[-1])
+        above = make_instance(ExperimentConfig(), storage=q_min + 1e-6)
+        outcome = nups_solve(above)
         assert outcome.n_participants == 15
         np.testing.assert_allclose(
-            outcome.prices.prices, reference_full_prices(default_instance), rtol=1e-12
+            outcome.prices.prices, reference_full_prices(above), rtol=1e-12
         )
-        below = nups_solve(default_instance, float(th.u_values[-1]) - 1e-6)
+        below = nups_solve(make_instance(ExperimentConfig(), storage=q_min - 1e-6))
         assert below.n_participants == 14
 
 
 class TestVerification:
     def test_solved_outcomes_pass(self, default_instance):
         for outcome in (
-            nups_solve(default_instance, 500),
-            ups_solve(default_instance, 500),
+            nups_solve(default_instance),
+            ups_solve(default_instance),
             waterfill_solve(default_instance),
         ):
             verify_equilibrium(outcome, default_instance)
 
     def test_corrupted_price_fails_leader_check(self, default_instance):
-        outcome = nups_solve(default_instance, 500)
+        outcome = nups_solve(default_instance)
         prices = list(outcome.prices.prices)
         prices[0] *= 1.1
         corrupted_prices = PriceVector(tuple(prices))
@@ -367,7 +369,7 @@ class TestVerification:
             verify_equilibrium(corrupted, default_instance)
 
     def test_corrupted_fraction_fails_follower_check(self, default_instance):
-        outcome = nups_solve(default_instance, 500)
+        outcome = nups_solve(default_instance)
         fractions = list(outcome.fractions.fractions)
         fractions[0] += 0.05  # keep the budget feasible by shrinking another
         fractions[1] -= 0.05

@@ -96,12 +96,15 @@ class TestHelpers:
     def test_make_instance_clamps_storage(self):
         cfg = ExperimentConfig(n_files=100, storage=1000)
         instance = make_instance(cfg)
-        assert instance.pops.f_groups == 1.0
+        assert instance.storage == 100
+        assert instance.constants.lambda_big == instance.constants.c  # F = N/Q = 1
 
     def test_make_instance_non_divisible(self):
         instance = make_instance(ExperimentConfig(n_files=500, storage=300))
         assert instance.pops.p is None
-        assert instance.pops.f_groups == pytest.approx(5 / 3)
+        assert instance.constants.lambda_big == pytest.approx(
+            instance.constants.c * 5 / 3
+        )
 
 
 class TestRunners:
@@ -174,8 +177,8 @@ class TestCli:
         assert cli.main(["solve"]) == 2
 
     def test_inconsistent_outcome_exit_code(self, monkeypatch):
-        def inconsistent(instance, storage):
-            outcome = nups_solve(instance, storage)
+        def inconsistent(instance):
+            outcome = nups_solve(instance)
             return replace(outcome, n_participants=outcome.n_participants + 1)
 
         monkeypatch.setattr(harness, "nups_solve", inconsistent)
@@ -198,6 +201,35 @@ class TestCli:
         assert cli.main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--V", "x"],
+            ["solve", "--scheme", "auction"],
+            ["solve", "--no-such-flag"],
+            [],
+        ],
+    )
+    def test_usage_error_exit_code(self, capsys, argv):
+        # argparse's own code 2 would read as a verification failure
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exit_code(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_overflowing_demand_scale_exit_code(self, capsys):
+        assert cli.main(["solve", "--K", "1e300", "--zeta", "1e300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: zeta * K = ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(

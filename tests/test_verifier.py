@@ -18,11 +18,7 @@ from cachemarket.equilibrium import (
 from cachemarket.harness import ExperimentConfig, make_instance
 from verifier_oracle import loop_verify_equilibrium
 
-SOLVERS = {
-    "nups": lambda inst, cfg: nups_solve(inst, cfg.storage),
-    "ups": lambda inst, cfg: ups_solve(inst, cfg.storage),
-    "waterfill": lambda inst, cfg: waterfill_solve(inst),
-}
+SOLVERS = {"nups": nups_solve, "ups": ups_solve, "waterfill": waterfill_solve}
 
 
 def seeded_markets(count, seed):
@@ -41,7 +37,7 @@ def seeded_markets(count, seed):
             gamma=float(rng.uniform(0.0, 2.0)),
             beta=float(rng.uniform(0.3, 1.5)),
         )
-        markets.append((make_instance(cfg), cfg))
+        markets.append(make_instance(cfg))
     return markets
 
 
@@ -112,8 +108,8 @@ def repriced(outcome, instance, retailer, factor):
 @pytest.mark.parametrize("scheme", sorted(SOLVERS))
 def test_matches_loop_oracle_on_seeded_markets(scheme):
     solve = SOLVERS[scheme]
-    for instance, cfg in seeded_markets(300, seed=2016):
-        assert_same_verdict(solve(instance, cfg), instance)
+    for instance in seeded_markets(300, seed=2016):
+        assert_same_verdict(solve(instance), instance)
 
 
 def test_lone_retailer_above_one_skips_lower_prices():
@@ -121,7 +117,7 @@ def test_lone_retailer_above_one_skips_lower_prices():
     # rounds above 1, so only price increases stay feasible
     cfg = ExperimentConfig(n_vrs=3, alpha=4.0, delta=1.0, storage=10)
     instance = make_instance(cfg)
-    outcome = nups_solve(instance, cfg.storage)
+    outcome = nups_solve(instance)
     assert outcome.n_participants == 1
     tau0 = best_response_fraction(
         outcome.prices.prices[0], instance.gammas()[0], instance.econ, instance.constants
@@ -146,7 +142,7 @@ def test_retailer_above_one_makes_the_other_rows_infeasible():
     tau0 = [best_response_fraction(p, g, econ, con) for p, g in zip(prices, gammas)]
     assert tau0[0] > 1.0 and 0.0 < tau0[1] and sum(tau0) < 1.0 + 1e-9
     outcome = with_fractions(
-        replace(nups_solve(instance, 500), prices=PriceVector(prices), n_participants=2),
+        replace(nups_solve(instance), prices=PriceVector(prices), n_participants=2),
         instance,
         (1.0, tau0[1]),
     )
@@ -199,7 +195,7 @@ def test_corrupted_outcomes_match_loop_oracle():
     # both verifiers name the same first violation
     rng = np.random.default_rng(1602)
     corrupted = []
-    for instance, cfg in seeded_markets(40, seed=6063):
+    for instance in seeded_markets(40, seed=6063):
         outcome = waterfill_solve(instance)
         source = int(rng.choice(np.flatnonzero(outcome.fractions.as_array() > 0)))
         amount = outcome.fractions.fractions[source] * rng.uniform(0.0, 1.0)
@@ -207,7 +203,7 @@ def test_corrupted_outcomes_match_loop_oracle():
         if dest != source:
             corrupted.append((shifted(outcome, instance, source, dest, amount), instance))
         for solve in (nups_solve, ups_solve):
-            outcome = solve(instance, cfg.storage)
+            outcome = solve(instance)
             retailer = int(rng.integers(outcome.n_participants))
             scaled = repriced(outcome, instance, retailer, rng.uniform(0.8, 1.25))
             if scaled is not None:
