@@ -11,6 +11,7 @@ transmit power nor the SBS intensity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .special import a_factor, c_factor
@@ -36,8 +37,8 @@ class CoverageConstants:
 
 def make_constants(delta: float, alpha: float, f_groups: float) -> CoverageConstants:
     """Build coverage constants for SINR threshold delta, path-loss alpha, F groups."""
-    if f_groups < 1:
-        raise ValueError(f"f_groups must be >= 1, got {f_groups}")
+    if not (math.isfinite(f_groups) and f_groups >= 1):
+        raise ValueError(f"f_groups must be finite and >= 1, got {f_groups}")
     a = a_factor(delta, alpha)
     c = c_factor(delta, alpha)
     return CoverageConstants(a=a, c=c, theta=a - c + 1.0, lambda_big=c * f_groups)

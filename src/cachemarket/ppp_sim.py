@@ -7,6 +7,11 @@ combination with probability tau/F; the user connects to the nearest
 marked cell and the download succeeds when its SINR clears the
 threshold, with interference from every other cell (marked or not).
 
+The PPP is isotropic, so the SINR at the typical user depends only on
+the cell distances |x| (Andrews, Baccelli & Ganti, IEEE TCOM 2011).  A
+trial therefore works on squared distances R^2 u alone: path loss is
+(R^2 u)^(-alpha/2) and the nearest marked cell is the smallest R^2 u.
+
 Each trial consumes its own child of a numpy SeedSequence, so results
 are bit-identical regardless of how trials are scheduled.
 """
@@ -14,6 +19,7 @@ are bit-identical regardless of how trials are scheduled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +46,18 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for name in ("sbs_intensity", "mu_intensity", "tx_power", "window_radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
+            raise ValueError(f"noise_power must be finite and >= 0, got {self.noise_power}")
+        if not (math.isfinite(self.alpha) and self.alpha > 2.0):
+            raise ValueError(f"alpha must be finite and exceed 2, got {self.alpha}")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         expected = self.sbs_intensity * math.pi * self.window_radius**2
         if expected < _MIN_EXPECTED_COUNT:
             raise ValueError(
@@ -62,32 +78,30 @@ class SimulationEstimate:
 def sample_hppp(intensity: float, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Draw one HPPP realization on a disc centered at the origin.
 
-    Returns an (n, 2) array; n is Poisson(intensity * pi * radius^2) and
-    positions are i.i.d. uniform on the disc.
+    Returns the (n,) array of squared distances radius^2 * u of the
+    points from the origin; n is Poisson(intensity * pi * radius^2) and
+    u is uniform on [0, 1), so the points are i.i.d. uniform on the disc.
+    The point angles are drawn after the radii and left unused: the
+    SINR does not depend on them, but drawing them keeps each trial's
+    random stream that of a sampler returning (n, 2) positions.
     """
     if intensity <= 0 or radius <= 0:
         raise ValueError("intensity and radius must be positive")
     n = rng.poisson(intensity * math.pi * radius**2)
-    r = radius * np.sqrt(rng.random(n))
-    angle = rng.random(n) * (2.0 * math.pi)
-    return np.column_stack((r * np.cos(angle), r * np.sin(angle)))
+    radii_angles = rng.random((2, n))
+    return radius**2 * radii_angles[0]
 
 
 def _run_trial(
     cfg: SimConfig, mark_prob: float, rng: np.random.Generator
 ) -> bool:
-    points = sample_hppp(cfg.sbs_intensity, cfg.window_radius, rng)
-    n = points.shape[0]
-    if n == 0:
-        return False
-    marked = rng.random(n) < mark_prob
-    fades = rng.exponential(1.0, n)
-    if not marked.any():
+    dist2 = sample_hppp(cfg.sbs_intensity, cfg.window_radius, rng)
+    marked_idx = np.flatnonzero(rng.random(dist2.size) < mark_prob)
+    if marked_idx.size == 0:
         return False  # no cell carries the content: counts as a miss
-    dist = np.hypot(points[:, 0], points[:, 1])
-    rx_power = cfg.tx_power * fades * dist**-cfg.alpha
-    marked_idx = np.flatnonzero(marked)
-    serving = marked_idx[np.argmin(dist[marked_idx])]
+    fades = rng.exponential(1.0, dist2.size)
+    rx_power = cfg.tx_power * fades * dist2 ** (-0.5 * cfg.alpha)
+    serving = marked_idx[np.argmin(dist2[marked_idx])]
     interference = rx_power.sum() - rx_power[serving]
     sinr = rx_power[serving] / (interference + cfg.noise_power)
     return bool(sinr >= cfg.delta)

@@ -61,10 +61,10 @@ def beta_function(x: float, y: float) -> float:
 
 
 def _check_domain(alpha: float, delta: float) -> None:
-    if alpha <= 2.0:
-        raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
-    if delta <= 0.0:
-        raise ValueError(f"SINR threshold must be positive, got {delta}")
+    if not (math.isfinite(alpha) and alpha > 2.0):
+        raise ValueError(f"path-loss exponent must be finite and exceed 2, got {alpha}")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"SINR threshold must be positive and finite, got {delta}")
 
 
 def hyp2f1_unit_a(alpha: float, delta: float) -> float:

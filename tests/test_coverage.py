@@ -90,3 +90,19 @@ def test_domain_errors():
         make_constants(0.01, 4.0, 0.5)
     with pytest.raises(ValueError):
         CoverageConstants(a=0.1, c=0.2, theta=0.5, lambda_big=1.0)
+
+
+@pytest.mark.parametrize(
+    "delta,alpha,f_groups",
+    [
+        (math.nan, 4.0, 10.0),
+        (math.inf, 4.0, 10.0),
+        (0.01, math.nan, 10.0),
+        (0.01, math.inf, 10.0),
+        (0.01, 4.0, math.nan),
+        (0.01, 4.0, math.inf),
+    ],
+)
+def test_non_finite_constants_are_domain_errors(delta, alpha, f_groups):
+    with pytest.raises(ValueError, match="finite"):
+        make_constants(delta, alpha, f_groups)

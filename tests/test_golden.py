@@ -38,3 +38,23 @@ def test_cli_output_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert cli.main(CASES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+# verify-coverage on a small (Q, lambda, tau) grid at 300 trials.  The
+# exit code is pinned with the CSV: both cases pass the tolerance.
+COVERAGE_GRID = "q_grid = 10, 500\nlambda_grid = 10, 30\ntau_grid = 0.1, 0.5, 1.0\n"
+
+COVERAGE_CASES = {
+    "verify_coverage": ["--trials", "300"],
+    "verify_coverage_alpha33": ["--trials", "300", "--alpha", "3.3", "--delta", "1.0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVERAGE_CASES))
+def test_verify_coverage_matches_golden(name, tmp_path):
+    config = tmp_path / "grid.cfg"
+    config.write_text(COVERAGE_GRID)
+    out = tmp_path / f"{name}.csv"
+    argv = ["verify-coverage", "--config", str(config), *COVERAGE_CASES[name]]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()

@@ -101,6 +101,18 @@ class TestHypergeometric:
         with pytest.raises(ValueError):
             hyp2f1_unit_a(alpha, delta)
 
+    @pytest.mark.parametrize(
+        "fn", [hyp2f1_unit_a, lambda a, d: a_factor(d, a), lambda a, d: c_factor(d, a)]
+    )
+    @pytest.mark.parametrize(
+        "alpha,delta",
+        [(math.nan, 0.1), (math.inf, 0.1), (4.0, math.nan), (4.0, math.inf), (-math.inf, -math.inf)],
+    )
+    def test_non_finite_is_a_domain_error(self, fn, alpha, delta):
+        # NaN fails every comparison: `alpha <= 2` alone would send it to the series
+        with pytest.raises(ValueError, match="finite"):
+            fn(alpha, delta)
+
 
 class TestDerivedFactors:
     def test_a_factor_values(self):
