@@ -18,7 +18,6 @@ from .catalog import (
 )
 from .coverage import CoverageConstants, hit_probability, make_constants
 from .economics import (
-    EXCLUDED,
     EconomicConfig,
     FractionVector,
     InconsistentExclusion,
@@ -26,7 +25,6 @@ from .economics import (
     ProfitReport,
     backhaul_saving,
     gamma_vector,
-    leasing_income,
     profit_report,
     vr_profit,
 )
@@ -43,7 +41,7 @@ from .equilibrium import (
     verify_equilibrium,
     waterfill_solve,
 )
-from .harness import ConfigError, ExperimentConfig, load_config, make_instance
+from .harness import EXCLUDED, ConfigError, ExperimentConfig, load_config, make_instance
 from .ppp_sim import SimConfig, SimulationEstimate, sample_hppp, simulate_hit_probability
 from .special import a_factor, beta_function, c_factor, hyp2f1_unit_a
 

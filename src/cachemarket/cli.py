@@ -55,13 +55,6 @@ _OVERRIDES = [
 ]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
-    for flag, dest, kind in _OVERRIDES:
-        parser.add_argument(flag, dest=f"cfg_{dest}", type=kind, default=None)
-
-
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     flags = [(flag, getattr(args, f"cfg_{dest}")) for flag, dest, _ in _OVERRIDES]
     flags += [(f"--{n}", getattr(args, n, None)) for n in ("start", "stop", "step")]
@@ -101,38 +94,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stackelberg pricing for small-cell video caching",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # flags of every subcommand
+    common.add_argument("--config", help="flat key = value config file")
+    common.add_argument("--out", help="output CSV path (default: stdout)")
+    for flag, dest, kind in _OVERRIDES:
+        common.add_argument(flag, dest=f"cfg_{dest}", type=kind, default=None)
 
-    p = sub.add_parser(
-        "verify-coverage", help="Monte-Carlo check of the hit-probability closed form"
-    )
-    _add_common(p)
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], help=summary)
+
+    p = add("verify-coverage", "Monte-Carlo check of the hit-probability closed form")
     p.add_argument("--jobs", type=int, default=1, help="concurrent grid points")
 
-    p = sub.add_parser("sweep-gamma", help="sweep the retailer preference exponent")
-    _add_common(p)
+    p = add("sweep-gamma", "sweep the retailer preference exponent")
     p.add_argument("--start", type=float, default=0.1)
     p.add_argument("--stop", type=float, default=1.0)
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--verify", action="store_true", help="perturbation-check outcomes")
 
-    p = sub.add_parser("sweep-storage", help="sweep the per-SBS storage size")
-    _add_common(p)
+    p = add("sweep-storage", "sweep the per-SBS storage size")
     p.add_argument("--start", type=float, default=10.0)
     p.add_argument("--stop", type=float, default=500.0)
     p.add_argument("--step", type=float, default=10.0)
     p.add_argument("--verify", action="store_true", help="perturbation-check outcomes")
 
-    p = sub.add_parser("per-vr", help="per-retailer prices and fractions")
-    _add_common(p)
+    p = add("per-vr", "per-retailer prices and fractions")
     p.add_argument("--verify", action="store_true", help="perturbation-check outcomes")
 
-    p = sub.add_parser("solve", help="solve one instance and print the outcome")
-    _add_common(p)
-    p.add_argument(
-        "--scheme",
-        choices=["nups", "ups", "waterfill"],
-        default="nups",
-    )
+    p = add("solve", "solve one instance and print the outcome")
+    p.add_argument("--scheme", choices=["nups", "ups", "waterfill"], default="nups")
     p.add_argument(
         "--no-verify",
         action="store_true",

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .special import a_factor, c_factor
 
 __all__ = ["CoverageConstants", "make_constants", "hit_probability"]
@@ -44,10 +46,13 @@ def make_constants(delta: float, alpha: float, f_groups: float) -> CoverageConst
     return CoverageConstants(a=a, c=c, theta=a - c + 1.0, lambda_big=c * f_groups)
 
 
-def hit_probability(tau: float, constants: CoverageConstants) -> float:
-    """Hit probability tau / (Theta tau + Lambda) for a rental fraction tau."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if tau == 0.0:
-        return 0.0
+def hit_probability(tau, constants: CoverageConstants):
+    """Hit probability tau / (Theta tau + Lambda) for a rental fraction tau.
+
+    tau may be a float or an array of fractions, evaluated elementwise.
+    """
+    t = np.asarray(tau)
+    outside = ~((t >= 0.0) & (t <= 1.0))
+    if outside.any():
+        raise ValueError(f"tau must lie in [0, 1], got {t[outside].flat[0]}")
     return tau / (constants.theta * tau + constants.lambda_big)

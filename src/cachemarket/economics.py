@@ -1,14 +1,15 @@
 """Profit model: leasing income, back-haul savings, surcharge revenue.
 
 All money quantities are per unit area per unit period (e.g. per
-month per km^2).  A retailer that is priced out of the market carries
-the explicit EXCLUDED marker (None) instead of an IEEE infinity, so
-serialization stays exact.
+month per km^2).  Participation is a prefix of the popularity order:
+prices are posted to the first u retailers and the rest are priced out.
+Totals are left-to-right sums (``ordered_sum``) on every interpreter.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,27 +19,21 @@ from .catalog import PopularityVectors
 from .coverage import CoverageConstants, hit_probability
 
 __all__ = [
-    "EXCLUDED",
     "InconsistentExclusion",
     "EconomicConfig",
     "PriceVector",
     "FractionVector",
     "gamma_vector",
-    "leasing_income",
+    "ordered_sum",
     "backhaul_saving",
-    "backhaul_saving_double_sum",
     "vr_profit",
     "profit_report",
     "ProfitReport",
 ]
 
-# Marker for retailers priced out of the game (the closed forms write
-# these prices as infinity; data files spell them "EXCLUDED").
-EXCLUDED = None
-
 
 class InconsistentExclusion(ValueError):
-    """A positive rental fraction was paired with an EXCLUDED price."""
+    """A positive rental fraction was paired with a priced-out retailer."""
 
 
 @dataclass(frozen=True)
@@ -69,52 +64,78 @@ class EconomicConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        # every demand density Gamma_v = q_v zeta K scales with zeta K
-        if not math.isfinite(self.mu_intensity * self.requests_per_mu):
+        # every demand density Gamma_v = q_v zeta K scales with zeta K, and
+        # every money amount with s zeta K
+        demand = self.mu_intensity * self.requests_per_mu
+        if not math.isfinite(demand):
             raise ValueError(
                 f"zeta * K = {self.mu_intensity} * {self.requests_per_mu} "
                 "overflows a float"
             )
+        money = max(self.backhaul_cost, self.local_surcharge) * demand
+        if not money <= sys.float_info.max / 2:
+            raise ValueError(f"s * zeta * K = {money:.3g} overflows a float")
+
+
+def ordered_sum(x: np.ndarray) -> float:
+    """Left-to-right sum, as Python 3.11's sum() adds floats; np.sum is pairwise."""
+    return float(np.add.accumulate(x)[-1]) if len(x) else 0.0
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class PriceVector:
-    """Per-retailer SBS rental prices; EXCLUDED marks priced-out retailers."""
+    """SBS rental prices posted to retailers 1..len(prices).
 
-    prices: tuple
+    The other n_vrs - len(prices) retailers, the least popular ones, are
+    priced out.  n_vrs defaults to len(prices): every retailer is priced.
+    """
+
+    prices: np.ndarray
+    n_vrs: int | None = None
 
     def __post_init__(self) -> None:
-        for i, s in enumerate(self.prices):
-            if s is not EXCLUDED and s < 0:
-                raise ValueError(f"price {i + 1} must be >= 0, got {s}")
+        prices = _read_only(self.prices)
+        object.__setattr__(self, "prices", prices)
+        if self.n_vrs is None:
+            object.__setattr__(self, "n_vrs", prices.size)
+        if not prices.size <= self.n_vrs:
+            raise ValueError(f"{prices.size} prices posted to {self.n_vrs} retailers")
+        if not (prices >= 0).all():
+            i = np.argmin(prices >= 0)
+            raise ValueError(f"price {i + 1} must be >= 0, got {prices[i]}")
 
     def __len__(self) -> int:
-        return len(self.prices)
+        return self.n_vrs
 
     def n_posted(self) -> int:
-        return sum(1 for s in self.prices if s is not EXCLUDED)
+        return self.prices.size
 
 
 @dataclass(frozen=True)
 class FractionVector:
     """Per-retailer fractions of rented SBSs; the total may not exceed 1."""
 
-    fractions: tuple
+    fractions: np.ndarray
 
     def __post_init__(self) -> None:
-        for i, tau in enumerate(self.fractions):
-            if not 0.0 <= tau <= 1.0:
-                raise ValueError(f"fraction {i + 1} must lie in [0, 1], got {tau}")
-        if sum(self.fractions) > 1.0 + 1e-9:
-            raise ValueError(
-                f"fractions sum to {sum(self.fractions)}, exceeding the SBS budget"
-            )
+        fractions = _read_only(self.fractions)
+        object.__setattr__(self, "fractions", fractions)
+        inside = (fractions >= 0.0) & (fractions <= 1.0)
+        if not inside.all():
+            i = np.argmin(inside)
+            raise ValueError(f"fraction {i + 1} must lie in [0, 1], got {fractions[i]}")
+        total = ordered_sum(fractions)
+        if total > 1.0 + 1e-9:
+            raise ValueError(f"fractions sum to {total}, exceeding the SBS budget")
 
     def __len__(self) -> int:
-        return len(self.fractions)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.fractions, dtype=float)
+        return self.fractions.size
 
 
 @dataclass(frozen=True)
@@ -124,9 +145,9 @@ class ProfitReport:
     nsp_leasing: float
     nsp_backhaul_saving: float
     nsp_total: float
-    vr_profits: tuple
-    vr_surcharge: tuple
-    vr_rent: tuple
+    vr_profits: np.ndarray
+    vr_surcharge: np.ndarray
+    vr_rent: np.ndarray
     global_total: float
 
 
@@ -138,22 +159,6 @@ def gamma_vector(q: Sequence[float], cfg: EconomicConfig) -> np.ndarray:
     return np.asarray(q, dtype=float) * cfg.mu_intensity * cfg.requests_per_mu
 
 
-def leasing_income(tau: FractionVector, s: PriceVector, sbs_intensity: float) -> float:
-    """NSP rental income: sum of tau_j * lambda * s_j over posted prices."""
-    if len(tau) != len(s):
-        raise ValueError("fraction and price vectors must have equal length")
-    total = 0.0
-    for j, (t, price) in enumerate(zip(tau.fractions, s.prices)):
-        if price is EXCLUDED:
-            if t > 0.0:
-                raise InconsistentExclusion(
-                    f"retailer {j + 1} is excluded but rents fraction {t}"
-                )
-            continue
-        total += t * sbs_intensity * price
-    return total
-
-
 def backhaul_saving(
     tau: FractionVector,
     pops: PopularityVectors,
@@ -162,37 +167,9 @@ def backhaul_saving(
 ) -> float:
     """Back-haul cost avoided per unit area: sum_v Gamma_v Pr(tau_v) s^bh."""
     gammas = gamma_vector(pops.q, cfg)
-    return sum(
-        g * hit_probability(t, constants) * cfg.backhaul_cost
-        for g, t in zip(gammas, tau.fractions)
+    return ordered_sum(
+        gammas * hit_probability(tau.fractions, constants) * cfg.backhaul_cost
     )
-
-
-def backhaul_saving_double_sum(
-    tau: FractionVector,
-    pops: PopularityVectors,
-    cfg: EconomicConfig,
-    constants: CoverageConstants,
-) -> float:
-    """The same saving summed explicitly over (group, retailer) pairs.
-
-    Used as a cross-check of the Gamma-collapsed form; requires exact
-    group popularities (integer N/Q).
-    """
-    if pops.p is None:
-        raise ValueError("explicit group popularities unavailable (N/Q not integer)")
-    total = 0.0
-    for p_f in pops.p:
-        for q_v, t in zip(pops.q, tau.fractions):
-            total += (
-                p_f
-                * q_v
-                * cfg.mu_intensity
-                * cfg.requests_per_mu
-                * hit_probability(t, constants)
-                * cfg.backhaul_cost
-            )
-    return total
 
 
 def vr_profit(
@@ -223,35 +200,30 @@ def profit_report(
     cfg: EconomicConfig,
     constants: CoverageConstants,
 ) -> ProfitReport:
-    """Assemble every profit aggregate for the given operating point."""
+    """Assemble every profit aggregate for the given operating point.
+
+    The NSP's leasing income is the rent the retailers pay.
+    """
     if not len(tau) == len(s) == len(pops.q):
         raise ValueError("vector lengths are inconsistent")
+    u = s.n_posted()
+    if (tau.fractions[u:] > 0.0).any():
+        raise InconsistentExclusion("positive fraction for a priced-out retailer")
     gammas = gamma_vector(pops.q, cfg)
-    surcharges = []
-    rents = []
-    profits = []
-    for t, price, g in zip(tau.fractions, s.prices, gammas):
-        surcharge = g * cfg.local_surcharge * hit_probability(t, constants)
-        if price is EXCLUDED:
-            if t > 0.0:
-                raise InconsistentExclusion(
-                    "positive fraction paired with an EXCLUDED price"
-                )
-            rent = 0.0
-        else:
-            rent = t * cfg.sbs_intensity * price
-        surcharges.append(surcharge)
-        rents.append(rent)
-        profits.append(surcharge - rent)
-    nsp_leasing = leasing_income(tau, s, cfg.sbs_intensity)
-    nsp_saving = backhaul_saving(tau, pops, cfg, constants)
+    hits = hit_probability(tau.fractions, constants)
+    surcharges = gammas * cfg.local_surcharge * hits
+    rents = np.zeros(len(tau))
+    rents[:u] = tau.fractions[:u] * cfg.sbs_intensity * s.prices
+    profits = surcharges - rents
+    nsp_leasing = ordered_sum(rents)
+    nsp_saving = ordered_sum(gammas * hits * cfg.backhaul_cost)
     nsp_total = nsp_leasing + nsp_saving
     return ProfitReport(
         nsp_leasing=nsp_leasing,
         nsp_backhaul_saving=nsp_saving,
         nsp_total=nsp_total,
-        vr_profits=tuple(profits),
-        vr_surcharge=tuple(surcharges),
-        vr_rent=tuple(rents),
-        global_total=nsp_total + sum(profits),
+        vr_profits=profits,
+        vr_surcharge=surcharges,
+        vr_rent=rents,
+        global_total=nsp_total + ordered_sum(profits),
     )

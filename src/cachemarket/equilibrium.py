@@ -16,19 +16,21 @@ shrinks, the least popular retailers drop out first.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .catalog import PopularityVectors
 from .coverage import CoverageConstants
 from .economics import (
-    EXCLUDED,
     EconomicConfig,
     FractionVector,
     PriceVector,
     ProfitReport,
     gamma_vector,
+    ordered_sum,
     profit_report,
 )
 
@@ -58,7 +60,10 @@ class VerificationFailure(AssertionError):
 
 @dataclass(frozen=True)
 class GameInstance:
-    """Everything the solvers need for one market scenario."""
+    """Everything the solvers need for one market scenario.
+
+    Gamma and the participation thresholds are computed once, here.
+    """
 
     pops: PopularityVectors
     econ: EconomicConfig
@@ -70,13 +75,44 @@ class GameInstance:
         expected = self.constants.c * self.n_files / self.storage
         if abs(expected - self.constants.lambda_big) > 1e-9 * max(expected, 1.0):
             raise ValueError("coverage constants disagree with the storage")
+        gammas = gamma_vector(self.pops.q, self.econ)
+        gammas.flags.writeable = False
+        object.__setattr__(self, "_gammas", gammas)
 
     @property
     def n_vrs(self) -> int:
         return len(self.pops.q)
 
     def gammas(self) -> np.ndarray:
-        return gamma_vector(self.pops.q, self.econ)
+        """Demand densities Gamma_v = q_v zeta K (read-only)."""
+        return self._gammas
+
+    @cached_property
+    def thresholds(self) -> ParticipationThresholds:
+        return participation_thresholds(self)
+
+    @cached_property
+    def pricing_products(self) -> dict[str, float]:
+        """Bounds, over u <= V, on products the NUPS/UPS closed forms form.
+
+        S_k = sum_v Gamma_v^(1/k); Gamma_1 is the largest Gamma.  Each must
+        stay below half the float range (room for the verifier's doubled
+        prices).  Python floats overflow to inf without a warning.
+        """
+        lam, s = self.constants.lambda_big, self.econ.backhaul_cost
+        g1 = float(self._gammas[0])
+        s3 = float(np.cbrt(self._gammas).sum())
+        s2 = float(np.sqrt(self._gammas).sum())
+        numerator = lam * s * max(s3 * s3 * max(g1 ** (1 / 3), 1.0), s2 * s2)
+        return {
+            "Gamma_1 * Lambda * s_bh": g1 * lam * s,
+            "Lambda^2 * s_bh * S_3^3": lam * lam * s * s3 * s3 * s3,
+            "V * Lambda^2 * s_bh * S_2^2": self.n_vrs * lam * lam * s * s2 * s2,
+            "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2)": numerator,
+            "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2)": (
+                numerator / (self.econ.sbs_intensity * self.constants.theta**2)
+            ),
+        }
 
 
 @dataclass(frozen=True)
@@ -149,81 +185,69 @@ def participation_thresholds(instance: GameInstance) -> ParticipationThresholds:
 
 def _bracket_count(thresholds: np.ndarray, storage: float) -> int:
     """Largest v with threshold_v < Q (ties resolve to the lower bracket)."""
-    return int(np.sum(thresholds < storage - _BRACKET_TOL))
+    return int(np.count_nonzero(thresholds < storage - _BRACKET_TOL))
 
 
-def _require_matched_surcharge(cfg: EconomicConfig) -> None:
-    if abs(cfg.local_surcharge - cfg.backhaul_cost) > 1e-12 * cfg.backhaul_cost:
+def _require_pricing_domain(instance: GameInstance) -> None:
+    """Preconditions of the NUPS and UPS closed forms: s^ld = s^bh, no overflow."""
+    econ = instance.econ
+    if abs(econ.local_surcharge - econ.backhaul_cost) > 1e-12 * econ.backhaul_cost:
         raise ValueError(
             "the pricing closed forms require the local surcharge to equal "
-            f"the back-haul cost, got s_ld={cfg.local_surcharge}, "
-            f"s_bh={cfg.backhaul_cost}"
+            f"the back-haul cost, got s_ld={econ.local_surcharge}, "
+            f"s_bh={econ.backhaul_cost}"
         )
+    for name, value in instance.pricing_products.items():
+        if not value <= sys.float_info.max / 2:
+            raise ValueError(f"{name} = {value:.3g} overflows a float")
 
 
 def nups_prices_for_u(u: int, instance: GameInstance) -> PriceVector:
     """Per-retailer prices keeping exactly the u most popular retailers.
 
     s_i = Lambda s^bh (sum_{j<=u} Gamma_j^(1/3))^2 Gamma_i^(1/3)
-          / (lambda (u Lambda + Theta)^2)   for i <= u, EXCLUDED beyond.
+          / (lambda (u Lambda + Theta)^2)   for i <= u; the rest are priced out.
     """
     if not 1 <= u <= instance.n_vrs:
         raise ValueError(f"u must lie in 1..{instance.n_vrs}, got {u}")
-    _require_matched_surcharge(instance.econ)
-    gammas = instance.gammas()
-    lam_big = instance.constants.lambda_big
-    theta = instance.constants.theta
-    cbrt_sum = np.cbrt(gammas[:u]).sum()
-    scale = (
-        lam_big
-        * instance.econ.backhaul_cost
-        * cbrt_sum**2
-        / (instance.econ.sbs_intensity * (u * lam_big + theta) ** 2)
-    )
-    prices = [scale * float(np.cbrt(g)) for g in gammas[:u]]
-    prices += [EXCLUDED] * (instance.n_vrs - u)
-    return PriceVector(prices=tuple(prices))
+    _require_pricing_domain(instance)
+    roots = np.cbrt(instance.gammas()[:u])
+    return PriceVector(_price_scale(u, roots.sum(), instance) * roots, instance.n_vrs)
 
 
-def _ups_price_for_u(u: int, instance: GameInstance) -> float:
-    gammas = instance.gammas()
+def _price_scale(u: int, root_sum: float, instance: GameInstance) -> float:
+    """Lambda s^bh root_sum^2 / (lambda (u Lambda + Theta)^2)."""
     lam_big = instance.constants.lambda_big
-    theta = instance.constants.theta
-    sqrt_sum = np.sqrt(gammas[:u]).sum()
-    return float(
+    return (
         lam_big
         * instance.econ.backhaul_cost
-        * sqrt_sum**2
-        / (instance.econ.sbs_intensity * (u * lam_big + theta) ** 2)
+        * root_sum**2
+        / (instance.econ.sbs_intensity * (u * lam_big + instance.constants.theta) ** 2)
     )
 
 
 def _outcome_from_prices(
-    scheme: str, prices: PriceVector, u: int, instance: GameInstance
+    scheme: str, prices: PriceVector, instance: GameInstance
 ) -> EquilibriumOutcome:
-    gammas = instance.gammas()
-    fractions = []
-    for price, g in zip(prices.prices, gammas):
-        if price is EXCLUDED:
-            fractions.append(0.0)
-        else:
-            fractions.append(
-                best_response_fraction(price, g, instance.econ, instance.constants)
-            )
-    total = sum(fractions)
+    posted = prices.prices
+    if not (posted > 0).all():
+        raise ValueError(f"price must be positive, got {posted.min()}")
+    u = posted.size
+    gammas = instance.gammas()[:u]
+    responses = _best_responses(posted, gammas, instance.econ, instance.constants)
+    total = ordered_sum(responses)
     if total > 1.0 + 1e-9:
         raise ArithmeticError(
             f"{scheme} best responses sum to {total}; the posted prices are broken"
         )
-    tau = FractionVector(fractions=tuple(min(f, 1.0) for f in fractions))
+    fractions = np.zeros(instance.n_vrs)
+    fractions[:u] = np.minimum(responses, 1.0)
+    return _outcome(scheme, prices, FractionVector(fractions), u, instance)
+
+
+def _outcome(scheme, prices, tau, n_participants, instance) -> EquilibriumOutcome:
     report = profit_report(tau, prices, instance.pops, instance.econ, instance.constants)
-    return EquilibriumOutcome(
-        scheme=scheme,
-        prices=prices,
-        fractions=tau,
-        n_participants=u,
-        report=report,
-    )
+    return EquilibriumOutcome(scheme, prices, tau, n_participants, report)
 
 
 def nups_solve(instance: GameInstance) -> EquilibriumOutcome:
@@ -235,9 +259,8 @@ def nups_solve(instance: GameInstance) -> EquilibriumOutcome:
           - s^bh sum_{j<=u} Gamma_j
     over it, and posts the closed-form prices for the winning count.
     """
-    _require_matched_surcharge(instance.econ)
-    thresholds = participation_thresholds(instance)
-    t_max = _bracket_count(thresholds.u_values, instance.storage)
+    _require_pricing_domain(instance)
+    t_max = _bracket_count(instance.thresholds.u_values, instance.storage)
     gammas = instance.gammas()[:t_max]
     lam_big = instance.constants.lambda_big
     s_bh = instance.econ.backhaul_cost
@@ -248,8 +271,7 @@ def nups_solve(instance: GameInstance) -> EquilibriumOutcome:
         - s_bh * np.cumsum(gammas)
     )
     u_hat = 1 + int(np.argmin(surrogates))  # argmin takes the smallest u on ties
-    prices = nups_prices_for_u(u_hat, instance)
-    return _outcome_from_prices("NUPS", prices, u_hat, instance)
+    return _outcome_from_prices("NUPS", nups_prices_for_u(u_hat, instance), instance)
 
 
 def ups_solve(instance: GameInstance) -> EquilibriumOutcome:
@@ -259,9 +281,8 @@ def ups_solve(instance: GameInstance) -> EquilibriumOutcome:
     S_u = u Lambda^2 s^bh (sum_{j<=u} Gamma_j^(1/2))^2 / (u Lambda + Theta)^2
           - s^bh sum_{j<=u} Gamma_j.
     """
-    _require_matched_surcharge(instance.econ)
-    thresholds = participation_thresholds(instance)
-    t_max = _bracket_count(thresholds.u_bar_values, instance.storage)
+    _require_pricing_domain(instance)
+    t_max = _bracket_count(instance.thresholds.u_bar_values, instance.storage)
     gammas = instance.gammas()[:t_max]
     lam_big = instance.constants.lambda_big
     s_bh = instance.econ.backhaul_cost
@@ -272,11 +293,9 @@ def ups_solve(instance: GameInstance) -> EquilibriumOutcome:
         - s_bh * np.cumsum(gammas)
     )
     u_hat = 1 + int(np.argmin(surrogates))
-    shared = _ups_price_for_u(u_hat, instance)
-    prices = PriceVector(
-        prices=tuple([shared] * u_hat + [EXCLUDED] * (instance.n_vrs - u_hat))
-    )
-    return _outcome_from_prices("UPS", prices, u_hat, instance)
+    shared = _price_scale(u_hat, np.sqrt(gammas[:u_hat]).sum(), instance)
+    prices = PriceVector(np.full(u_hat, float(shared)), instance.n_vrs)
+    return _outcome_from_prices("UPS", prices, instance)
 
 
 def waterfill_solve(instance: GameInstance) -> EquilibriumOutcome:
@@ -297,17 +316,9 @@ def waterfill_solve(instance: GameInstance) -> EquilibriumOutcome:
         v_bar -= 1
     fractions = np.zeros(q.size)
     fractions[:v_bar] = (sqrt_q[:v_bar] / eta - lam_big) / theta
-    tau = FractionVector(fractions=tuple(np.minimum(fractions, 1.0)))
+    tau = FractionVector(np.minimum(fractions, 1.0))
     # no prices are posted in the global scheme: rent is a pure transfer
-    prices = PriceVector(prices=tuple([0.0] * q.size))
-    report = profit_report(tau, prices, instance.pops, instance.econ, instance.constants)
-    return EquilibriumOutcome(
-        scheme="WATERFILL",
-        prices=prices,
-        fractions=tau,
-        n_participants=v_bar,
-        report=report,
-    )
+    return _outcome("WATERFILL", PriceVector(np.zeros(q.size)), tau, v_bar, instance)
 
 
 @dataclass(frozen=True)
@@ -382,24 +393,24 @@ def verify_equilibrium(
     if outcome.scheme == "WATERFILL":
         return _verify_waterfill(outcome, instance, rel_tol)
     gammas = instance.gammas()
+    u = outcome.prices.n_posted()
     follower_gain = -math.inf
     follower_checks = 0
-    for v, (price, tau_v) in enumerate(
-        zip(outcome.prices.prices, outcome.fractions.fractions)
-    ):
-        if price is EXCLUDED:
-            continue
-        base = _vr_profit_at(tau_v, price, gammas[v], instance)
+    # Python floats round like numpy scalars and are cheaper in this loop
+    tau = outcome.fractions.fractions.tolist()
+    posted = zip(outcome.prices.prices.tolist(), tau, gammas.tolist())
+    for v, (price, tau_v, gamma_v) in enumerate(posted):
+        base = _vr_profit_at(tau_v, price, gamma_v, instance)
         scale = max(abs(base), 1e-9)
         candidates = {f * tau_v for f in _FOLLOWER_FACTORS}
         candidates.add(
-            best_response_fraction(price, gammas[v], instance.econ, instance.constants)
+            best_response_fraction(price, gamma_v, instance.econ, instance.constants)
         )
         candidates.add(tau_v + 0.05)
         for cand in candidates:
             if cand < 0.0:
                 continue
-            gain = (_vr_profit_at(cand, price, gammas[v], instance) - base) / scale
+            gain = (_vr_profit_at(cand, price, gamma_v, instance) - base) / scale
             follower_gain = max(follower_gain, gain)
             follower_checks += 1
             if gain > rel_tol:
@@ -411,9 +422,8 @@ def verify_equilibrium(
 
     econ = instance.econ
     constants = instance.constants
-    posted = [i for i, p in enumerate(outcome.prices.prices) if p is not EXCLUDED]
-    price = np.array([outcome.prices.prices[i] for i in posted], dtype=float)
-    gamma = gammas[posted]
+    price = outcome.prices.prices
+    gamma = gammas[:u]
     # UPS sets its price to maximize the back-haul saving, not the
     # provider's total profit; check the objective each scheme claims.
     ups = outcome.scheme == "UPS"
@@ -448,7 +458,7 @@ def verify_equilibrium(
     if violated.any():
         row, col = np.unravel_index(np.argmax(violated), violated.shape)
         raise VerificationFailure(
-            f"leader condition violated: scaling price {posted[row] + 1} by "
+            f"leader condition violated: scaling price {row + 1} by "
             f"{_LEADER_FACTORS[col]} gains {gains[row, col]:.3e} (relative) in {label}"
         )
     return VerificationRecord(
@@ -477,7 +487,7 @@ def _verify_waterfill(
     profit is sum_v f_v(tau_v) with f_v = Gamma_v (s^bh + s^ld) Pr, so a
     transfer changes it by a loss in f_i plus a gain in f_j.
     """
-    tau = outcome.fractions.as_array()
+    tau = outcome.fractions.fractions
     n = tau.size
     constants = instance.constants
     weight = instance.gammas() * (

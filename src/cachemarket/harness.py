@@ -16,14 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import CatalogConfig, VrConfig, build_popularity
-from .coverage import hit_probability, make_constants
-from .economics import EXCLUDED, EconomicConfig
+from .coverage import CoverageConstants, hit_probability, make_constants
+from .economics import EconomicConfig, PriceVector
 from .equilibrium import (
     EquilibriumOutcome,
     GameInstance,
     VerificationFailure,
     nups_solve,
-    participation_thresholds,
     ups_solve,
     verify_equilibrium,
     waterfill_solve,
@@ -31,6 +30,7 @@ from .equilibrium import (
 from .ppp_sim import SimConfig, simulate_hit_probability
 
 __all__ = [
+    "EXCLUDED",
     "ConfigError",
     "ExperimentConfig",
     "load_config",
@@ -51,6 +51,9 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid configuration file or option value."""
+
+
+EXCLUDED = None  # CSV price cell of a priced-out retailer (an infinite price)
 
 
 _DEFAULT_TAU_GRID = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -167,12 +170,23 @@ def format_rows(header: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _price_cells(prices: PriceVector) -> list:
+    """One CSV cell per retailer: the posted prices, then EXCLUDED."""
+    return prices.prices.tolist() + [EXCLUDED] * (len(prices) - prices.n_posted())
+
+
 def make_instance(
     cfg: ExperimentConfig,
     gamma: float | None = None,
     storage: float | None = None,
+    constants: CoverageConstants | None = None,
 ) -> GameInstance:
-    """Build a consistent game instance from an experiment config."""
+    """Build a consistent game instance from an experiment config.
+
+    Given constants of the same (delta, alpha), only Lambda = C F is redone.
+    """
+    if cfg.n_files < 1:
+        raise ConfigError(f"file count N (--N, n_files) must be >= 1, got {cfg.n_files}")
     q_req = cfg.storage if storage is None else storage
     q_eff = min(q_req, cfg.n_files)  # Q > N behaves exactly like Q = N
     if q_eff < 1:
@@ -187,7 +201,10 @@ def make_instance(
         mu_intensity=cfg.mu_intensity,
         sbs_intensity=cfg.sbs_intensity,
     )
-    constants = make_constants(cfg.delta, cfg.alpha, catalog.f_groups)
+    if constants is None:
+        constants = make_constants(cfg.delta, cfg.alpha, catalog.f_groups)
+    else:
+        constants = replace(constants, lambda_big=constants.c * catalog.f_groups)
     return GameInstance(
         pops=pops, econ=econ, constants=constants, n_files=cfg.n_files, storage=q_eff
     )
@@ -272,7 +289,7 @@ SWEEP_GAMMA_HEADER = [
 
 def _check_outcome(outcome: EquilibriumOutcome) -> None:
     posted = outcome.prices.n_posted()
-    positive = sum(1 for f in outcome.fractions.fractions if f > 0)
+    positive = int(np.count_nonzero(outcome.fractions.fractions > 0))
     if not outcome.n_participants == posted == positive:
         raise VerificationFailure(
             f"inconsistent outcome: participants={outcome.n_participants}, "
@@ -287,9 +304,11 @@ def run_sweep_gamma(
 ) -> list[tuple]:
     """Sweep the retailer preference exponent at fixed storage."""
     rows = []
+    constants = None  # A and C depend only on (delta, alpha): made at the first point
     for gamma in gammas:
-        instance = make_instance(cfg, gamma=gamma)
-        thresholds = participation_thresholds(instance)
+        instance = make_instance(cfg, gamma=gamma, constants=constants)
+        constants = instance.constants
+        thresholds = instance.thresholds
         nups = nups_solve(instance)
         ups = ups_solve(instance)
         _check_outcome(nups)
@@ -331,8 +350,10 @@ def run_sweep_storage(
 ) -> list[tuple]:
     """Sweep the per-SBS storage size at fixed preference exponent."""
     rows = []
+    constants = None  # A and C depend only on (delta, alpha): made at the first point
     for storage in storages:
-        instance = make_instance(cfg, storage=storage)
+        instance = make_instance(cfg, storage=storage, constants=constants)
+        constants = instance.constants
         nups = nups_solve(instance)
         ups = ups_solve(instance)
         _check_outcome(nups)
@@ -373,18 +394,15 @@ def run_per_vr(cfg: ExperimentConfig, verify: bool = False) -> list[tuple]:
     if verify:
         verify_equilibrium(nups, instance)
         verify_equilibrium(ups, instance)
-    rows = []
-    for v in range(cfg.n_vrs):
-        rows.append(
-            (
-                v + 1,
-                nups.prices.prices[v],
-                ups.prices.prices[v],
-                nups.fractions.fractions[v],
-                ups.fractions.fractions[v],
-            )
+    return list(
+        zip(
+            range(1, cfg.n_vrs + 1),
+            _price_cells(nups.prices),
+            _price_cells(ups.prices),
+            nups.fractions.fractions.tolist(),
+            ups.fractions.fractions.tolist(),
         )
-    return rows
+    )
 
 
 OUTCOME_HEADER = [
@@ -413,19 +431,17 @@ def run_solve(
         raise ConfigError(f"unknown scheme {scheme!r}")
     if verify:
         verify_equilibrium(outcome, instance)
-    rows = []
     rep = outcome.report
-    for v in range(cfg.n_vrs):
-        rows.append(
-            (
-                v + 1,
-                outcome.prices.prices[v],
-                outcome.fractions.fractions[v],
-                rep.vr_surcharge[v],
-                rep.vr_rent[v],
-                rep.vr_profits[v],
-            )
+    rows = list(
+        zip(
+            range(1, cfg.n_vrs + 1),
+            _price_cells(outcome.prices),
+            outcome.fractions.fractions.tolist(),
+            rep.vr_surcharge.tolist(),
+            rep.vr_rent.tolist(),
+            rep.vr_profits.tolist(),
         )
+    )
     summary = [
         "scheme,participants,s_rt,s_bh,s_nsp,s_glb",
         ",".join(

@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from cachemarket.catalog import CatalogConfig, VrConfig, build_popularity
-from cachemarket.coverage import make_constants
+from cachemarket.coverage import hit_probability, make_constants
 from cachemarket.economics import (
-    EXCLUDED,
     EconomicConfig,
     FractionVector,
     InconsistentExclusion,
     PriceVector,
     backhaul_saving,
-    backhaul_saving_double_sum,
     gamma_vector,
-    leasing_income,
     profit_report,
     vr_profit,
 )
@@ -45,25 +42,30 @@ def make_scenario(n_vrs=2, gamma=0.6, n_files=100, storage=20, **econ_overrides)
     return pops, econ, constants
 
 
+def leasing_income(fractions, prices, sbs_intensity, n_vrs=None):
+    """The NSP's leasing income: the rent sum of a profit report."""
+    n_vrs = n_vrs or len(prices)
+    pops, econ, constants = make_scenario(n_vrs=n_vrs, sbs_intensity=sbs_intensity)
+    report = profit_report(
+        FractionVector(fractions), PriceVector(prices, n_vrs), pops, econ, constants
+    )
+    return report.nsp_leasing
+
+
 def test_leasing_income_cases():
-    assert leasing_income(
-        FractionVector((0.0, 0.0)), PriceVector((1.0, 2.0)), 10.0
-    ) == 0.0
-    assert leasing_income(FractionVector((0.5,)), PriceVector((2.0,)), 10.0) == 10.0
-    assert leasing_income(
-        FractionVector((0.3, 0.2)), PriceVector((1.0, 4.0)), 20.0
-    ) == pytest.approx(22.0, rel=1e-14)
+    assert leasing_income((0.0, 0.0), (1.0, 2.0), 10.0) == 0.0
+    assert leasing_income((0.5,), (2.0,), 10.0) == 10.0
+    assert leasing_income((0.3, 0.2), (1.0, 4.0), 20.0) == pytest.approx(22.0, rel=1e-14)
 
 
 def test_excluded_price_contributes_nothing():
-    assert leasing_income(
-        FractionVector((0.5, 0.0)), PriceVector((2.0, EXCLUDED)), 10.0
-    ) == 10.0
+    # retailer 2 is priced out: one price posted to two retailers
+    assert leasing_income((0.5, 0.0), (2.0,), 10.0, n_vrs=2) == 10.0
 
 
 def test_inconsistent_exclusion():
     with pytest.raises(InconsistentExclusion):
-        leasing_income(FractionVector((0.5, 0.1)), PriceVector((2.0, EXCLUDED)), 10.0)
+        leasing_income((0.5, 0.1), (2.0,), 10.0, n_vrs=2)
 
 
 def test_backhaul_saving_zero_and_full():
@@ -74,6 +76,26 @@ def test_backhaul_saving_zero_and_full():
     assert backhaul_saving(FractionVector((1.0,)), pops, econ, constants) == (
         pytest.approx(expected, rel=1e-9)
     )
+
+
+def backhaul_saving_double_sum(tau, pops, cfg, constants):
+    """The saving summed explicitly over (group, retailer) pairs.
+
+    A cross-check of the Gamma-collapsed form; requires exact group
+    popularities (integer N/Q).
+    """
+    total = 0.0
+    for p_f in pops.p:
+        for q_v, t in zip(pops.q, tau.fractions):
+            total += (
+                p_f
+                * q_v
+                * cfg.mu_intensity
+                * cfg.requests_per_mu
+                * hit_probability(t, constants)
+                * cfg.backhaul_cost
+            )
+    return total
 
 
 def test_double_sum_matches_collapsed_sum():
@@ -135,6 +157,35 @@ def test_profit_report_identities():
     )
 
 
+def strict_fold(values):
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def test_totals_are_left_to_right_folds():
+    # np.sum adds pairwise and Python >= 3.12's sum() compensates; the
+    # printed totals are plain left-to-right folds on every interpreter.
+    # Each vector below is one where np.sum and math.fsum both differ.
+    pops, econ, constants = make_scenario(n_vrs=64, gamma=0.3)
+    rng = np.random.default_rng(0)
+    tau = FractionVector(rng.dirichlet(np.ones(64)) * 0.99)
+    prices = PriceVector(rng.uniform(0.1, 3.0, size=64))
+    rep = profit_report(tau, prices, pops, econ, constants)
+    savings = (
+        gamma_vector(pops.q, econ)
+        * hit_probability(tau.fractions, constants)
+        * econ.backhaul_cost
+    )
+    for terms in (rep.vr_rent, savings, rep.vr_profits):
+        assert strict_fold(terms) != np.sum(terms)
+        assert strict_fold(terms) != math.fsum(terms)
+    assert rep.nsp_leasing == strict_fold(rep.vr_rent)
+    assert rep.nsp_backhaul_saving == strict_fold(savings)
+    assert rep.global_total == rep.nsp_total + strict_fold(rep.vr_profits)
+
+
 def test_all_zero_report():
     pops, econ, constants = make_scenario(n_vrs=2)
     rep = profit_report(
@@ -142,7 +193,7 @@ def test_all_zero_report():
     )
     assert rep.nsp_total == 0.0
     assert rep.global_total == 0.0
-    assert rep.vr_profits == (0.0, 0.0)
+    assert rep.vr_profits.tolist() == [0.0, 0.0]
 
 
 def test_global_identity_needs_matched_surcharge():

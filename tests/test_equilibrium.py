@@ -7,7 +7,6 @@ import pytest
 from scipy import optimize
 
 from cachemarket.economics import (
-    EXCLUDED,
     FractionVector,
     PriceVector,
     profit_report,
@@ -160,14 +159,14 @@ class TestNupsPrices:
                 p, g, default_instance.econ, default_instance.constants
             )
             for p, g in zip(prices.prices, default_instance.gammas())
-            if p is not EXCLUDED
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_excluded_suffix(self, default_instance):
         prices = nups_prices_for_u(6, default_instance)
-        assert all(p is not EXCLUDED for p in prices.prices[:6])
-        assert all(p is EXCLUDED for p in prices.prices[6:])
+        # retailers 1..6 get a price, the other 9 are priced out
+        assert (prices.n_posted(), len(prices)) == (6, 15)
+        assert (prices.prices > 0).all()
 
 
 class TestNupsSolve:
@@ -201,7 +200,7 @@ class TestNupsSolve:
 
     def test_price_ordering(self, default_instance):
         outcome = nups_solve(default_instance)
-        posted = [p for p in outcome.prices.prices if p is not EXCLUDED]
+        posted = outcome.prices.prices.tolist()
         assert all(a >= b - 1e-12 for a, b in zip(posted, posted[1:]))
 
     def test_participants_form_popularity_prefix(self):
@@ -221,7 +220,7 @@ class TestNupsSolve:
     def test_oversized_storage_behaves_like_full(self, default_instance):
         full = nups_solve(default_instance)
         oversized = nups_solve(make_instance(ExperimentConfig(), storage=10_000))
-        assert oversized.prices.prices == full.prices.prices
+        assert np.array_equal(oversized.prices.prices, full.prices.prices)
 
     def test_requires_matched_surcharge(self):
         inst = small_instance(n_vrs=2, s_ld=2.0)
@@ -244,7 +243,7 @@ class TestUpsSolve:
 
     def test_shared_price(self, default_instance):
         outcome = ups_solve(default_instance)
-        posted = [p for p in outcome.prices.prices if p is not EXCLUDED]
+        posted = outcome.prices.prices.tolist()
         assert len(set(posted)) == 1
 
     def test_fractions_equal_waterfilling(self, default_instance):
@@ -344,14 +343,12 @@ class TestVerification:
         outcome = nups_solve(default_instance)
         prices = list(outcome.prices.prices)
         prices[0] *= 1.1
-        corrupted_prices = PriceVector(tuple(prices))
+        corrupted_prices = PriceVector(tuple(prices), len(outcome.prices))
         fractions = FractionVector(
             tuple(
                 best_response_fraction(
                     p, g, default_instance.econ, default_instance.constants
                 )
-                if p is not EXCLUDED
-                else 0.0
                 for p, g in zip(corrupted_prices.prices, default_instance.gammas())
             )
         )
@@ -376,3 +373,21 @@ class TestVerification:
         corrupted = replace(outcome, fractions=FractionVector(tuple(fractions)))
         with pytest.raises(VerificationFailure, match="follower"):
             verify_equilibrium(corrupted, default_instance)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("solve", [nups_solve, ups_solve])
+def test_large_market_outcome(solve, gamma):
+    # V = 10^5: with equal preferences every retailer participates, at
+    # gamma = 1 about ten do.  The totals are left-to-right sums of up to
+    # 10^5 terms, whose rounding error is bounded by about V * 2^-53 =
+    # 1.1e-11 of the sum.
+    instance = make_instance(ExperimentConfig(n_vrs=100_000, gamma=gamma))
+    outcome = solve(instance)
+    u = outcome.n_participants
+    tau = outcome.fractions.fractions
+    assert outcome.prices.n_posted() == u
+    assert (tau[:u] > 0).all() and (tau[u:] == 0).all()
+    assert tau.sum() <= 1.0 + 1e-9
+    rep = outcome.report
+    assert rep.global_total == pytest.approx(2.0 * rep.nsp_backhaul_saving, rel=1.2e-11)

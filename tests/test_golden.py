@@ -30,6 +30,9 @@ CASES = {
     "solve_waterfill_v120": [
         "solve", "--scheme", "waterfill", "--V", "120", "--gamma", "0",
     ],
+    # 5000 participants: the totals are long left-to-right sums
+    "solve_nups_v5000": ["solve", "--scheme", "nups", "--V", "5000", "--gamma", "0"],
+    "solve_ups_v5000": ["solve", "--scheme", "ups", "--V", "5000", "--gamma", "0"],
 }
 
 

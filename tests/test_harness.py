@@ -1,14 +1,16 @@
 """Config parsing, sweep runners, CSV formatting, and the CLI."""
 
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from cachemarket import cli, harness
-from cachemarket.economics import EXCLUDED
 from cachemarket.equilibrium import VerificationFailure, nups_solve
 from cachemarket.harness import (
     COVERAGE_HEADER,
+    EXCLUDED,
     ConfigError,
     ExperimentConfig,
     format_rows,
@@ -21,6 +23,7 @@ from cachemarket.harness import (
     sweep_values,
 )
 
+HELP = Path(__file__).parent / "help"
 SMALL_SIM = dict(tau_grid=(0.2, 0.8), q_grid=(50,), lambda_grid=(10.0,), trials=300)
 
 
@@ -231,6 +234,60 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: zeta * K = ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, product",
+        [
+            # zeta * K = 1e105 is finite; its product with s_bh is not
+            (["solve", "--s-bh", "1e250", "--K", "1e100", "--zeta", "1e5"],
+             "s * zeta * K = inf"),
+            # the shared price divides by a tiny lambda
+            (["solve", "--scheme", "ups", "--s-bh", "6.65169e+37",
+              "--K", "1.33107e+69", "--zeta", "3.69877e+31", "--lambda", "4.65231e-186"],
+             "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2)"),
+            # Lambda = C N / Q is large at Q = 1
+            (["solve", "--zeta", "1", "--K", "1e307", "--Q", "1"],
+             "Gamma_1 * Lambda * s_bh = 1.22e+308"),
+        ],
+    )  # fmt: skip
+    def test_overflowing_product_exit_code(self, capsys, argv, product):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {product}")
+        assert "overflows a float" in err and err.count("\n") == 1
+
+    def test_pricing_bounds_leave_water_filling_alone(self, tmp_path):
+        # the UPS price above overflows, but water-filling posts no price
+        out = tmp_path / "waterfill.csv"
+        argv = ["solve", "--scheme", "waterfill", "--s-bh", "6.65169e+37",
+                "--K", "1.33107e+69", "--zeta", "3.69877e+31",
+                "--lambda", "4.65231e-186", "--out", str(out)]  # fmt: skip
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        assert out.read_text().splitlines()[-1].startswith("WATERFILL,15,")
+
+    @pytest.mark.parametrize("n_files", ["0", "-3"])
+    def test_zero_file_count_names_n(self, capsys, n_files):
+        assert cli.main(["solve", "--N", n_files]) == 1
+        err = capsys.readouterr().err
+        expected = f"file count N (--N, n_files) must be >= 1, got {n_files}"
+        assert err == f"config error: {expected}\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        ["", "verify-coverage", "sweep-gamma", "sweep-storage", "per-vr", "solve"],
+    )
+    def test_help_text_unchanged(self, capsys, monkeypatch, command):
+        # tests/help/ pins the help text at 80 columns; regenerate it only
+        # with a declared interface change
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"] if command else ["--help"])
+        expected = HELP / f"{command or 'cachemarket'}.txt"
+        assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(
         "argv, flag",

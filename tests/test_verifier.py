@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cachemarket.economics import EXCLUDED, FractionVector, PriceVector, profit_report
+from cachemarket.economics import FractionVector, PriceVector, profit_report
 from cachemarket.equilibrium import (
     VerificationFailure,
     best_response_fraction,
@@ -88,17 +88,17 @@ def repriced(outcome, instance, retailer, factor):
 
     None when the best responses leave the SBS budget.
     """
-    prices = list(outcome.prices.prices)
+    prices = outcome.prices.prices.tolist()
     prices[retailer] *= factor
     tau = [
-        0.0 if p is EXCLUDED
-        else best_response_fraction(p, g, instance.econ, instance.constants)
+        best_response_fraction(p, g, instance.econ, instance.constants)
         for p, g in zip(prices, instance.gammas())
     ]
+    tau += [0.0] * (instance.n_vrs - len(prices))  # the priced-out retailers
     if sum(tau) > 1.0:
         return None
     fractions = FractionVector(tuple(tau))
-    prices = PriceVector(tuple(prices))
+    prices = PriceVector(tuple(prices), instance.n_vrs)
     report = profit_report(
         fractions, prices, instance.pops, instance.econ, instance.constants
     )
@@ -197,7 +197,7 @@ def test_corrupted_outcomes_match_loop_oracle():
     corrupted = []
     for instance in seeded_markets(40, seed=6063):
         outcome = waterfill_solve(instance)
-        source = int(rng.choice(np.flatnonzero(outcome.fractions.as_array() > 0)))
+        source = int(rng.choice(np.flatnonzero(outcome.fractions.fractions > 0)))
         amount = outcome.fractions.fractions[source] * rng.uniform(0.0, 1.0)
         dest = int(rng.integers(instance.n_vrs))
         if dest != source:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 from cachemarket.economics import (
-    EXCLUDED,
     FractionVector,
     PriceVector,
     profit_report,
@@ -68,11 +67,10 @@ def loop_verify_equilibrium(
     gammas = instance.gammas()
     follower_gain = -math.inf
     follower_checks = 0
+    # prices are posted to a prefix of the retailers; zip stops at its end
     for v, (price, tau_v) in enumerate(
-        zip(outcome.prices.prices, outcome.fractions.fractions)
+        zip(outcome.prices.prices.tolist(), outcome.fractions.fractions.tolist())
     ):
-        if price is EXCLUDED:
-            continue
         base = _vr_profit_at(tau_v, price, gammas[v], instance)
         scale = max(abs(base), 1e-9)
         candidates = {f * tau_v for f in _FOLLOWER_FACTORS}
@@ -106,29 +104,26 @@ def loop_verify_equilibrium(
     profit_scale = max(abs(base_value), 1e-9)
     leader_gain = -math.inf
     leader_checks = 0
-    posted = list(outcome.prices.prices)
+    posted = outcome.prices.prices.tolist()
+    excluded = [0.0] * (len(outcome.prices) - len(posted))
     for i, price in enumerate(posted):
-        if price is EXCLUDED:
-            continue
         for factor in _LEADER_FACTORS:
             trial = list(posted)
             trial[i] = price * factor
             fractions = []
             feasible = True
             for p, g in zip(trial, gammas):
-                if p is EXCLUDED:
-                    fractions.append(0.0)
-                    continue
                 tau = best_response_fraction(p, g, instance.econ, instance.constants)
                 if tau > 1.0:
                     feasible = False
                     break
                 fractions.append(tau)
+            fractions += excluded
             if not feasible or sum(fractions) > 1.0 + 1e-9:
                 continue  # outside the leader's feasible set
             report = profit_report(
                 FractionVector(fractions=tuple(fractions)),
-                PriceVector(prices=tuple(trial)),
+                PriceVector(prices=tuple(trial), n_vrs=len(outcome.prices)),
                 instance.pops,
                 instance.econ,
                 instance.constants,
@@ -157,7 +152,7 @@ def _loop_verify_waterfill(
     """Pairwise mass transfers on the simplex must not raise the sum profit."""
     base = outcome.report.global_total
     scale = max(abs(base), 1e-9)
-    fractions = list(outcome.fractions.fractions)
+    fractions = outcome.fractions.fractions.tolist()
     n = len(fractions)
     max_gain = -math.inf
     checks = 0
