@@ -13,6 +13,7 @@ __all__ = [
     "VrConfig",
     "PopularityVectors",
     "zipf_vector",
+    "zipf_rows",
     "file_popularity",
     "group_popularity",
     "vr_preference",
@@ -82,8 +83,16 @@ class PopularityVectors:
 
 def zipf_vector(n: int, exponent: float) -> np.ndarray:
     """Normalized Zipf weights 1/k^exponent, k = 1..n, most popular first."""
-    weights = np.arange(1, n + 1, dtype=float) ** -exponent
-    return weights / weights.sum()
+    return zipf_rows(n, [exponent])[0]
+
+
+def zipf_rows(n: int, exponents) -> np.ndarray:
+    """zipf_vector(n, e) for each exponent e, one row each."""
+    ranks = np.arange(1, n + 1, dtype=float)
+    # one power per row: for some exponents ndarray ** takes a shortcut
+    # (ranks ** -1.0 is 1 / ranks) that a broadcast exponent column skips
+    weights = np.array([ranks ** -exponent for exponent in exponents])
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def file_popularity(config: CatalogConfig) -> np.ndarray:

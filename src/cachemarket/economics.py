@@ -3,7 +3,7 @@
 All money quantities are per unit area per unit period (e.g. per
 month per km^2).  Participation is a prefix of the popularity order:
 prices are posted to the first u retailers and the rest are priced out.
-Totals are left-to-right sums (``ordered_sum``) on every interpreter.
+Totals are left-to-right sums (``ordered_sums``) on every interpreter.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ __all__ = [
     "PriceVector",
     "FractionVector",
     "gamma_vector",
-    "ordered_sum",
+    "ordered_sums",
+    "check_fraction_rows",
     "backhaul_saving",
     "vr_profit",
     "profit_report",
+    "profit_rows",
     "ProfitReport",
 ]
 
@@ -77,9 +79,15 @@ class EconomicConfig:
             raise ValueError(f"s * zeta * K = {money:.3g} overflows a float")
 
 
-def ordered_sum(x: np.ndarray) -> float:
-    """Left-to-right sum, as Python 3.11's sum() adds floats; np.sum is pairwise."""
-    return float(np.add.accumulate(x)[-1]) if len(x) else 0.0
+def ordered_sums(x: np.ndarray) -> np.ndarray:
+    """Left-to-right sum of each row, as Python 3.11's sum() adds floats.
+
+    np.sum is pairwise.  Zeros after a row's last entry leave its sum
+    unchanged; an empty row sums to 0.
+    """
+    if not x.shape[-1]:
+        return np.zeros(x.shape[:-1])
+    return np.add.accumulate(x, axis=-1)[..., -1]
 
 
 def _read_only(values) -> np.ndarray:
@@ -126,21 +134,35 @@ class FractionVector:
     def __post_init__(self) -> None:
         fractions = _read_only(self.fractions)
         object.__setattr__(self, "fractions", fractions)
-        inside = (fractions >= 0.0) & (fractions <= 1.0)
-        if not inside.all():
-            i = np.argmin(inside)
-            raise ValueError(f"fraction {i + 1} must lie in [0, 1], got {fractions[i]}")
-        total = ordered_sum(fractions)
-        if total > 1.0 + 1e-9:
-            raise ValueError(f"fractions sum to {total}, exceeding the SBS budget")
+        check_fraction_rows(fractions[None, :])
 
     def __len__(self) -> int:
         return self.fractions.size
 
 
+def check_fraction_rows(fractions: np.ndarray) -> None:
+    """Each row of an (R, V) block is a valid FractionVector, or ValueError.
+
+    The error names the first offending row.
+    """
+    inside = (fractions >= 0.0) & (fractions <= 1.0)
+    if not inside.all():
+        r, i = np.unravel_index(np.argmin(inside), inside.shape)
+        raise ValueError(f"fraction {i + 1} must lie in [0, 1], got {fractions[r, i]}")
+    totals = ordered_sums(fractions)
+    over = totals > 1.0 + 1e-9
+    if over.any():
+        total = float(totals[np.argmax(over)])
+        raise ValueError(f"fractions sum to {total}, exceeding the SBS budget")
+
+
 @dataclass(frozen=True)
 class ProfitReport:
-    """All profit aggregates for one (prices, fractions) operating point."""
+    """All profit aggregates for one (prices, fractions) operating point.
+
+    From profit_rows, every field holds one entry (a total) or one row
+    (a per-retailer array) per operating point; row(i) picks point i.
+    """
 
     nsp_leasing: float
     nsp_backhaul_saving: float
@@ -149,6 +171,18 @@ class ProfitReport:
     vr_surcharge: np.ndarray
     vr_rent: np.ndarray
     global_total: float
+
+    def row(self, i: int) -> ProfitReport:
+        """Operating point i of a profit_rows report, with float totals."""
+        return ProfitReport(
+            nsp_leasing=float(self.nsp_leasing[i]),
+            nsp_backhaul_saving=float(self.nsp_backhaul_saving[i]),
+            nsp_total=float(self.nsp_total[i]),
+            vr_profits=self.vr_profits[i],
+            vr_surcharge=self.vr_surcharge[i],
+            vr_rent=self.vr_rent[i],
+            global_total=float(self.global_total[i]),
+        )
 
 
 def gamma_vector(q: Sequence[float], cfg: EconomicConfig) -> np.ndarray:
@@ -167,9 +201,8 @@ def backhaul_saving(
 ) -> float:
     """Back-haul cost avoided per unit area: sum_v Gamma_v Pr(tau_v) s^bh."""
     gammas = gamma_vector(pops.q, cfg)
-    return ordered_sum(
-        gammas * hit_probability(tau.fractions, constants) * cfg.backhaul_cost
-    )
+    report = profit_rows(tau.fractions, np.zeros(len(tau)), gammas, cfg, constants)
+    return float(report.nsp_backhaul_saving)
 
 
 def vr_profit(
@@ -187,10 +220,8 @@ def vr_profit(
         raise ValueError(f"tau_v must lie in [0, 1], got {tau_v}")
     if s_v < 0:
         raise ValueError(f"s_v must be >= 0, got {s_v}")
-    surcharge = (
-        gamma_v * cfg.local_surcharge * hit_probability(tau_v, constants)
-    )
-    return surcharge - cfg.sbs_intensity * s_v * tau_v
+    report = profit_rows(np.array([tau_v]), np.array([s_v]), gamma_v, cfg, constants)
+    return float(report.vr_profits[0])
 
 
 def profit_report(
@@ -202,21 +233,40 @@ def profit_report(
 ) -> ProfitReport:
     """Assemble every profit aggregate for the given operating point.
 
-    The NSP's leasing income is the rent the retailers pay.
+    The NSP's leasing income is the rent the retailers pay.  This is the
+    one-row case of profit_rows.
     """
     if not len(tau) == len(s) == len(pops.q):
         raise ValueError("vector lengths are inconsistent")
     u = s.n_posted()
     if (tau.fractions[u:] > 0.0).any():
         raise InconsistentExclusion("positive fraction for a priced-out retailer")
+    prices = np.zeros(len(s))
+    prices[:u] = s.prices
     gammas = gamma_vector(pops.q, cfg)
-    hits = hit_probability(tau.fractions, constants)
+    return profit_rows(tau.fractions[None, :], prices[None, :], gammas, cfg, constants).row(0)
+
+
+def profit_rows(
+    tau: np.ndarray,
+    prices: np.ndarray,
+    gammas: np.ndarray,
+    cfg: EconomicConfig,
+    constants: CoverageConstants,
+) -> ProfitReport:
+    """Profit aggregates of R operating points at once, one per row of tau.
+
+    prices holds 0 for a priced-out retailer, which rents nothing.
+    gammas broadcasts against tau; so does constants.lambda_big, which
+    may be an (R, 1) column.  Every total is a left-to-right fold along
+    the last axis, so a 1-D tau is a single operating point.
+    """
+    hits = hit_probability(tau, constants)
     surcharges = gammas * cfg.local_surcharge * hits
-    rents = np.zeros(len(tau))
-    rents[:u] = tau.fractions[:u] * cfg.sbs_intensity * s.prices
+    rents = tau * cfg.sbs_intensity * prices
     profits = surcharges - rents
-    nsp_leasing = ordered_sum(rents)
-    nsp_saving = ordered_sum(gammas * hits * cfg.backhaul_cost)
+    nsp_leasing = ordered_sums(rents)
+    nsp_saving = ordered_sums(gammas * hits * cfg.backhaul_cost)
     nsp_total = nsp_leasing + nsp_saving
     return ProfitReport(
         nsp_leasing=nsp_leasing,
@@ -225,5 +275,5 @@ def profit_report(
         vr_profits=profits,
         vr_surcharge=surcharges,
         vr_rent=rents,
-        global_total=nsp_total + ordered_sum(profits),
+        global_total=nsp_total + ordered_sums(profits),
     )

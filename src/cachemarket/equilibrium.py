@@ -30,21 +30,25 @@ from .economics import (
     PriceVector,
     ProfitReport,
     gamma_vector,
-    ordered_sum,
+    ordered_sums,
     profit_report,
 )
 
 __all__ = [
     "GameInstance",
+    "GameRows",
+    "RowOutcomes",
     "ParticipationThresholds",
     "EquilibriumOutcome",
     "VerificationFailure",
     "VerificationRecord",
     "best_response_fraction",
     "participation_thresholds",
+    "participation_threshold_rows",
     "nups_prices_for_u",
     "nups_solve",
     "ups_solve",
+    "solve_rows",
     "waterfill_solve",
     "verify_equilibrium",
 ]
@@ -92,27 +96,17 @@ class GameInstance:
         return participation_thresholds(self)
 
     @cached_property
-    def pricing_products(self) -> dict[str, float]:
-        """Bounds, over u <= V, on products the NUPS/UPS closed forms form.
-
-        S_k = sum_v Gamma_v^(1/k); Gamma_1 is the largest Gamma.  Each must
-        stay below half the float range (room for the verifier's doubled
-        prices).  Python floats overflow to inf without a warning.
-        """
-        lam, s = self.constants.lambda_big, self.econ.backhaul_cost
-        g1 = float(self._gammas[0])
-        s3 = float(np.cbrt(self._gammas).sum())
-        s2 = float(np.sqrt(self._gammas).sum())
-        numerator = lam * s * max(s3 * s3 * max(g1 ** (1 / 3), 1.0), s2 * s2)
-        return {
-            "Gamma_1 * Lambda * s_bh": g1 * lam * s,
-            "Lambda^2 * s_bh * S_3^3": lam * lam * s * s3 * s3 * s3,
-            "V * Lambda^2 * s_bh * S_2^2": self.n_vrs * lam * lam * s * s2 * s2,
-            "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2)": numerator,
-            "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2)": (
-                numerator / (self.econ.sbs_intensity * self.constants.theta**2)
-            ),
-        }
+    def rows(self) -> GameRows:
+        """This market as the one row of a GameRows."""
+        th = self.thresholds
+        c = self.constants
+        return GameRows(
+            gammas=self._gammas[None, :],
+            thresholds=ParticipationThresholds(th.u_values[None, :], th.u_bar_values[None, :]),
+            storage=np.array([[self.storage]], dtype=float),
+            econ=self.econ,
+            constants=CoverageConstants(c.a, c.c, c.theta, np.array([[c.lambda_big]])),
+        )
 
 
 @dataclass(frozen=True)
@@ -124,6 +118,74 @@ class ParticipationThresholds:
 
 
 @dataclass(frozen=True)
+class GameRows:
+    """R markets solved together, one per row: the batch form of GameInstance.
+
+    The rows share V, (delta, alpha) and the economics; a sweep varies Q
+    (so Lambda and the brackets) or gamma (so Gamma and the thresholds).
+    gammas is (R, V), possibly one row broadcast to all (np.broadcast_to);
+    the threshold arrays broadcast against it; storage and
+    constants.lambda_big are (R, 1) columns.
+    """
+
+    gammas: np.ndarray
+    thresholds: ParticipationThresholds
+    storage: np.ndarray
+    econ: EconomicConfig
+    constants: CoverageConstants
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.gammas.shape
+
+    @cached_property
+    def pricing_products(self) -> dict[str, np.ndarray]:
+        """Bounds, over u <= V, on products the NUPS/UPS closed forms form.
+
+        One value per row.  S_k = sum_v Gamma_v^(1/k); Gamma_1 is the
+        largest Gamma.  Each must stay below half the float range (room
+        for the verifier's doubled prices).
+        """
+        lam = self.constants.lambda_big[:, 0]
+        s = self.econ.backhaul_cost
+        g1 = self.gammas[:, 0]
+        s3 = np.cbrt(self.gammas).sum(axis=1)
+        s2 = np.sqrt(self.gammas).sum(axis=1)
+        n_vrs = self.gammas.shape[1]
+        # an overflow, or lambda Theta^2 underflowing to 0, shows as inf or
+        # nan in the bound, which fails its check
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            numerator = lam * s * np.maximum(s3 * s3 * np.maximum(g1 ** (1 / 3), 1.0), s2 * s2)
+            return {
+                "Gamma_1 * Lambda * s_bh": g1 * lam * s,
+                "Lambda^2 * s_bh * S_3^3": lam * lam * s * s3 * s3 * s3,
+                "V * Lambda^2 * s_bh * S_2^2": n_vrs * lam * lam * s * s2 * s2,
+                "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2)": numerator,
+                "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2)": (
+                    numerator / (self.econ.sbs_intensity * self.constants.theta**2)
+                ),
+            }
+
+    def pricing_floors(self, u: np.ndarray, s_u: np.ndarray) -> dict[str, np.ndarray]:
+        """The best responses' numerator and denominator at retailer u of each row.
+
+        s_u is the price posted to retailer u.  Gamma and the price, and
+        so both products, are smallest at the least popular posted
+        retailer u.  If neither is 0 there, no posted retailer's best
+        response divides by 0 or loses its numerator to underflow.
+        """
+        gamma_u = self.gammas[np.arange(u.size), u - 1]
+        return {
+            "Gamma_u * Lambda * s_ld": (
+                gamma_u * self.constants.lambda_big[:, 0] * self.econ.local_surcharge
+            ),
+            "Theta^2 * lambda * s_u": (
+                self.constants.theta**2 * self.econ.sbs_intensity * s_u
+            ),
+        }
+
+
+@dataclass(frozen=True)
 class EquilibriumOutcome:
     """Solved prices, fractions, participant count, and profits."""
 
@@ -132,6 +194,24 @@ class EquilibriumOutcome:
     fractions: FractionVector
     n_participants: int
     report: ProfitReport
+
+
+@dataclass(frozen=True)
+class RowOutcomes:
+    """NUPS or UPS equilibria of every row of a GameRows."""
+
+    scheme: str
+    n_participants: np.ndarray  # (R,): u of each row
+    prices: np.ndarray  # (R, V): the posted prices, 0 past u
+    fractions: np.ndarray  # (R, V)
+
+    def outcome(self, i: int, report: ProfitReport) -> EquilibriumOutcome:
+        """Row i as an EquilibriumOutcome; report is row i's ProfitReport."""
+        u = int(self.n_participants[i])
+        prices = PriceVector(self.prices[i, :u], self.prices.shape[1])
+        return EquilibriumOutcome(
+            self.scheme, prices, FractionVector(self.fractions[i]), u, report
+        )
 
 
 def _best_responses(
@@ -171,35 +251,81 @@ def participation_thresholds(instance: GameInstance) -> ParticipationThresholds:
 
     U_v    = N C (sum_{j<=v} (q_j/q_v)^(1/3) - v) / Theta
     Ubar_v = same with square roots; Ubar_v >= U_v, both 0 at v = 1.
+    The one-row case of participation_threshold_rows.
     """
     q = np.asarray(instance.pops.q, dtype=float)
-    scale = instance.n_files * instance.constants.c / instance.constants.theta
-    v_idx = np.arange(1, q.size + 1, dtype=float)
+    th = participation_threshold_rows(q[None, :], instance.n_files, instance.constants)
+    return ParticipationThresholds(u_values=th.u_values[0], u_bar_values=th.u_bar_values[0])
+
+
+def participation_threshold_rows(
+    q: np.ndarray, n_files: int, constants: CoverageConstants
+) -> ParticipationThresholds:
+    """participation_thresholds of each row of an (R, V) block of preferences.
+
+    A retailer whose weight q_v underflowed to 0 can never take part:
+    its thresholds are +inf.
+    """
+    scale = n_files * constants.c / constants.theta
+    v_idx = np.arange(1, q.shape[1] + 1, dtype=float)
+    roots = np.stack((np.cbrt(q), np.sqrt(q)))
     # cumulative sums of (q_j / q_v)^(1/3) and ^(1/2) for each v
-    cbrt_q = np.cbrt(q)
-    sqrt_q = np.sqrt(q)
-    u_values = scale * (np.cumsum(cbrt_q) / cbrt_q - v_idx)
-    u_bar_values = scale * (np.cumsum(sqrt_q) / sqrt_q - v_idx)
+    ratios = np.divide(
+        np.cumsum(roots, axis=-1), roots, out=np.full(roots.shape, np.inf), where=roots > 0
+    )
+    u_values, u_bar_values = scale * (ratios - v_idx)
     return ParticipationThresholds(u_values=u_values, u_bar_values=u_bar_values)
 
 
-def _bracket_count(thresholds: np.ndarray, storage: float) -> int:
-    """Largest v with threshold_v < Q (ties resolve to the lower bracket)."""
-    return int(np.count_nonzero(thresholds < storage - _BRACKET_TOL))
-
-
-def _require_pricing_domain(instance: GameInstance) -> None:
+def _require_pricing_domain(rows: GameRows) -> None:
     """Preconditions of the NUPS and UPS closed forms: s^ld = s^bh, no overflow."""
-    econ = instance.econ
+    econ = rows.econ
     if abs(econ.local_surcharge - econ.backhaul_cost) > 1e-12 * econ.backhaul_cost:
         raise ValueError(
             "the pricing closed forms require the local surcharge to equal "
             f"the back-haul cost, got s_ld={econ.local_surcharge}, "
             f"s_bh={econ.backhaul_cost}"
         )
-    for name, value in instance.pricing_products.items():
-        if not value <= sys.float_info.max / 2:
-            raise ValueError(f"{name} = {value:.3g} overflows a float")
+    products = rows.pricing_products
+    bad = ~(np.array(list(products.values())) <= sys.float_info.max / 2)
+    if bad.any():
+        k, r = np.unravel_index(np.argmax(bad), bad.shape)  # first product, first row
+        name = list(products)[k]
+        raise ValueError(f"{name} = {products[name][r]:.3g} overflows a float")
+
+
+def _price_scale(u: int, root_sum: float, lam_big: float, rows: GameRows) -> float:
+    """Lambda s^bh root_sum^2 / (lambda (u Lambda + Theta)^2)."""
+    return (
+        lam_big
+        * rows.econ.backhaul_cost
+        * root_sum**2
+        / (rows.econ.sbs_intensity * (u * lam_big + rows.constants.theta) ** 2)
+    )
+
+
+def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
+    """(R, V) prices keeping exactly the u[r] most popular retailers of row r.
+
+    NUPS: s_i = Lambda s^bh (sum_{j<=u} Gamma_j^(1/3))^2 Gamma_i^(1/3)
+                / (lambda (u Lambda + Theta)^2);
+    UPS:  the shared s = Lambda s^bh (sum_{j<=u} Gamma_j^(1/2))^2
+                / (lambda (u Lambda + Theta)^2).
+    Retailers past u get 0.  The root sums stay numpy's pairwise sums
+    and each scale is formed from Python floats, as posted prices always
+    were.  Returns the prices and the (R, V) mask of posted retailers.
+    """
+    nups = scheme == "NUPS"
+    roots = np.cbrt(rows.gammas) if nups else np.sqrt(rows.gammas)
+    lam = rows.constants.lambda_big[:, 0].tolist()
+    scales = np.array(
+        [
+            _price_scale(u_r, roots[r, :u_r].sum(), lam[r], rows)
+            for r, u_r in enumerate(u.tolist())
+        ]
+    )[:, None]
+    posted = np.arange(1, rows.shape[1] + 1) <= u[:, None]
+    return np.where(posted, scales * roots if nups else scales, 0.0), posted
 
 
 def nups_prices_for_u(u: int, instance: GameInstance) -> PriceVector:
@@ -210,39 +336,79 @@ def nups_prices_for_u(u: int, instance: GameInstance) -> PriceVector:
     """
     if not 1 <= u <= instance.n_vrs:
         raise ValueError(f"u must lie in 1..{instance.n_vrs}, got {u}")
-    _require_pricing_domain(instance)
-    roots = np.cbrt(instance.gammas()[:u])
-    return PriceVector(_price_scale(u, roots.sum(), instance) * roots, instance.n_vrs)
+    _require_pricing_domain(instance.rows)
+    prices, _ = _posted_prices("NUPS", instance.rows, np.array([u]))
+    return PriceVector(prices[0, :u], instance.n_vrs)
 
 
-def _price_scale(u: int, root_sum: float, instance: GameInstance) -> float:
-    """Lambda s^bh root_sum^2 / (lambda (u Lambda + Theta)^2)."""
-    lam_big = instance.constants.lambda_big
+def _surrogates(scheme: str, rows: GameRows, width: int) -> np.ndarray:
+    """Negated leader objective of keeping u retailers, u = 1..width, in every row."""
+    gammas = rows.gammas[:, :width]
+    lam_big = rows.constants.lambda_big
+    theta = rows.constants.theta
+    s_bh = rows.econ.backhaul_cost
+    u = np.arange(1, width + 1)
+    # Lambda^2 as CPython forms it (pow), which numpy's square may round otherwise
+    lam_sq = np.array([[lam**2] for lam in lam_big[:, 0].tolist()])
+    if scheme == "NUPS":
+        return (
+            lam_sq * s_bh * np.cumsum(np.cbrt(gammas), axis=1) ** 3
+            / (u * lam_big + theta) ** 2
+            - s_bh * np.cumsum(gammas, axis=1)
+        )
     return (
-        lam_big
-        * instance.econ.backhaul_cost
-        * root_sum**2
-        / (instance.econ.sbs_intensity * (u * lam_big + instance.constants.theta) ** 2)
+        u * lam_sq * s_bh * np.cumsum(np.sqrt(gammas), axis=1) ** 2
+        / (u * lam_big + theta) ** 2
+        - s_bh * np.cumsum(gammas, axis=1)
     )
 
 
-def _outcome_from_prices(
-    scheme: str, prices: PriceVector, instance: GameInstance
-) -> EquilibriumOutcome:
-    posted = prices.prices
-    if not (posted > 0).all():
-        raise ValueError(f"price must be positive, got {posted.min()}")
-    u = posted.size
-    gammas = instance.gammas()[:u]
-    responses = _best_responses(posted, gammas, instance.econ, instance.constants)
-    total = ordered_sum(responses)
-    if total > 1.0 + 1e-9:
+def solve_rows(scheme: str, rows: GameRows) -> RowOutcomes:
+    """NUPS or UPS equilibrium of every row of a GameRows.
+
+    Each row determines its feasible participant range from the U_v
+    (NUPS) or Ubar_v (UPS) brackets, minimizes the surrogate
+    S_u = Lambda^2 s^bh (sum_{j<=u} Gamma_j^(1/3))^3 / (u Lambda + Theta)^2
+          - s^bh sum_{j<=u} Gamma_j                              (NUPS)
+    S_u = u Lambda^2 s^bh (sum_{j<=u} Gamma_j^(1/2))^2 / (u Lambda + Theta)^2
+          - s^bh sum_{j<=u} Gamma_j                              (UPS)
+    over it, posts the closed-form prices for the winning count u and
+    lets the followers best-respond.  Raises on the first failed check,
+    with the message of the first failing row.
+    """
+    _require_pricing_domain(rows)
+    brackets = rows.thresholds.u_values if scheme == "NUPS" else rows.thresholds.u_bar_values
+    t_max = (brackets < rows.storage - _BRACKET_TOL).sum(axis=1)
+    # no column past the widest bracket: a lone row forms what it always formed
+    width = int(t_max.max())
+    if not t_max.all():
+        raise ValueError("no retailer lies below the first participation threshold")
+    surrogates = _surrogates(scheme, rows, width)
+    surrogates[np.arange(1, width + 1) > t_max[:, None]] = np.inf
+    u = 1 + surrogates.argmin(axis=1)  # argmin takes the smallest u on ties
+    prices, posted = _posted_prices(scheme, rows, u)
+    # Gamma, and so the price, falls along a row: s_u is the smallest posted price
+    s_u = prices[np.arange(u.size), u - 1]
+    if not (s_u > 0).all():
+        r = int(np.argmin(s_u > 0))
+        raise ValueError(f"price must be positive, got {prices[r, : u[r]].min()}")
+    for name, values in rows.pricing_floors(u, s_u).items():
+        if not values.all():
+            r = int(np.argmin(values != 0))
+            raise ValueError(f"{name} underflows to 0 at u = {u[r]}")
+    # past u a row repeats its last posted price, which keeps those entries finite
+    responses = _best_responses(
+        np.where(posted, prices, s_u[:, None]), rows.gammas, rows.econ, rows.constants
+    )
+    responses = np.where(posted, responses, 0.0)
+    totals = ordered_sums(responses)
+    over = totals > 1.0 + 1e-9
+    if over.any():
+        total = float(totals[np.argmax(over)])
         raise ArithmeticError(
             f"{scheme} best responses sum to {total}; the posted prices are broken"
         )
-    fractions = np.zeros(instance.n_vrs)
-    fractions[:u] = np.minimum(responses, 1.0)
-    return _outcome(scheme, prices, FractionVector(fractions), u, instance)
+    return RowOutcomes(scheme, u, prices, np.minimum(responses, 1.0))
 
 
 def _outcome(scheme, prices, tau, n_participants, instance) -> EquilibriumOutcome:
@@ -250,52 +416,22 @@ def _outcome(scheme, prices, tau, n_participants, instance) -> EquilibriumOutcom
     return EquilibriumOutcome(scheme, prices, tau, n_participants, report)
 
 
-def nups_solve(instance: GameInstance) -> EquilibriumOutcome:
-    """Equilibrium under per-retailer pricing.
+def _solve_one(scheme: str, instance: GameInstance) -> EquilibriumOutcome:
+    """solve_rows on the instance's one row."""
+    solved = solve_rows(scheme, instance.rows)
+    u = int(solved.n_participants[0])
+    prices = PriceVector(solved.prices[0, :u], instance.n_vrs)
+    return _outcome(scheme, prices, FractionVector(solved.fractions[0]), u, instance)
 
-    Determines the feasible participant range from the U_v brackets,
-    minimizes the negated-profit surrogate
-    S_u = Lambda^2 s^bh (sum_{j<=u} Gamma_j^(1/3))^3 / (u Lambda + Theta)^2
-          - s^bh sum_{j<=u} Gamma_j
-    over it, and posts the closed-form prices for the winning count.
-    """
-    _require_pricing_domain(instance)
-    t_max = _bracket_count(instance.thresholds.u_values, instance.storage)
-    gammas = instance.gammas()[:t_max]
-    lam_big = instance.constants.lambda_big
-    s_bh = instance.econ.backhaul_cost
-    u = np.arange(1, t_max + 1)
-    surrogates = (
-        lam_big**2 * s_bh * np.cumsum(np.cbrt(gammas)) ** 3
-        / (u * lam_big + instance.constants.theta) ** 2
-        - s_bh * np.cumsum(gammas)
-    )
-    u_hat = 1 + int(np.argmin(surrogates))  # argmin takes the smallest u on ties
-    return _outcome_from_prices("NUPS", nups_prices_for_u(u_hat, instance), instance)
+
+def nups_solve(instance: GameInstance) -> EquilibriumOutcome:
+    """Equilibrium under per-retailer pricing (solve_rows, scheme NUPS)."""
+    return _solve_one("NUPS", instance)
 
 
 def ups_solve(instance: GameInstance) -> EquilibriumOutcome:
-    """Equilibrium under a single shared price.
-
-    Same as nups_solve with the Ubar_v brackets and the surrogate
-    S_u = u Lambda^2 s^bh (sum_{j<=u} Gamma_j^(1/2))^2 / (u Lambda + Theta)^2
-          - s^bh sum_{j<=u} Gamma_j.
-    """
-    _require_pricing_domain(instance)
-    t_max = _bracket_count(instance.thresholds.u_bar_values, instance.storage)
-    gammas = instance.gammas()[:t_max]
-    lam_big = instance.constants.lambda_big
-    s_bh = instance.econ.backhaul_cost
-    u = np.arange(1, t_max + 1)
-    surrogates = (
-        u * lam_big**2 * s_bh * np.cumsum(np.sqrt(gammas)) ** 2
-        / (u * lam_big + instance.constants.theta) ** 2
-        - s_bh * np.cumsum(gammas)
-    )
-    u_hat = 1 + int(np.argmin(surrogates))
-    shared = _price_scale(u_hat, np.sqrt(gammas[:u_hat]).sum(), instance)
-    prices = PriceVector(np.full(u_hat, float(shared)), instance.n_vrs)
-    return _outcome_from_prices("UPS", prices, instance)
+    """Equilibrium under a single shared price (solve_rows, scheme UPS)."""
+    return _solve_one("UPS", instance)
 
 
 def waterfill_solve(instance: GameInstance) -> EquilibriumOutcome:

@@ -15,14 +15,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import CatalogConfig, VrConfig, build_popularity
+from .catalog import CatalogConfig, VrConfig, build_popularity, zipf_rows
 from .coverage import CoverageConstants, hit_probability, make_constants
-from .economics import EconomicConfig, PriceVector
+from .economics import (
+    EconomicConfig,
+    PriceVector,
+    check_fraction_rows,
+    gamma_vector,
+    profit_rows,
+)
 from .equilibrium import (
     EquilibriumOutcome,
     GameInstance,
     VerificationFailure,
     nups_solve,
+    participation_threshold_rows,
+    solve_rows,
     ups_solve,
     verify_equilibrium,
     waterfill_solve,
@@ -287,14 +295,143 @@ SWEEP_GAMMA_HEADER = [
 ]
 
 
-def _check_outcome(outcome: EquilibriumOutcome) -> None:
-    posted = outcome.prices.n_posted()
-    positive = int(np.count_nonzero(outcome.fractions.fractions > 0))
-    if not outcome.n_participants == posted == positive:
+def _check_participants(participants, posted, fractions) -> None:
+    """Participants, posted prices and positive fractions agree in every row."""
+    positive = (fractions > 0).sum(axis=-1)
+    bad = (participants != posted) | (posted != positive)
+    if bad.any():
+        r = int(np.argmax(bad))
         raise VerificationFailure(
-            f"inconsistent outcome: participants={outcome.n_participants}, "
-            f"posted prices={posted}, positive fractions={positive}"
+            f"inconsistent outcome: participants={participants[r]}, "
+            f"posted prices={posted[r]}, positive fractions={positive[r]}"
         )
+
+
+def _check_outcome(outcome: EquilibriumOutcome) -> None:
+    _check_participants(
+        np.array([outcome.n_participants]),
+        np.array([outcome.prices.n_posted()]),
+        outcome.fractions.fractions[None, :],
+    )
+
+
+# Entries of the (points x V) arrays of one sweep block; a sweep's memory
+# stays O(V).
+_SWEEP_BLOCK = 1 << 16
+
+
+def _solve_block(first: GameInstance, kind: str, values: list) -> tuple:
+    """Both schemes at every point of a sweep block, with the per-point checks.
+
+    kind is "storage" or "gamma": the parameter that varies along the
+    rows.  Everything else is first's.  Returns the GameRows, the NUPS
+    and UPS RowOutcomes and their profit reports.  Raises on a failed
+    check without saying which point failed.
+    """
+    points = np.array(values, dtype=float)
+    base = first.rows
+    if kind == "storage":
+        storage = np.minimum(points, first.n_files)  # Q > N behaves exactly like Q = N
+        if not (storage >= 1).all():
+            raise ConfigError("storage must be >= 1")
+        lam_big = first.constants.c * (first.n_files / storage)
+        rows = replace(
+            base,
+            gammas=np.broadcast_to(first.gammas(), (len(values), first.n_vrs)),
+            storage=storage[:, None],
+            constants=replace(first.constants, lambda_big=lam_big[:, None]),
+        )
+    else:
+        if not (np.isfinite(points) & (points >= 0)).all():
+            raise ConfigError("gamma must be finite and >= 0")
+        q = zipf_rows(first.n_vrs, values)
+        rows = replace(
+            base,
+            gammas=gamma_vector(q, first.econ),
+            thresholds=participation_threshold_rows(q, first.n_files, first.constants),
+            storage=np.full((len(values), 1), first.storage, dtype=float),
+            constants=replace(
+                first.constants,
+                lambda_big=np.full((len(values), 1), first.constants.lambda_big),
+            ),
+        )
+    solved = []
+    for scheme in ("NUPS", "UPS"):
+        outcomes = solve_rows(scheme, rows)
+        check_fraction_rows(outcomes.fractions)
+        report = profit_rows(
+            outcomes.fractions, outcomes.prices, rows.gammas, rows.econ, rows.constants
+        )
+        u = outcomes.n_participants
+        _check_participants(u, u, outcomes.fractions)
+        solved.append((outcomes, report))
+    return rows, solved
+
+
+def _sweep_point(cfg, kind: str, value, constants: CoverageConstants, verify: bool):
+    """One sweep point solved on its own, as a _run_sweep tuple."""
+    instance = make_instance(cfg, constants=constants, **{kind: value})
+    nups = nups_solve(instance)
+    ups = ups_solve(instance)
+    _check_outcome(nups)
+    _check_outcome(ups)
+    if verify:
+        verify_equilibrium(nups, instance)
+        verify_equilibrium(ups, instance)
+    th = instance.thresholds
+    return (
+        float(th.u_values[-1]),
+        float(th.u_bar_values[-1]),
+        nups.n_participants,
+        ups.n_participants,
+        nups.report.nsp_total,
+        ups.report.nsp_total,
+        nups.report.global_total,
+        ups.report.global_total,
+    )
+
+
+def _run_sweep(cfg: ExperimentConfig, kind: str, values: list, verify: bool) -> list:
+    """Solve every point of a sweep; one tuple per point.
+
+    Each tuple is (q_min, qp_min, u_nups, u_ups, s_nsp_nups, s_nsp_ups,
+    s_glb_nups, s_glb_ups).  The points are solved together, in blocks
+    of at most _SWEEP_BLOCK entries.  When a check fails anywhere in a
+    block, its points are solved again one at a time, in order, so the
+    first failing point raises its own error.
+    """
+    if not values:
+        return []
+    first = make_instance(cfg, **{kind: values[0]})
+    size = max(1, _SWEEP_BLOCK // first.n_vrs)
+    points = []
+    for lo in range(0, len(values), size):
+        block = values[lo : lo + size]
+        try:
+            # a floating-point error sends the block down the one-point path
+            # too, which warns exactly as the point would on its own
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                rows, solved = _solve_block(first, kind, block)
+        except (ValueError, ArithmeticError, VerificationFailure):
+            points += [_sweep_point(cfg, kind, x, first.constants, verify) for x in block]
+            continue
+        if verify:
+            for i, value in enumerate(block):
+                instance = make_instance(cfg, constants=first.constants, **{kind: value})
+                for outcomes, report in solved:
+                    verify_equilibrium(outcomes.outcome(i, report.row(i)), instance)
+        (nups, nups_report), (ups, ups_report) = solved
+        points += zip(
+            np.broadcast_to(rows.thresholds.u_values[:, -1], len(block)).tolist(),
+            np.broadcast_to(rows.thresholds.u_bar_values[:, -1], len(block)).tolist(),
+            nups.n_participants.tolist(),
+            ups.n_participants.tolist(),
+            nups_report.nsp_total.tolist(),
+            ups_report.nsp_total.tolist(),
+            nups_report.global_total.tolist(),
+            ups_report.global_total.tolist(),
+        )
+    return points
 
 
 def run_sweep_gamma(
@@ -303,33 +440,7 @@ def run_sweep_gamma(
     verify: bool = False,
 ) -> list[tuple]:
     """Sweep the retailer preference exponent at fixed storage."""
-    rows = []
-    constants = None  # A and C depend only on (delta, alpha): made at the first point
-    for gamma in gammas:
-        instance = make_instance(cfg, gamma=gamma, constants=constants)
-        constants = instance.constants
-        thresholds = instance.thresholds
-        nups = nups_solve(instance)
-        ups = ups_solve(instance)
-        _check_outcome(nups)
-        _check_outcome(ups)
-        if verify:
-            verify_equilibrium(nups, instance)
-            verify_equilibrium(ups, instance)
-        rows.append(
-            (
-                gamma,
-                float(thresholds.u_values[-1]),
-                float(thresholds.u_bar_values[-1]),
-                nups.n_participants,
-                ups.n_participants,
-                nups.report.nsp_total,
-                ups.report.nsp_total,
-                nups.report.global_total,
-                ups.report.global_total,
-            )
-        )
-    return rows
+    return [(g, *point) for g, point in zip(gammas, _run_sweep(cfg, "gamma", gammas, verify))]
 
 
 SWEEP_STORAGE_HEADER = [
@@ -349,30 +460,8 @@ def run_sweep_storage(
     verify: bool = False,
 ) -> list[tuple]:
     """Sweep the per-SBS storage size at fixed preference exponent."""
-    rows = []
-    constants = None  # A and C depend only on (delta, alpha): made at the first point
-    for storage in storages:
-        instance = make_instance(cfg, storage=storage, constants=constants)
-        constants = instance.constants
-        nups = nups_solve(instance)
-        ups = ups_solve(instance)
-        _check_outcome(nups)
-        _check_outcome(ups)
-        if verify:
-            verify_equilibrium(nups, instance)
-            verify_equilibrium(ups, instance)
-        rows.append(
-            (
-                storage,
-                nups.n_participants,
-                ups.n_participants,
-                nups.report.nsp_total,
-                ups.report.nsp_total,
-                nups.report.global_total,
-                ups.report.global_total,
-            )
-        )
-    return rows
+    points = _run_sweep(cfg, "storage", storages, verify)
+    return [(q, *point[2:]) for q, point in zip(storages, points)]
 
 
 PER_VR_HEADER = [

@@ -81,15 +81,17 @@ def sample_hppp(intensity: float, radius: float, rng: np.random.Generator) -> np
     Returns the (n,) array of squared distances radius^2 * u of the
     points from the origin; n is Poisson(intensity * pi * radius^2) and
     u is uniform on [0, 1), so the points are i.i.d. uniform on the disc.
-    The point angles are drawn after the radii and left unused: the
-    SINR does not depend on them, but drawing them keeps each trial's
-    random stream that of a sampler returning (n, 2) positions.
+    The SINR does not depend on the point angles, so the n uniform draws
+    that would give them are skipped (bit_generator.advance) rather than
+    drawn: each trial's random stream stays that of a sampler returning
+    (n, 2) positions.
     """
     if intensity <= 0 or radius <= 0:
         raise ValueError("intensity and radius must be positive")
     n = rng.poisson(intensity * math.pi * radius**2)
-    radii_angles = rng.random((2, n))
-    return radius**2 * radii_angles[0]
+    radii = rng.random(n)
+    rng.bit_generator.advance(n)  # one 64-bit draw per angle
+    return radius**2 * radii
 
 
 def _run_trial(
@@ -99,7 +101,7 @@ def _run_trial(
     marked_idx = np.flatnonzero(rng.random(dist2.size) < mark_prob)
     if marked_idx.size == 0:
         return False  # no cell carries the content: counts as a miss
-    fades = rng.exponential(1.0, dist2.size)
+    fades = rng.standard_exponential(dist2.size)
     rx_power = cfg.tx_power * fades * dist2 ** (-0.5 * cfg.alpha)
     serving = marked_idx[np.argmin(dist2[marked_idx])]
     interference = rx_power.sum() - rx_power[serving]

@@ -13,6 +13,7 @@ from cachemarket.catalog import (
     file_popularity,
     group_popularity,
     vr_preference,
+    zipf_rows,
 )
 from cachemarket.economics import EconomicConfig, gamma_vector
 
@@ -74,6 +75,15 @@ def test_normalization(n, exponent):
     t = file_popularity(CatalogConfig(n_files=n, storage=1, file_exponent=exponent))
     assert abs(t.sum() - 1.0) <= 1e-12
     assert all(b <= a for a, b in zip(t, t[1:]))
+
+
+@pytest.mark.parametrize("n", [1, 30, 1000, 100_000])
+def test_zipf_rows_are_the_vector_formula(n):
+    exponents = [0.0, 0.5, 1.0, 2.0, 0.8, 1.7]
+    ranks = np.arange(1, n + 1, dtype=float)
+    for row, exponent in zip(zipf_rows(n, exponents), exponents):
+        weights = ranks ** -exponent  # at 1.0, ndarray ** divides instead of calling pow
+        assert np.array_equal(row, weights / weights.sum())
 
 
 def test_zipf_ratio_identity():

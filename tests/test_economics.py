@@ -218,6 +218,10 @@ def test_saving_linear_in_each_scale(field):
     )
 
 
+def test_empty_fraction_vector():
+    assert len(FractionVector(())) == 0
+
+
 def test_fraction_vector_budget():
     with pytest.raises(ValueError):
         FractionVector((0.7, 0.5))

@@ -30,6 +30,12 @@ CASES = {
     "solve_waterfill_v120": [
         "solve", "--scheme", "waterfill", "--V", "120", "--gamma", "0",
     ],
+    # every point solved in one (points x V) block, all 120 retailers taking part
+    "sweep_storage_v120": ["sweep-storage", "--V", "120", "--gamma", "0", "--verify"],
+    # Zipf weights past the first underflow to 0: infinite thresholds
+    "sweep_gamma_zero_weights": [
+        "sweep-gamma", "--V", "1000", "--start", "150", "--stop", "200", "--step", "50",
+    ],
     # 5000 participants: the totals are long left-to-right sums
     "solve_nups_v5000": ["solve", "--scheme", "nups", "--V", "5000", "--gamma", "0"],
     "solve_ups_v5000": ["solve", "--scheme", "ups", "--V", "5000", "--gamma", "0"],

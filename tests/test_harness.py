@@ -248,6 +248,9 @@ class TestCli:
             # Lambda = C N / Q is large at Q = 1
             (["solve", "--zeta", "1", "--K", "1e307", "--Q", "1"],
              "Gamma_1 * Lambda * s_bh = 1.22e+308"),
+            # Theta < 1 at delta = 10, so lambda * Theta^2 underflows to 0
+            (["solve", "--lambda", "5e-324", "--delta", "10"],
+             "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2) = inf"),
         ],
     )  # fmt: skip
     def test_overflowing_product_exit_code(self, capsys, argv, product):
@@ -257,6 +260,73 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {product}")
         assert "overflows a float" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, product",
+        [
+            # Gamma_u * Lambda * s_ld is about 1e-340: 0 / 0 in the best responses
+            *[([*command, "--s-bh", "4.51602e-171", "--K", "6.30277e-170",
+                "--lambda", "1.56591e-63", "--V", "99"], "Gamma_u * Lambda * s_ld")
+              for command in (["solve"], ["sweep-storage"], ["sweep-gamma"])],
+            # the posted price is 5e-324, and Theta^2 lambda times it is 0: x / 0
+            (["solve", "--scheme", "ups", "--V", "17", "--Q", "17", "--s-bh", "1.15734e-146",
+              "--K", "1.07744e-178", "--lambda", "0.105123", "--delta", "0.22613121306098913"],
+             "Theta^2 * lambda * s_u"),
+        ],
+    )  # fmt: skip
+    def test_underflowing_product_exit_code(self, capsys, argv, product):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {product} underflows to 0 at u = 1\n"
+
+    @pytest.mark.parametrize("command", ["solve", "sweep-storage"])
+    def test_price_underflowing_to_zero_exit_code(self, capsys, command):
+        # Lambda s^bh Gamma / lambda is below the smallest float; this check
+        # comes before the floors, so its message is the one printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--s-bh", "1e-300", "--lambda", "1e300"]) == 1
+        assert capsys.readouterr().err == "config error: price must be positive, got 0.0\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "--Q", "5"],
+            ["solve", "--scheme", "ups", "--Q", "5"],
+            ["sweep-storage", "--start", "1", "--stop", "12", "--step", "1"],
+        ],
+    )
+    def test_surrogates_stop_at_the_bracket(self, tmp_path, command):
+        # (sum_{j<=u} Gamma_j^(1/3))^3 overflows only for u past the 4
+        # retailers Q = 5 admits; forming it there would warn
+        argv = [*command, "--s-bh", "1e-10", "--zeta", "1", "--K", "5.623413251903491e+305",
+                "--lambda", "1", "--V", "20", "--gamma", "0.05"]  # fmt: skip
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--V", "1000", "--gamma", "200"],
+            ["sweep-gamma", "--V", "1000", "--start", "150", "--stop", "200", "--step", "50"],
+        ],
+    )
+    def test_zero_zipf_weights_have_infinite_thresholds(self, tmp_path, argv):
+        # q_v underflows to 0 for v >= 2: those retailers can never take part
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(out)]) == 0
+        text = out.read_text()
+        if argv[0] == "sweep-gamma":
+            assert [row.split(",")[1:4] for row in text.splitlines()[1:]] == [
+                ["inf", "inf", "1"]
+            ] * 2
+        else:
+            assert text.count("EXCLUDED") == 999
 
     def test_pricing_bounds_leave_water_filling_alone(self, tmp_path):
         # the UPS price above overflows, but water-filling posts no price

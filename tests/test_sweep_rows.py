@@ -1,0 +1,200 @@
+"""Sweeps solve their points together: the rows must equal one point at a time."""
+
+import numpy as np
+import pytest
+
+from cachemarket import cli, harness
+from cachemarket.equilibrium import VerificationFailure, nups_solve, ups_solve
+from cachemarket.harness import (
+    ConfigError,
+    ExperimentConfig,
+    make_instance,
+    run_sweep_gamma,
+    run_sweep_storage,
+    sweep_values,
+)
+
+
+def point_rows(cfg, kind, values):
+    """Sweep rows built point by point from nups_solve / ups_solve.
+
+    Returns the rows and the error of the first failing point, if any.
+    """
+    rows = []
+    for value in values:
+        try:
+            instance = make_instance(cfg, **{kind: value})
+            nups, ups = nups_solve(instance), ups_solve(instance)
+            harness._check_outcome(nups)
+            harness._check_outcome(ups)
+        except (ValueError, ArithmeticError, VerificationFailure) as exc:
+            return rows, exc
+        th = instance.thresholds
+        front = (float(th.u_values[-1]), float(th.u_bar_values[-1])) if kind == "gamma" else ()
+        rows.append(
+            (
+                value,
+                *front,
+                nups.n_participants,
+                ups.n_participants,
+                nups.report.nsp_total,
+                ups.report.nsp_total,
+                nups.report.global_total,
+                ups.report.global_total,
+            )
+        )
+    return rows, None
+
+
+def assert_sweep_matches_points(cfg, kind, values):
+    run = run_sweep_gamma if kind == "gamma" else run_sweep_storage
+    expected, error = point_rows(cfg, kind, values)
+    if error is None:
+        assert run(cfg, values) == expected
+    else:
+        with pytest.raises(type(error)) as exc:
+            run(cfg, values)
+        assert str(exc.value) == str(error)
+
+
+def _market(rng):
+    return ExperimentConfig(
+        alpha=float(rng.uniform(2.2, 6.0)),
+        delta=float(10.0 ** rng.uniform(-3.0, 1.5)),
+        beta=float(rng.uniform(0.3, 1.5)),
+        n_vrs=int(np.exp(rng.uniform(0.0, np.log(300.0)))),
+        n_files=int(rng.choice([100, 500])),
+        gamma=float(rng.uniform(0.0, 2.5)),
+        storage=int(rng.integers(1, 600)),
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_storage_sweep_equals_point_solves(seed):
+    rng = np.random.default_rng([seed, 7])
+    cfg = _market(rng)
+    th = make_instance(cfg).thresholds
+    # non-integer Q, Q > N, and Q on and around the first few bracket edges
+    edges = [float(x) for x in np.concatenate([th.u_values[1:4], th.u_bar_values[1:4]])]
+    values = sorted(
+        {q for q in rng.uniform(1.0, 1.3 * cfg.n_files, 12).tolist()}
+        | {q + d for q in edges if q + 1e-12 >= 1.0 for d in (-1e-12, 0.0, 1e-12)}
+        | {1.0, float(cfg.n_files), cfg.n_files + 0.5}
+    )
+    assert_sweep_matches_points(cfg, "storage", values)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gamma_sweep_equals_point_solves(seed):
+    rng = np.random.default_rng([seed, 8])
+    cfg = _market(rng)
+    # gamma = 1 takes ndarray **'s reciprocal shortcut in zipf_vector
+    values = [0.0, 0.5, 1.0, 2.0] + rng.uniform(0.0, 2.5, 12).tolist()
+    assert_sweep_matches_points(cfg, "gamma", values)
+
+
+def test_zero_weight_retailers_in_a_gamma_sweep():
+    cfg = ExperimentConfig(n_vrs=1000)
+    assert_sweep_matches_points(cfg, "gamma", [0.5, 150.0, 200.0])
+
+
+def _cli_bytes(tmp_path, argv, name):
+    out = tmp_path / name
+    code = cli.main([*argv, "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-storage", "--V", "15", "--start", "10", "--stop", "500", "--step", "7.5"],
+        ["sweep-gamma", "--V", "40", "--start", "0", "--stop", "2.5", "--step", "0.05"],
+        ["sweep-gamma", "--V", "6", "--verify"],
+    ],
+)
+def test_small_blocks_give_the_same_bytes(tmp_path, monkeypatch, argv):
+    whole = _cli_bytes(tmp_path, argv, "whole.csv")
+    v = int(argv[argv.index("--V") + 1])
+    monkeypatch.setattr(harness, "_SWEEP_BLOCK", 3 * v)  # three points per block
+    real = harness.solve_rows
+    sizes = []
+
+    def recording(scheme, rows):
+        sizes.append(rows.shape[0])
+        return real(scheme, rows)
+
+    monkeypatch.setattr(harness, "solve_rows", recording)
+    assert _cli_bytes(tmp_path, argv, "blocks.csv") == whole
+    assert whole[0] == 0
+    points = whole[1].count(b"\n") - 1
+    assert len(sizes) == 2 * -(-points // 3) and max(sizes) == 3  # NUPS and UPS per block
+
+
+CANCELLING = [
+    "--alpha", "2.2193288013645645", "--delta", "80.49250043716155",
+    "--beta", "0.42371299266268153", "--V", "11", "--N", "500",
+]  # fmt: skip
+LATE_FAILURES = {
+    # Theta's cancellation breaks NUPS at Q = 10 only
+    "storage": ["sweep-storage", *CANCELLING, "--gamma", "0.18531846939972652",
+                "--start", "7", "--stop", "12", "--step", "1"],
+    # ... and at gamma = 1.05, the 21st point
+    "gamma": ["sweep-gamma", *CANCELLING, "--Q", "10", "--start", "0.05", "--stop", "1.5",
+              "--step", "0.05"],
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("block", [None, 22])
+@pytest.mark.parametrize("name", sorted(LATE_FAILURES))
+def test_first_failing_point_raises_its_own_error(capsys, monkeypatch, name, block):
+    argv = LATE_FAILURES[name]
+    if block is not None:
+        monkeypatch.setattr(harness, "_SWEEP_BLOCK", block)  # 1-2 points per block
+    kind = "storage" if argv[0] == "sweep-storage" else "gamma"
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    values = sweep_values(*(float(flags[f]) for f in ("--start", "--stop", "--step")))
+    cfg = cli._build_config(cli.build_parser().parse_args(argv))
+    rows, error = point_rows(cfg, kind, values)
+    assert rows and error is not None  # the first point solves, a later one fails
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == f"numerical failure: {error}\n"
+
+
+def test_verification_runs_point_by_point(capsys, monkeypatch):
+    real = harness.verify_equilibrium
+    checked = []
+
+    def fail_at_q30(outcome, instance):
+        checked.append((instance.storage, outcome.scheme))
+        if instance.storage == 30 and outcome.scheme == "UPS":
+            raise VerificationFailure("planted at Q = 30")
+        return real(outcome, instance)
+
+    monkeypatch.setattr(harness, "verify_equilibrium", fail_at_q30)
+    argv = ["sweep-storage", "--start", "10", "--stop", "50", "--step", "10", "--verify"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "verification failure: planted at Q = 30\n"
+    assert checked == [(q, s) for q in (10, 20, 30) for s in ("NUPS", "UPS")]
+
+
+def test_one_instance_per_sweep(monkeypatch):
+    calls = []
+    real = harness.make_instance
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_instance", counted)
+    run_sweep_storage(ExperimentConfig(), sweep_values(10, 500, 10))
+    run_sweep_gamma(ExperimentConfig(), sweep_values(0.1, 2.5, 0.1))
+    assert len(calls) == 2
+
+
+def test_bad_point_past_the_first_is_a_config_error():
+    # sweep_values grids only grow, so only a library caller can place these
+    # late; gamma = -1e-300 would otherwise solve like gamma = 0
+    with pytest.raises(ConfigError, match="storage must be >= 1, got 0.5"):
+        run_sweep_storage(ExperimentConfig(), [2.0, 0.5])
+    with pytest.raises(ValueError, match="vr_exponent must be finite and >= 0, got -1e-300"):
+        run_sweep_gamma(ExperimentConfig(), [0.5, -1e-300])
