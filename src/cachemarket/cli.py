@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: verify-coverage, sweep-gamma, sweep-storage, per-vr, solve.
-Exit codes: 0 success, 1 config error (including a usage error and a
-non-finite number in a flag or config file), 2 equilibrium verification
-failure, 3 simulator-analytic mismatch beyond tolerance, 4 numerical failure
-(an ArithmeticError, such as a series that does not converge).
+verify-coverage runs its grid points in order on one thread; it accepts
+--jobs for compatibility and ignores it.
+Exit codes: 0 success, 1 config error (including a usage error, a
+non-finite number in a flag or config file and an --out path that cannot be
+written), 2 equilibrium verification failure, 3 simulator-analytic mismatch
+beyond tolerance, 4 numerical failure (an ArithmeticError, such as a series
+that does not converge).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .harness import (
     SWEEP_STORAGE_HEADER,
     ConfigError,
     ExperimentConfig,
+    _KEY_MAP,
     format_rows,
     load_config,
     run_per_vr,
@@ -33,30 +37,16 @@ from .harness import (
     sweep_values,
 )
 
-_OVERRIDES = [
-    # (flag, config field, type)
-    ("--alpha", "alpha", float),
-    ("--delta", "delta", float),
-    ("--lambda", "sbs_intensity", float),
-    ("--zeta", "mu_intensity", float),
-    ("--K", "requests_per_mu", float),
-    ("--s-bh", "s_bh", float),
-    ("--s-ld", "s_ld", float),
-    ("--N", "n_files", int),
-    ("--Q", "storage", int),
-    ("--beta", "beta", float),
-    ("--V", "n_vrs", int),
-    ("--gamma", "gamma", float),
-    ("--P", "tx_power", float),
-    ("--sigma2", "noise_power", float),
-    ("--radius", "window_radius", float),
-    ("--trials", "trials", int),
-    ("--seed", "seed", int),
+# (flag, config field, type): every number key of a config file is a flag too
+_FLAGS = [
+    ("--" + key.replace("_", "-"), field, kind)
+    for key, (field, kind) in _KEY_MAP.items()
+    if kind in (int, float)
 ]
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    flags = [(flag, getattr(args, f"cfg_{dest}")) for flag, dest, _ in _OVERRIDES]
+    flags = [(flag, getattr(args, f"cfg_{dest}")) for flag, dest, _ in _FLAGS]
     flags += [(f"--{n}", getattr(args, n, None)) for n in ("start", "stop", "step")]
     for flag, value in flags:
         if isinstance(value, float) and not math.isfinite(value):
@@ -65,7 +55,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         cfg = load_config(args.config, cfg)
     updates = {}
-    for _, dest, _ in _OVERRIDES:
+    for _, dest, _ in _FLAGS:
         value = getattr(args, f"cfg_{dest}")
         if value is not None:
             updates[dest] = value
@@ -74,8 +64,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -97,14 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)  # flags of every subcommand
     common.add_argument("--config", help="flat key = value config file")
     common.add_argument("--out", help="output CSV path (default: stdout)")
-    for flag, dest, kind in _OVERRIDES:
+    for flag, dest, kind in _FLAGS:
         common.add_argument(flag, dest=f"cfg_{dest}", type=kind, default=None)
 
     def add(name: str, summary: str) -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], help=summary)
 
     p = add("verify-coverage", "Monte-Carlo check of the hit-probability closed form")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent grid points")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="ignored; grid points run in order"
+    )
 
     p = add("sweep-gamma", "sweep the retailer preference exponent")
     p.add_argument("--start", type=float, default=0.1)
@@ -138,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _build_config(args)
         if args.command == "verify-coverage":
-            rows, ok = run_verify_coverage(cfg, jobs=args.jobs)
+            rows, ok = run_verify_coverage(cfg)
             _emit(format_rows(COVERAGE_HEADER, rows), args.out)
             if not ok:
                 print(

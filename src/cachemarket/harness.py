@@ -10,7 +10,6 @@ defaults are the standard evaluation settings.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -230,16 +229,17 @@ COVERAGE_HEADER = [
 ]
 
 
-def run_verify_coverage(
-    cfg: ExperimentConfig, jobs: int = 1
-) -> tuple[list[tuple], bool]:
+def run_verify_coverage(cfg: ExperimentConfig) -> tuple[list[tuple], bool]:
     """Simulate the (tau, Q, lambda) grid and compare against the closed form.
 
+    Grid points run in order; point i draws from seed cfg.seed + i.
     Returns the CSV rows and whether every point met the tolerance
     max(0.02, 3 * half-width).
     """
     points = []
     for q in cfg.q_grid:
+        if q < 1:
+            raise ConfigError(f"Q={q} in q_grid must be >= 1")
         if cfg.n_files % q != 0:
             raise ConfigError(f"Q={q} does not divide N={cfg.n_files}")
         f_groups = cfg.n_files // q
@@ -247,8 +247,7 @@ def run_verify_coverage(
             for tau in cfg.tau_grid:
                 points.append((tau, f_groups, lam))
 
-    def simulate(args):
-        index, (tau, f_groups, lam) = args
+    def simulate(index, tau, f_groups, lam):
         sim_cfg = SimConfig(
             sbs_intensity=lam,
             mu_intensity=cfg.mu_intensity,
@@ -262,11 +261,7 @@ def run_verify_coverage(
         )
         return simulate_hit_probability(sim_cfg, tau, f_groups)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            estimates = list(pool.map(simulate, enumerate(points)))
-    else:
-        estimates = [simulate(item) for item in enumerate(points)]
+    estimates = [simulate(index, *point) for index, point in enumerate(points)]
 
     rows = []
     all_ok = True
@@ -368,9 +363,8 @@ def _solve_block(first: GameInstance, kind: str, values: list) -> tuple:
     return rows, solved
 
 
-def _sweep_point(cfg, kind: str, value, constants: CoverageConstants, verify: bool):
-    """One sweep point solved on its own, as a _run_sweep tuple."""
-    instance = make_instance(cfg, constants=constants, **{kind: value})
+def _solve_both(instance: GameInstance, verify: bool) -> tuple:
+    """The checked NUPS and UPS outcomes at one instance, verified if asked."""
     nups = nups_solve(instance)
     ups = ups_solve(instance)
     _check_outcome(nups)
@@ -378,6 +372,13 @@ def _sweep_point(cfg, kind: str, value, constants: CoverageConstants, verify: bo
     if verify:
         verify_equilibrium(nups, instance)
         verify_equilibrium(ups, instance)
+    return nups, ups
+
+
+def _sweep_point(cfg, kind: str, value, constants: CoverageConstants, verify: bool):
+    """One sweep point solved on its own, as a _run_sweep tuple."""
+    instance = make_instance(cfg, constants=constants, **{kind: value})
+    nups, ups = _solve_both(instance, verify)
     th = instance.thresholds
     return (
         float(th.u_values[-1]),
@@ -475,14 +476,7 @@ PER_VR_HEADER = [
 
 def run_per_vr(cfg: ExperimentConfig, verify: bool = False) -> list[tuple]:
     """Per-retailer prices and fractions under both pricing schemes."""
-    instance = make_instance(cfg)
-    nups = nups_solve(instance)
-    ups = ups_solve(instance)
-    _check_outcome(nups)
-    _check_outcome(ups)
-    if verify:
-        verify_equilibrium(nups, instance)
-        verify_equilibrium(ups, instance)
+    nups, ups = _solve_both(make_instance(cfg), verify)
     return list(
         zip(
             range(1, cfg.n_vrs + 1),

@@ -37,7 +37,7 @@ def announce(capsys, number: int, ok: bool, detail: str) -> None:
 def test_criterion_1_simulator_matches_closed_form(capsys):
     """40-point (tau, Q, lambda) grid at 2000 trials, |err| <= max(0.02, 3 hw)."""
     cfg = ExperimentConfig(q_grid=(10, 500), lambda_grid=(10.0, 30.0), trials=2000)
-    rows, ok = run_verify_coverage(cfg, jobs=4)
+    rows, ok = run_verify_coverage(cfg)
     worst = max(row[-1] / max(0.02, 3.0 * row[5]) for row in rows)
     announce(capsys, 1,
         ok,
@@ -245,14 +245,11 @@ def test_criterion_8_equilibria_survive_perturbation(capsys):
 
 
 def test_criterion_9_deterministic_outputs(capsys):
-    """Identical seeds yield byte-identical CSV, whatever the thread count."""
+    """Identical seeds yield byte-identical CSV."""
     cfg = ExperimentConfig(
         tau_grid=(0.2, 0.6), q_grid=(50,), lambda_grid=(10.0,), trials=300
     )
-    runs = [
-        format_rows(COVERAGE_HEADER, run_verify_coverage(cfg, jobs=j)[0])
-        for j in (1, 4, 1)
-    ]
+    runs = [format_rows(COVERAGE_HEADER, run_verify_coverage(cfg)[0]) for _ in range(3)]
     ok = runs[0] == runs[1] == runs[2]
-    announce(capsys, 9, ok, "coverage CSV byte-identical across reruns and thread counts")
+    announce(capsys, 9, ok, "coverage CSV byte-identical across reruns")
     assert ok

@@ -1,5 +1,6 @@
 """Config parsing, sweep runners, CSV formatting, and the CLI."""
 
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -118,17 +119,24 @@ class TestRunners:
         assert len(rows) == 2
         assert len(rows[0]) == len(COVERAGE_HEADER)
 
-    def test_verify_coverage_deterministic_across_jobs(self):
+    def test_verify_coverage_deterministic(self):
         cfg = ExperimentConfig(**SMALL_SIM)
-        serial = format_rows(COVERAGE_HEADER, run_verify_coverage(cfg, jobs=1)[0])
-        threaded = format_rows(COVERAGE_HEADER, run_verify_coverage(cfg, jobs=4)[0])
-        repeat = format_rows(COVERAGE_HEADER, run_verify_coverage(cfg, jobs=1)[0])
-        assert serial == threaded == repeat
+        first = format_rows(COVERAGE_HEADER, run_verify_coverage(cfg)[0])
+        repeat = format_rows(COVERAGE_HEADER, run_verify_coverage(cfg)[0])
+        assert first == repeat
 
     def test_verify_coverage_rejects_bad_storage(self):
         cfg = ExperimentConfig(q_grid=(7,), **{k: v for k, v in SMALL_SIM.items() if k != "q_grid"})
         with pytest.raises(ConfigError, match="does not divide"):
             run_verify_coverage(cfg)
+
+    @pytest.mark.parametrize("q", ["0", "-5"])
+    def test_verify_coverage_rejects_storage_below_one(self, capsys, tmp_path, q):
+        # Q = 0 used to divide by zero (exit 4); Q < 0 blamed F, not Q
+        path = tmp_path / "q.cfg"
+        path.write_text(f"q_grid = {q}\n")
+        assert cli.main(["verify-coverage", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: Q={q} in q_grid must be >= 1\n"
 
     def test_run_solve_output(self):
         rows, summary = run_solve(ExperimentConfig(), "nups")
@@ -382,13 +390,36 @@ class TestCli:
         assert "bad value for gamma: must be finite" in capsys.readouterr().err
 
     def test_coverage_mismatch_exit_code(self, monkeypatch, tmp_path):
-        def mismatched(cfg, jobs=1):
+        def mismatched(cfg):
             return [(0.5, 10, 10.0, 10, 0.9, 0.01, 0.1, 0.8)], False
 
         monkeypatch.setattr(cli, "run_verify_coverage", mismatched)
         out = tmp_path / "cov.csv"
         assert cli.main(["verify-coverage", "--out", str(out)]) == 3
         assert out.exists()
+
+    def test_jobs_flag_is_ignored(self, tmp_path, monkeypatch):
+        path = tmp_path / "grid.cfg"
+        path.write_text("tau_grid = 0.2, 0.8\nq_grid = 50\nlambda_grid = 10\n")
+        argv = ["verify-coverage", "--config", str(path), "--trials", "300"]
+
+        def no_threads(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        assert cli.main([*argv, "--out", str(tmp_path / "serial.csv")]) == 0
+        assert cli.main([*argv, "--jobs", "4", "--out", str(tmp_path / "jobs.csv")]) == 0
+        serial = (tmp_path / "serial.csv").read_bytes()
+        assert serial.count(b"\n") == 3  # header + 2 grid points
+        assert (tmp_path / "jobs.csv").read_bytes() == serial
+
+    def test_unwritable_output_exit_code(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        assert cli.main(["solve", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {out}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_override_flags(self, tmp_path):
         out = tmp_path / "v.csv"
