@@ -29,9 +29,11 @@ from .economics import (
     FractionVector,
     PriceVector,
     ProfitReport,
+    check_fraction_rows,
     gamma_vector,
     ordered_sums,
     profit_report,
+    profit_rows,
 )
 
 __all__ = [
@@ -198,19 +200,20 @@ class EquilibriumOutcome:
 
 @dataclass(frozen=True)
 class RowOutcomes:
-    """NUPS or UPS equilibria of every row of a GameRows."""
+    """NUPS or UPS equilibria of every row of a GameRows, with their profits."""
 
     scheme: str
     n_participants: np.ndarray  # (R,): u of each row
     prices: np.ndarray  # (R, V): the posted prices, 0 past u
     fractions: np.ndarray  # (R, V)
+    report: ProfitReport  # profit_rows of every row
 
-    def outcome(self, i: int, report: ProfitReport) -> EquilibriumOutcome:
-        """Row i as an EquilibriumOutcome; report is row i's ProfitReport."""
+    def outcome(self, i: int) -> EquilibriumOutcome:
+        """Row i as an EquilibriumOutcome."""
         u = int(self.n_participants[i])
         prices = PriceVector(self.prices[i, :u], self.prices.shape[1])
         return EquilibriumOutcome(
-            self.scheme, prices, FractionVector(self.fractions[i]), u, report
+            self.scheme, prices, FractionVector(self.fractions[i]), u, self.report.row(i)
         )
 
 
@@ -372,9 +375,9 @@ def solve_rows(scheme: str, rows: GameRows) -> RowOutcomes:
           - s^bh sum_{j<=u} Gamma_j                              (NUPS)
     S_u = u Lambda^2 s^bh (sum_{j<=u} Gamma_j^(1/2))^2 / (u Lambda + Theta)^2
           - s^bh sum_{j<=u} Gamma_j                              (UPS)
-    over it, posts the closed-form prices for the winning count u and
-    lets the followers best-respond.  Raises on the first failed check,
-    with the message of the first failing row.
+    over it, posts the closed-form prices for the winning count u, lets
+    the followers best-respond and reports every row's profits.  Raises
+    on the first failed check, with the message of the first failing row.
     """
     _require_pricing_domain(rows)
     brackets = rows.thresholds.u_values if scheme == "NUPS" else rows.thresholds.u_bar_values
@@ -408,30 +411,20 @@ def solve_rows(scheme: str, rows: GameRows) -> RowOutcomes:
         raise ArithmeticError(
             f"{scheme} best responses sum to {total}; the posted prices are broken"
         )
-    return RowOutcomes(scheme, u, prices, np.minimum(responses, 1.0))
-
-
-def _outcome(scheme, prices, tau, n_participants, instance) -> EquilibriumOutcome:
-    report = profit_report(tau, prices, instance.pops, instance.econ, instance.constants)
-    return EquilibriumOutcome(scheme, prices, tau, n_participants, report)
-
-
-def _solve_one(scheme: str, instance: GameInstance) -> EquilibriumOutcome:
-    """solve_rows on the instance's one row."""
-    solved = solve_rows(scheme, instance.rows)
-    u = int(solved.n_participants[0])
-    prices = PriceVector(solved.prices[0, :u], instance.n_vrs)
-    return _outcome(scheme, prices, FractionVector(solved.fractions[0]), u, instance)
+    fractions = np.minimum(responses, 1.0)
+    check_fraction_rows(fractions)
+    report = profit_rows(fractions, prices, rows.gammas, rows.econ, rows.constants)
+    return RowOutcomes(scheme, u, prices, fractions, report)
 
 
 def nups_solve(instance: GameInstance) -> EquilibriumOutcome:
     """Equilibrium under per-retailer pricing (solve_rows, scheme NUPS)."""
-    return _solve_one("NUPS", instance)
+    return solve_rows("NUPS", instance.rows).outcome(0)
 
 
 def ups_solve(instance: GameInstance) -> EquilibriumOutcome:
     """Equilibrium under a single shared price (solve_rows, scheme UPS)."""
-    return _solve_one("UPS", instance)
+    return solve_rows("UPS", instance.rows).outcome(0)
 
 
 def waterfill_solve(instance: GameInstance) -> EquilibriumOutcome:
@@ -454,7 +447,9 @@ def waterfill_solve(instance: GameInstance) -> EquilibriumOutcome:
     fractions[:v_bar] = (sqrt_q[:v_bar] / eta - lam_big) / theta
     tau = FractionVector(np.minimum(fractions, 1.0))
     # no prices are posted in the global scheme: rent is a pure transfer
-    return _outcome("WATERFILL", PriceVector(np.zeros(q.size)), tau, v_bar, instance)
+    prices = PriceVector(np.zeros(q.size))
+    report = profit_report(tau, prices, instance.pops, instance.econ, instance.constants)
+    return EquilibriumOutcome("WATERFILL", prices, tau, v_bar, report)
 
 
 @dataclass(frozen=True)

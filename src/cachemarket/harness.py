@@ -16,16 +16,10 @@ import numpy as np
 
 from .catalog import CatalogConfig, VrConfig, build_popularity, zipf_rows
 from .coverage import CoverageConstants, hit_probability, make_constants
-from .economics import (
-    EconomicConfig,
-    PriceVector,
-    check_fraction_rows,
-    gamma_vector,
-    profit_rows,
-)
+from .economics import EconomicConfig, PriceVector, gamma_vector
 from .equilibrium import (
-    EquilibriumOutcome,
     GameInstance,
+    GameRows,
     VerificationFailure,
     nups_solve,
     participation_threshold_rows,
@@ -182,6 +176,14 @@ def _price_cells(prices: PriceVector) -> list:
     return prices.prices.tolist() + [EXCLUDED] * (len(prices) - prices.n_posted())
 
 
+def _storage(q_req: float, n_files: int) -> float:
+    """The storage Q the model uses for a requested Q."""
+    q_eff = min(q_req, n_files)  # Q > N behaves exactly like Q = N
+    if not q_eff >= 1:
+        raise ConfigError(f"storage must be >= 1, got {q_req}")
+    return q_eff
+
+
 def make_instance(
     cfg: ExperimentConfig,
     gamma: float | None = None,
@@ -194,10 +196,7 @@ def make_instance(
     """
     if cfg.n_files < 1:
         raise ConfigError(f"file count N (--N, n_files) must be >= 1, got {cfg.n_files}")
-    q_req = cfg.storage if storage is None else storage
-    q_eff = min(q_req, cfg.n_files)  # Q > N behaves exactly like Q = N
-    if q_eff < 1:
-        raise ConfigError(f"storage must be >= 1, got {q_req}")
+    q_eff = _storage(cfg.storage if storage is None else storage, cfg.n_files)
     catalog = CatalogConfig(n_files=cfg.n_files, storage=q_eff, file_exponent=cfg.beta)
     vrs = VrConfig(n_vrs=cfg.n_vrs, vr_exponent=gamma if gamma is not None else cfg.gamma)
     pops = build_popularity(catalog, vrs)
@@ -302,12 +301,13 @@ def _check_participants(participants, posted, fractions) -> None:
         )
 
 
-def _check_outcome(outcome: EquilibriumOutcome) -> None:
-    _check_participants(
-        np.array([outcome.n_participants]),
-        np.array([outcome.prices.n_posted()]),
-        outcome.fractions.fractions[None, :],
-    )
+def _solve_pair(rows: GameRows) -> tuple:
+    """The NUPS and UPS RowOutcomes of every row, with the participant checks."""
+    solved = solve_rows("NUPS", rows), solve_rows("UPS", rows)
+    for outcomes in solved:
+        posted = (outcomes.prices > 0).sum(axis=-1)
+        _check_participants(outcomes.n_participants, posted, outcomes.fractions)
+    return solved
 
 
 # Entries of the (points x V) arrays of one sweep block; a sweep's memory
@@ -315,80 +315,33 @@ def _check_outcome(outcome: EquilibriumOutcome) -> None:
 _SWEEP_BLOCK = 1 << 16
 
 
-def _solve_block(first: GameInstance, kind: str, values: list) -> tuple:
-    """Both schemes at every point of a sweep block, with the per-point checks.
+def _block_rows(first: GameInstance, kind: str, values: list) -> GameRows:
+    """first's market at every point of a sweep block, one row per point.
 
     kind is "storage" or "gamma": the parameter that varies along the
-    rows.  Everything else is first's.  Returns the GameRows, the NUPS
-    and UPS RowOutcomes and their profit reports.  Raises on a failed
-    check without saying which point failed.
+    rows.  A bad point raises what make_instance raises for it.
     """
-    points = np.array(values, dtype=float)
-    base = first.rows
     if kind == "storage":
-        storage = np.minimum(points, first.n_files)  # Q > N behaves exactly like Q = N
-        if not (storage >= 1).all():
-            raise ConfigError("storage must be >= 1")
+        storage = np.array([_storage(q, first.n_files) for q in values], dtype=float)
         lam_big = first.constants.c * (first.n_files / storage)
-        rows = replace(
-            base,
+        return replace(
+            first.rows,
             gammas=np.broadcast_to(first.gammas(), (len(values), first.n_vrs)),
             storage=storage[:, None],
             constants=replace(first.constants, lambda_big=lam_big[:, None]),
         )
-    else:
-        if not (np.isfinite(points) & (points >= 0)).all():
-            raise ConfigError("gamma must be finite and >= 0")
-        q = zipf_rows(first.n_vrs, values)
-        rows = replace(
-            base,
-            gammas=gamma_vector(q, first.econ),
-            thresholds=participation_threshold_rows(q, first.n_files, first.constants),
-            storage=np.full((len(values), 1), first.storage, dtype=float),
-            constants=replace(
-                first.constants,
-                lambda_big=np.full((len(values), 1), first.constants.lambda_big),
-            ),
-        )
-    solved = []
-    for scheme in ("NUPS", "UPS"):
-        outcomes = solve_rows(scheme, rows)
-        check_fraction_rows(outcomes.fractions)
-        report = profit_rows(
-            outcomes.fractions, outcomes.prices, rows.gammas, rows.econ, rows.constants
-        )
-        u = outcomes.n_participants
-        _check_participants(u, u, outcomes.fractions)
-        solved.append((outcomes, report))
-    return rows, solved
-
-
-def _solve_both(instance: GameInstance, verify: bool) -> tuple:
-    """The checked NUPS and UPS outcomes at one instance, verified if asked."""
-    nups = nups_solve(instance)
-    ups = ups_solve(instance)
-    _check_outcome(nups)
-    _check_outcome(ups)
-    if verify:
-        verify_equilibrium(nups, instance)
-        verify_equilibrium(ups, instance)
-    return nups, ups
-
-
-def _sweep_point(cfg, kind: str, value, constants: CoverageConstants, verify: bool):
-    """One sweep point solved on its own, as a _run_sweep tuple."""
-    instance = make_instance(cfg, constants=constants, **{kind: value})
-    nups, ups = _solve_both(instance, verify)
-    th = instance.thresholds
-    return (
-        float(th.u_values[-1]),
-        float(th.u_bar_values[-1]),
-        nups.n_participants,
-        ups.n_participants,
-        nups.report.nsp_total,
-        ups.report.nsp_total,
-        nups.report.global_total,
-        ups.report.global_total,
+    for gamma in values:
+        VrConfig(n_vrs=first.n_vrs, vr_exponent=gamma)
+    q = zipf_rows(first.n_vrs, values)
+    return replace(
+        first.rows,
+        gammas=gamma_vector(q, first.econ),
+        thresholds=participation_threshold_rows(q, first.n_files, first.constants),
+        storage=np.full((len(values), 1), first.storage, dtype=float),
+        constants=replace(
+            first.constants,
+            lambda_big=np.full((len(values), 1), first.constants.lambda_big),
+        ),
     )
 
 
@@ -398,12 +351,34 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, values: list, verify: bool) -> 
     Each tuple is (q_min, qp_min, u_nups, u_ups, s_nsp_nups, s_nsp_ups,
     s_glb_nups, s_glb_ups).  The points are solved together, in blocks
     of at most _SWEEP_BLOCK entries.  When a check fails anywhere in a
-    block, its points are solved again one at a time, in order, so the
-    first failing point raises its own error.
+    block, its points are solved again as one-point blocks, in order, so
+    the first failing point raises its own error.
     """
     if not values:
         return []
     first = make_instance(cfg, **{kind: values[0]})
+
+    def block_points(block, rows, solved) -> list:
+        """The tuples of a solved block; each point is verified first if asked."""
+        if verify:
+            for i, value in enumerate(block):
+                instance = make_instance(cfg, constants=first.constants, **{kind: value})
+                for outcomes in solved:
+                    verify_equilibrium(outcomes.outcome(i), instance)
+        nups, ups = solved
+        return list(
+            zip(
+                np.broadcast_to(rows.thresholds.u_values[:, -1], len(block)).tolist(),
+                np.broadcast_to(rows.thresholds.u_bar_values[:, -1], len(block)).tolist(),
+                nups.n_participants.tolist(),
+                ups.n_participants.tolist(),
+                nups.report.nsp_total.tolist(),
+                ups.report.nsp_total.tolist(),
+                nups.report.global_total.tolist(),
+                ups.report.global_total.tolist(),
+            )
+        )
+
     size = max(1, _SWEEP_BLOCK // first.n_vrs)
     points = []
     for lo in range(0, len(values), size):
@@ -412,26 +387,14 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, values: list, verify: bool) -> 
             # a floating-point error sends the block down the one-point path
             # too, which warns exactly as the point would on its own
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                rows, solved = _solve_block(first, kind, block)
+                rows = _block_rows(first, kind, block)
+                solved = _solve_pair(rows)
         except (ValueError, ArithmeticError, VerificationFailure):
-            points += [_sweep_point(cfg, kind, x, first.constants, verify) for x in block]
+            for value in block:
+                rows = _block_rows(first, kind, [value])
+                points += block_points([value], rows, _solve_pair(rows))
             continue
-        if verify:
-            for i, value in enumerate(block):
-                instance = make_instance(cfg, constants=first.constants, **{kind: value})
-                for outcomes, report in solved:
-                    verify_equilibrium(outcomes.outcome(i, report.row(i)), instance)
-        (nups, nups_report), (ups, ups_report) = solved
-        points += zip(
-            np.broadcast_to(rows.thresholds.u_values[:, -1], len(block)).tolist(),
-            np.broadcast_to(rows.thresholds.u_bar_values[:, -1], len(block)).tolist(),
-            nups.n_participants.tolist(),
-            ups.n_participants.tolist(),
-            nups_report.nsp_total.tolist(),
-            ups_report.nsp_total.tolist(),
-            nups_report.global_total.tolist(),
-            ups_report.global_total.tolist(),
-        )
+        points += block_points(block, rows, solved)
     return points
 
 
@@ -476,7 +439,11 @@ PER_VR_HEADER = [
 
 def run_per_vr(cfg: ExperimentConfig, verify: bool = False) -> list[tuple]:
     """Per-retailer prices and fractions under both pricing schemes."""
-    nups, ups = _solve_both(make_instance(cfg), verify)
+    instance = make_instance(cfg)
+    nups, ups = (outcomes.outcome(0) for outcomes in _solve_pair(instance.rows))
+    if verify:
+        verify_equilibrium(nups, instance)
+        verify_equilibrium(ups, instance)
     return list(
         zip(
             range(1, cfg.n_vrs + 1),

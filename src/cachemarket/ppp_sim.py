@@ -58,6 +58,8 @@ class SimConfig:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         expected = self.sbs_intensity * math.pi * self.window_radius**2
         if expected < _MIN_EXPECTED_COUNT:
             raise ValueError(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cachemarket import cli, harness
-from cachemarket.equilibrium import VerificationFailure, nups_solve
+from cachemarket.equilibrium import VerificationFailure
 from cachemarket.harness import (
     COVERAGE_HEADER,
     EXCLUDED,
@@ -188,11 +188,13 @@ class TestCli:
         assert cli.main(["solve"]) == 2
 
     def test_inconsistent_outcome_exit_code(self, monkeypatch):
-        def inconsistent(instance):
-            outcome = nups_solve(instance)
-            return replace(outcome, n_participants=outcome.n_participants + 1)
+        real = harness.solve_rows
 
-        monkeypatch.setattr(harness, "nups_solve", inconsistent)
+        def inconsistent(scheme, rows):
+            outcomes = real(scheme, rows)
+            return replace(outcomes, n_participants=outcomes.n_participants + 1)
+
+        monkeypatch.setattr(harness, "solve_rows", inconsistent)
         with pytest.raises(VerificationFailure, match="inconsistent outcome"):
             run_per_vr(ExperimentConfig())
         assert cli.main(["per-vr"]) == 2
@@ -419,6 +421,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write output {out}: ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_seed_names_the_flag(self, capsys, tmp_path):
+        out = tmp_path / "cov.csv"
+        argv = ["verify-coverage", "--seed", "-1", "--trials", "5", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "config error: seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     def test_override_flags(self, tmp_path):

@@ -139,7 +139,8 @@ class TestSimulator:
         + [("noise_power", v) for v in (math.nan, math.inf, -math.inf, -1e-12)]
         + [("alpha", v) for v in (math.nan, math.inf, -math.inf, 2.0, 1.5)]
         + [("delta", v) for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
-        + [("trials", v) for v in (2.5, 500.0, "500")],
+        + [("trials", v) for v in (2.5, 500.0, "500")]
+        + [("seed", v) for v in (-1, 2.5, "7")],
     )
     def test_rejects_invalid_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -147,6 +148,7 @@ class TestSimulator:
 
     def test_accepts_zero_noise_and_numpy_trials(self):
         assert make_sim(noise_power=0.0, trials=np.int64(3)).trials == 3
+        assert make_sim(seed=np.int64(0)).seed == 0
 
 
 class TestAgainstPointOracle:

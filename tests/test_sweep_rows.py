@@ -1,10 +1,13 @@
 """Sweeps solve their points together: the rows must equal one point at a time."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cachemarket import cli, harness
-from cachemarket.equilibrium import VerificationFailure, nups_solve, ups_solve
+from cachemarket.economics import ProfitReport, profit_report
+from cachemarket.equilibrium import VerificationFailure, nups_solve, solve_rows, ups_solve
 from cachemarket.harness import (
     ConfigError,
     ExperimentConfig,
@@ -25,8 +28,12 @@ def point_rows(cfg, kind, values):
         try:
             instance = make_instance(cfg, **{kind: value})
             nups, ups = nups_solve(instance), ups_solve(instance)
-            harness._check_outcome(nups)
-            harness._check_outcome(ups)
+            for outcome in (nups, ups):
+                harness._check_participants(
+                    np.array([outcome.n_participants]),
+                    np.array([outcome.prices.n_posted()]),
+                    outcome.fractions.fractions[None, :],
+                )
         except (ValueError, ArithmeticError, VerificationFailure) as exc:
             return rows, exc
         th = instance.thresholds
@@ -96,6 +103,74 @@ def test_gamma_sweep_equals_point_solves(seed):
 def test_zero_weight_retailers_in_a_gamma_sweep():
     cfg = ExperimentConfig(n_vrs=1000)
     assert_sweep_matches_points(cfg, "gamma", [0.5, 150.0, 200.0])
+
+
+# the market of the subnormal FOUND case: the NUPS fraction at Q = 10
+# rounds to 0 although a price is posted
+SUBNORMAL = ExperimentConfig(
+    s_bh=1e-164, requests_per_mu=3.162277660168379e-160, sbs_intensity=1, n_vrs=20, gamma=1
+)
+SUBNORMAL_ARGV = ["--s-bh", "1e-164", "--K", "3.162277660168379e-160", "--lambda", "1",
+                  "--V", "20", "--gamma", "1"]  # fmt: skip
+
+
+def test_subnormal_market_fails_at_its_first_point():
+    values = sweep_values(10, 500, 10)
+    rows, error = point_rows(SUBNORMAL, "storage", values)
+    assert rows == [] and "inconsistent outcome" in str(error)
+    assert_sweep_matches_points(SUBNORMAL, "storage", values)
+
+
+def test_per_vr_fails_like_the_sweep_point(capsys):
+    _, error = point_rows(SUBNORMAL, "storage", [10.0])
+    line = f"verification failure: {error}\n"
+    sweep = ["sweep-storage", *SUBNORMAL_ARGV, "--start", "10", "--stop", "500", "--step", "10"]
+    assert cli.main(sweep) == 2
+    assert capsys.readouterr().err == line
+    assert cli.main(["per-vr", *SUBNORMAL_ARGV, "--Q", "10"]) == 2
+    assert capsys.readouterr().err == line
+
+
+def assert_report_is_profit_report(outcome, instance):
+    """outcome.report holds, bit for bit, what profit_report computes from it."""
+    expected = profit_report(
+        outcome.fractions, outcome.prices, instance.pops, instance.econ, instance.constants
+    )
+    for field in dataclasses.fields(ProfitReport):
+        got, want = getattr(outcome.report, field.name), getattr(expected, field.name)
+        assert type(got) is type(want), field.name
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), field.name
+
+
+REPORT_MARKETS = [
+    ExperimentConfig(n_vrs=1),
+    ExperimentConfig(n_vrs=1000, gamma=200.0),  # Zipf weights past retailer 1 underflow to 0
+    ExperimentConfig(n_vrs=40, gamma=0.0, n_files=100),
+]
+
+
+@pytest.mark.parametrize("market", range(len(REPORT_MARKETS) + 6))
+def test_row_reports_equal_profit_report(market):
+    if market < len(REPORT_MARKETS):
+        cfg = REPORT_MARKETS[market]
+    else:
+        cfg = _market(np.random.default_rng([market, 9]))
+    n = cfg.n_files
+    # Q = 1, non-integer Q, Q dividing N, Q = N and Q > N
+    sweeps = {"storage": [1.0, 37.5, n / 4, float(n), n + 0.5, 3.0 * n],
+              "gamma": [0.0, 0.5, 1.0, cfg.gamma]}  # fmt: skip
+    for kind, values in sweeps.items():
+        for value in values:
+            instance = make_instance(cfg, **{kind: value})
+            for solve in (nups_solve, ups_solve):
+                assert_report_is_profit_report(solve(instance), instance)
+        block = harness._block_rows(make_instance(cfg, **{kind: values[0]}), kind, values)
+        for scheme in ("NUPS", "UPS"):
+            outcomes = solve_rows(scheme, block)
+            for i, value in enumerate(values):
+                instance = make_instance(cfg, **{kind: value})
+                assert_report_is_profit_report(outcomes.outcome(i), instance)
 
 
 def _cli_bytes(tmp_path, argv, name):

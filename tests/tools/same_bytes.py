@@ -1,0 +1,169 @@
+"""Check that two source trees of cachemarket write the same bytes.
+
+Usage:
+    python tests/tools/same_bytes.py PARENT_SRC CHANGE_SRC [--seeds N]
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
+The command list is every sweep and verify op of perfbench rounds 0-1
+for seeds 1..N (from ``perfbench/workloads.py``, imported read-only)
+plus EDGE, the commands that end in a named error or sit at the edge of
+the solvers.  Each tree runs the whole list through its own
+``cli.main``, in one process of its own, with ``--out`` to a scratch
+file.  A command differs when the md5 of its CSV, its exit code, its
+stdout or its stderr differ; stderr is compared with file paths and
+line numbers stripped from warnings.  Prints each difference and exits
+1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[2]
+
+# The subnormal FOUND market: "inconsistent outcome" at Q = 10, broken
+# best responses at Q = 20.
+SUBNORMAL = ["--s-bh", "1e-164", "--K", "3.162277660168379e-160", "--lambda", "1", "--V", "20"]
+# Theta = A - C + 1 cancels: NUPS breaks at Q = 10 and at gamma = 1.05.
+CANCELLING = [
+    "--alpha", "2.2193288013645645", "--delta", "80.49250043716155",
+    "--beta", "0.42371299266268153", "--V", "11", "--N", "500",
+]  # fmt: skip
+CANCEL_GAMMA = ["--gamma", "0.18531846939972652"]
+UNDERFLOW = ["--s-bh", "4.51602e-171", "--K", "6.30277e-170", "--lambda", "1.56591e-63"]
+EDGE = [
+    ["sweep-storage", *SUBNORMAL, "--gamma", "1", "--start", "10", "--stop", "500", "--step", "10"],
+    ["sweep-gamma", *SUBNORMAL, "--Q", "20", "--start", "0.05", "--stop", "2.5", "--step", "0.05"],
+    ["per-vr", *SUBNORMAL, "--gamma", "1", "--Q", "10"],
+    ["per-vr", *SUBNORMAL, "--gamma", "1", "--Q", "20"],
+    ["solve", *SUBNORMAL, "--gamma", "1", "--Q", "20"],
+    ["sweep-storage", *CANCELLING, *CANCEL_GAMMA, "--start", "7", "--stop", "12", "--step", "1"],
+    ["sweep-gamma", *CANCELLING, "--Q", "10", "--start", "0.05", "--stop", "1.5", "--step", "0.05"],
+    ["per-vr", *CANCELLING, *CANCEL_GAMMA, "--Q", "10"],
+    # Zipf weights past retailer 1 underflow to 0
+    ["sweep-gamma", "--V", "1000", "--start", "150", "--stop", "200", "--step", "10", "--verify"],
+    ["per-vr", "--V", "1000", "--gamma", "200", "--verify"],
+    # products that overflow or underflow, named as config errors
+    ["per-vr", "--s-bh", "1e250", "--K", "1e100", "--zeta", "1e5"],
+    ["sweep-storage", "--K", "1e300", "--zeta", "1e300"],
+    ["sweep-storage", *UNDERFLOW, "--V", "99"],
+    ["per-vr", *UNDERFLOW, "--V", "99"],
+    # Q < 1
+    ["per-vr", "--Q", "0"],
+    ["sweep-storage", "--start", "0.5", "--stop", "5", "--step", "0.5"],
+    # larger markets
+    ["per-vr", "--V", "120", "--verify"],
+    ["sweep-storage", "--V", "120", "--verify"],
+    ["sweep-gamma", "--V", "1000", "--Q", "50", "--start", "0", "--stop", "2.5", "--step", "0.1"],
+    ["sweep-storage", "--V", "5000", "--gamma", "0.2"],
+    ["per-vr", "--V", "5000"],
+]  # fmt: skip
+
+_WARNING_AT = re.compile(r"^\S+\.py:\d+: (?=\w+Warning: )", re.MULTILINE)
+
+
+def perfbench_commands(seeds: int) -> list:
+    """Every sweep and verify op of rounds 0-1 for seeds 1..seeds."""
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return [
+        list(op.argv)
+        for seed in range(1, seeds + 1)
+        for index in (0, 1)
+        for op in workloads.sweep_round(seed, index) + workloads.verify_round(seed, index)
+    ]
+
+
+def run_commands(commands: list) -> list:
+    """Run each command through this process's cachemarket.cli.main."""
+    from cachemarket import cli
+
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        for argv in commands:
+            out.unlink(missing_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                try:
+                    code = cli.main([*argv, "--out", str(out)])
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+            csv = hashlib.md5(out.read_bytes()).hexdigest() if out.exists() else None
+            err = _WARNING_AT.sub("", stderr.getvalue().replace(str(out), "OUT"))
+            results.append({"code": code, "csv": csv, "stdout": stdout.getvalue(), "stderr": err})
+    return results
+
+
+def run_tree(src: Path, commands: list) -> list:
+    """run_commands in a fresh interpreter that imports cachemarket from src."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", str(src)],
+        input=json.dumps(commands),
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    if proc.returncode:
+        raise SystemExit(f"worker for {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def _worker(src: str) -> None:
+    import cachemarket
+
+    if not Path(cachemarket.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"imported {cachemarket.__file__}, not from {src}")
+    # each command's warnings in full, whatever ran before it
+    warnings.simplefilter("always")
+    json.dump(run_commands(json.load(sys.stdin)), sys.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--seeds", type=int, default=40, help="perfbench seeds 1..N")
+    args = parser.parse_args(argv)
+    commands = perfbench_commands(args.seeds) + EDGE
+    parent = run_tree(args.parent_src, commands)
+    change = run_tree(args.change_src, commands)
+    differences = 0
+    for argv, old, new in zip(commands, parent, change):
+        fields = [key for key in old if old[key] != new[key]]
+        if fields:
+            differences += 1
+            print(f"DIFF {' '.join(argv)}")
+            for key in fields:
+                print(f"  {key}: {old[key]!r} -> {new[key]!r}")
+    codes = sorted({r["code"] for r in change})
+    print(
+        f"{len(commands)} commands ({len(EDGE)} edge), exit codes {codes}: "
+        f"{differences} differences"
+    )
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "--worker":
+        _worker(sys.argv[2])
+    else:
+        sys.exit(main())
