@@ -43,6 +43,6 @@ from .equilibrium import (
 )
 from .harness import EXCLUDED, ConfigError, ExperimentConfig, load_config, make_instance
 from .ppp_sim import SimConfig, SimulationEstimate, sample_hppp, simulate_hit_probability
-from .special import a_factor, beta_function, c_factor, hyp2f1_unit_a
+from .special import a_factor, c_factor, hyp2f1_unit_a, theta_factor
 
 __version__ = "0.1.0"

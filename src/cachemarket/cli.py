@@ -6,8 +6,8 @@ verify-coverage runs its grid points in order on one thread; it accepts
 Exit codes: 0 success, 1 config error (including a usage error, a
 non-finite number in a flag or config file and an --out path that cannot be
 written), 2 equilibrium verification failure, 3 simulator-analytic mismatch
-beyond tolerance, 4 numerical failure (an ArithmeticError, such as a series
-that does not converge).
+beyond tolerance, 4 numerical failure (an ArithmeticError, such as best
+responses that break the budget because rounding spoiled their closed form).
 """
 
 from __future__ import annotations

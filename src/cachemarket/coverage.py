@@ -16,34 +16,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import a_factor, c_factor
+from .special import c_factor, theta_factor
 
 __all__ = ["CoverageConstants", "make_constants", "hit_probability"]
 
 
 @dataclass(frozen=True)
 class CoverageConstants:
-    """Derived coverage constants A, C, Theta = A - C + 1, Lambda = C * F."""
+    """Derived coverage constants C, Theta = A - C + 1, Lambda = C * F."""
 
-    a: float
     c: float
     theta: float
     lambda_big: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.c <= 0:
-            raise ValueError(f"A and C must be positive, got A={self.a}, C={self.c}")
-        if abs(self.theta - (self.a - self.c + 1.0)) > 1e-12:
-            raise ValueError("theta is inconsistent with A - C + 1")
+        if not (self.c > 0 and self.theta > 0):
+            raise ValueError(
+                f"C and Theta must be positive, got C={self.c}, Theta={self.theta}"
+            )
 
 
 def make_constants(delta: float, alpha: float, f_groups: float) -> CoverageConstants:
     """Build coverage constants for SINR threshold delta, path-loss alpha, F groups."""
     if not (math.isfinite(f_groups) and f_groups >= 1):
         raise ValueError(f"f_groups must be finite and >= 1, got {f_groups}")
-    a = a_factor(delta, alpha)
     c = c_factor(delta, alpha)
-    return CoverageConstants(a=a, c=c, theta=a - c + 1.0, lambda_big=c * f_groups)
+    return CoverageConstants(c=c, theta=theta_factor(delta, alpha), lambda_big=c * f_groups)
 
 
 def hit_probability(tau, constants: CoverageConstants):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -101,13 +101,13 @@ class GameInstance:
     def rows(self) -> GameRows:
         """This market as the one row of a GameRows."""
         th = self.thresholds
-        c = self.constants
+        lam_big = np.array([[self.constants.lambda_big]])
         return GameRows(
             gammas=self._gammas[None, :],
             thresholds=ParticipationThresholds(th.u_values[None, :], th.u_bar_values[None, :]),
             storage=np.array([[self.storage]], dtype=float),
             econ=self.econ,
-            constants=CoverageConstants(c.a, c.c, c.theta, np.array([[c.lambda_big]])),
+            constants=replace(self.constants, lambda_big=lam_big),
         )
 
 
@@ -270,6 +270,8 @@ def participation_threshold_rows(
     its thresholds are +inf.
     """
     scale = n_files * constants.c / constants.theta
+    if not scale <= sys.float_info.max:
+        raise ValueError(f"N * C / Theta = {scale:.3g} overflows a float")
     v_idx = np.arange(1, q.shape[1] + 1, dtype=float)
     roots = np.stack((np.cbrt(q), np.sqrt(q)))
     # cumulative sums of (q_j / q_v)^(1/3) and ^(1/2) for each v

@@ -471,10 +471,13 @@ def run_solve(
     """Solve one instance; returns per-retailer rows plus summary lines."""
     instance = make_instance(cfg)
     scheme = scheme.upper()
-    if scheme == "NUPS":
-        outcome = nups_solve(instance)
-    elif scheme == "UPS":
-        outcome = ups_solve(instance)
+    if scheme in ("NUPS", "UPS"):
+        outcome = (nups_solve if scheme == "NUPS" else ups_solve)(instance)
+        _check_participants(
+            np.array([outcome.n_participants]),
+            np.array([outcome.prices.n_posted()]),
+            outcome.fractions.fractions[None, :],
+        )
     elif scheme == "WATERFILL":
         outcome = waterfill_solve(instance)
     else:

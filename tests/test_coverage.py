@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cachemarket.coverage import CoverageConstants, hit_probability, make_constants
+from cachemarket.special import a_factor
 
 # frozen oracle values at delta = 0.01, alpha = 4 (arctan / Beta closed forms)
 A_REF = 0.01 * math.atan(0.1) / 0.1
@@ -14,7 +15,7 @@ C_REF = 0.05 * math.pi
 
 def test_constants_single_group():
     con = make_constants(0.01, 4.0, 1.0)
-    assert con.a == pytest.approx(A_REF, rel=1e-10)
+    assert a_factor(0.01, 4.0) == pytest.approx(A_REF, rel=1e-10)
     assert con.c == pytest.approx(C_REF, rel=1e-10)
     assert con.theta == pytest.approx(A_REF - C_REF + 1.0, rel=1e-12)
     assert con.lambda_big == pytest.approx(C_REF, rel=1e-10)
@@ -24,7 +25,7 @@ def test_constants_scale_linearly_in_groups():
     con1 = make_constants(0.01, 4.0, 1.0)
     con50 = make_constants(0.01, 4.0, 50.0)
     assert con50.lambda_big == pytest.approx(50.0 * con1.lambda_big, rel=1e-12)
-    assert con50.a == con1.a
+    assert con50.c == con1.c
     assert con50.theta == con1.theta
 
 
@@ -74,7 +75,8 @@ def test_algebraic_identity():
         tau = float(rng.uniform(1e-6, 1.0))
         con = make_constants(delta, alpha, f_groups)
         pr = hit_probability(tau, con)
-        assert pr * (con.c * (f_groups - tau) + con.a * tau + tau) == pytest.approx(
+        a = a_factor(delta, alpha)
+        assert pr * (con.c * (f_groups - tau) + a * tau + tau) == pytest.approx(
             tau, rel=1e-12
         )
         assert 0.0 <= pr <= 1.0
@@ -88,8 +90,9 @@ def test_domain_errors():
         hit_probability(1.1, con)
     with pytest.raises(ValueError):
         make_constants(0.01, 4.0, 0.5)
-    with pytest.raises(ValueError):
-        CoverageConstants(a=0.1, c=0.2, theta=0.5, lambda_big=1.0)
+    for theta in (0.0, -0.5):
+        with pytest.raises(ValueError, match="Theta must be positive"):
+            CoverageConstants(c=0.2, theta=theta, lambda_big=1.0)
 
 
 @pytest.mark.parametrize(

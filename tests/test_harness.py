@@ -25,6 +25,9 @@ from cachemarket.harness import (
 )
 
 HELP = Path(__file__).parent / "help"
+# a market where Theta = A - C + 1 loses nine digits to cancellation
+CANCELLING = ["--alpha", "2.2193288013645645", "--delta", "80.49250043716155",
+              "--beta", "0.42371299266268153", "--V", "11", "--N", "500"]  # fmt: skip
 SMALL_SIM = dict(tau_grid=(0.2, 0.8), q_grid=(50,), lambda_grid=(10.0,), trials=300)
 
 
@@ -202,19 +205,41 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["solve", "--delta", "2e4"],  # the 2F1 series does not converge
-            # Theta = A - C + 1 cancels: best responses sum past 1 + 1e-9
-            ["solve", "--scheme", "nups", "--alpha", "2.2193288013645645",
-             "--delta", "80.49250043716155", "--beta", "0.42371299266268153",
-             "--V", "11", "--N", "500", "--gamma", "0.18531846939972652",
-             "--Q", "10"],
+            # subnormal products: the best responses sum to 1.31
+            ["solve", "--scheme", scheme, "--s-bh", "1e-164", "--K", "3.162277660168379e-160",
+             "--lambda", "1", "--V", "20", "--gamma", "1", "--Q", "20"]
+            for scheme in ("nups", "ups")
         ],
-    )
+    )  # fmt: skip
     def test_numerical_failure_exit_code(self, capsys, argv):
         assert cli.main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the Pfaff series sums delta -> 1- in a bounded number of terms
+            ["solve", "--delta", "0.99999"],
+            # Theta by its series: no cancellation at delta = 80
+            ["per-vr", *CANCELLING, "--gamma", "0.18531846939972652", "--Q", "10", "--verify"],
+            ["solve", "--scheme", "nups", *CANCELLING, "--gamma", "0.18531846939972652",
+             "--Q", "10"],
+        ],
+    )  # fmt: skip
+    def test_near_one_and_cancelling_markets_solve(self, tmp_path, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+
+    @pytest.mark.parametrize("command", ["solve", "per-vr", "sweep-storage"])
+    def test_overflowing_thresholds_exit_code(self, capsys, command):
+        # Theta is about 3e-301 at delta = 1e300, so N C / Theta overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--delta", "1e300"]) == 1
+        assert capsys.readouterr().err == "config error: N * C / Theta = inf overflows a float\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special
 
-from cachemarket.special import a_factor, beta_function, c_factor, hyp2f1_unit_a
+from cachemarket.special import a_factor, c_factor, hyp2f1_unit_a, theta_factor
 
 
 def beta_by_quadrature(x, y):
@@ -34,34 +36,30 @@ def hyp_by_euler_integral(alpha, delta):
 
 
 class TestBetaFunction:
-    def test_constant_integrand(self):
-        assert beta_function(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
+    """B(x, 1 - x) = pi / sin(pi x), the Beta factor of c_factor at x = 2/alpha.
+
+    c_factor(1, 2/x) = x B(x, 1 - x).
+    """
 
     def test_half_half_is_pi(self):
         # oracle value: quadrature of the defining integral, equals pi
         oracle = beta_by_quadrature(0.5, 0.5)
         assert oracle == pytest.approx(math.pi, rel=1e-9)
-        assert beta_function(0.5, 0.5) == pytest.approx(oracle, rel=1e-9)
-        assert beta_function(0.5, 0.5) == pytest.approx(math.pi, rel=1e-12)
+        assert c_factor(1.0, 4.0) == pytest.approx(0.5 * oracle, rel=1e-9)
+        assert c_factor(1.0, 4.0) == pytest.approx(0.5 * math.pi, rel=1e-15)
 
     def test_symmetry(self):
         rng = np.random.default_rng(42)
-        for _ in range(50):
-            x, y = rng.uniform(1e-3, 5.0, size=2)
-            assert beta_function(x, y) == pytest.approx(
-                beta_function(y, x), rel=1e-12
-            )
-
-    @pytest.mark.parametrize("x,y", [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0), (2.0, -0.5)])
-    def test_domain_errors(self, x, y):
-        with pytest.raises(ValueError):
-            beta_function(x, y)
+        for x in rng.uniform(0.05, 0.95, size=50):
+            beta = c_factor(1.0, 2.0 / x) / x
+            assert beta == pytest.approx(c_factor(1.0, 2.0 / (1.0 - x)) / (1.0 - x), rel=1e-13)
 
     def test_against_quadrature_grid(self):
-        for x in (0.25, 0.5, 1.5, 3.0):
-            for y in (0.4, 1.0, 2.5):
-                assert beta_function(x, y) == pytest.approx(
-                    beta_by_quadrature(x, y), rel=1e-8
+        # x = 2/alpha on both sides of 1/2, where the sine switches to 1 - x
+        for x in (0.25, 0.4, 0.5, 0.6, 0.75):
+            for delta in (1e-3, 1.0, 50.0):
+                assert c_factor(delta, 2.0 / x) == pytest.approx(
+                    x * delta**x * beta_by_quadrature(x, 1.0 - x), rel=1e-8
                 )
 
 
@@ -102,7 +100,13 @@ class TestHypergeometric:
             hyp2f1_unit_a(alpha, delta)
 
     @pytest.mark.parametrize(
-        "fn", [hyp2f1_unit_a, lambda a, d: a_factor(d, a), lambda a, d: c_factor(d, a)]
+        "fn",
+        [
+            hyp2f1_unit_a,
+            lambda a, d: a_factor(d, a),
+            lambda a, d: c_factor(d, a),
+            lambda a, d: theta_factor(d, a),
+        ],
     )
     @pytest.mark.parametrize(
         "alpha,delta",
@@ -112,6 +116,57 @@ class TestHypergeometric:
         # NaN fails every comparison: `alpha <= 2` alone would send it to the series
         with pytest.raises(ValueError, match="finite"):
             fn(alpha, delta)
+
+
+def constants_by_mpmath(mpmath, alpha, delta):
+    """Oracle: (Theta, C) at the working precision, A from mpmath's 2F1."""
+    a, d = mpmath.mpf(alpha), mpmath.mpf(delta)
+    b = 1 - 2 / a
+    big_a = 2 * d / (a - 2) * mpmath.hyp2f1(1, b, b + 1, -d)
+    big_c = (2 / a) * d ** (2 / a) * mpmath.pi / mpmath.sin(2 * mpmath.pi / a)
+    return big_a - big_c + 1, big_c
+
+
+# both sides of the split at delta = 2, and the decades from 1e-6 to 1e8
+DELTAS = [*np.logspace(-6, 8, 57).tolist(), 1.99, 2.0, math.nextafter(2.0, 3.0), 2.01]
+
+
+class TestTheta:
+    # abs=0: approx's default absolute tolerance of 1e-12 would dwarf
+    # the relative bounds, since Theta falls like 1/delta
+    @pytest.mark.parametrize("alpha", [2.05, 2.2, 2.5, 3.0, 3.3, 4.0, 6.0, 10.0])
+    def test_against_mpmath(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for delta in DELTAS:
+                theta, c = (float(x) for x in constants_by_mpmath(mpmath, alpha, delta))
+                rel = 2e-15 if delta > 2.0 else 1e-12
+                assert theta_factor(delta, alpha) == pytest.approx(theta, rel=rel, abs=0.0), delta
+                assert c_factor(delta, alpha) == pytest.approx(c, rel=2e-15, abs=0.0), delta
+
+    def test_c_near_alpha_two(self):
+        # the sine takes (alpha - 2)/alpha there, so pi x is near 0, not near pi
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for alpha in (2.001, 2.005, 2.01, 2.02, 2.03, 2.04):
+                _, c = constants_by_mpmath(mpmath, alpha, 1.0)
+                assert c_factor(1.0, alpha) == pytest.approx(float(c), rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 6.0, 10.0])
+    def test_hyp2f1_against_scipy(self, alpha):
+        b = 1.0 - 2.0 / alpha
+        for delta in DELTAS:
+            assert hyp2f1_unit_a(alpha, delta) == pytest.approx(
+                special.hyp2f1(1.0, b, b + 1.0, -delta), rel=1e-13, abs=0.0
+            ), delta
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        alpha=st.floats(2.01, 100.0),
+        delta=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    )
+    def test_positive(self, alpha, delta):
+        assert theta_factor(delta, alpha) > 0.0
 
 
 class TestDerivedFactors:

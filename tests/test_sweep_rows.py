@@ -1,6 +1,7 @@
 """Sweeps solve their points together: the rows must equal one point at a time."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -110,8 +111,9 @@ def test_zero_weight_retailers_in_a_gamma_sweep():
 SUBNORMAL = ExperimentConfig(
     s_bh=1e-164, requests_per_mu=3.162277660168379e-160, sbs_intensity=1, n_vrs=20, gamma=1
 )
-SUBNORMAL_ARGV = ["--s-bh", "1e-164", "--K", "3.162277660168379e-160", "--lambda", "1",
-                  "--V", "20", "--gamma", "1"]  # fmt: skip
+SUBNORMAL_MARKET = ["--s-bh", "1e-164", "--K", "3.162277660168379e-160", "--lambda", "1",
+                    "--V", "20"]  # fmt: skip
+SUBNORMAL_ARGV = [*SUBNORMAL_MARKET, "--gamma", "1"]
 
 
 def test_subnormal_market_fails_at_its_first_point():
@@ -129,6 +131,16 @@ def test_per_vr_fails_like_the_sweep_point(capsys):
     assert capsys.readouterr().err == line
     assert cli.main(["per-vr", *SUBNORMAL_ARGV, "--Q", "10"]) == 2
     assert capsys.readouterr().err == line
+
+
+@pytest.mark.parametrize("scheme", ["nups", "ups"])
+def test_solve_fails_like_per_vr(capsys, scheme):
+    # solve checks the participants before the verifier sees the outcome
+    _, error = point_rows(SUBNORMAL, "storage", [10.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["solve", "--scheme", scheme, *SUBNORMAL_ARGV, "--Q", "10"]) == 2
+    assert capsys.readouterr().err == f"verification failure: {error}\n"
 
 
 def assert_report_is_profit_report(outcome, instance):
@@ -205,16 +217,12 @@ def test_small_blocks_give_the_same_bytes(tmp_path, monkeypatch, argv):
     assert len(sizes) == 2 * -(-points // 3) and max(sizes) == 3  # NUPS and UPS per block
 
 
-CANCELLING = [
-    "--alpha", "2.2193288013645645", "--delta", "80.49250043716155",
-    "--beta", "0.42371299266268153", "--V", "11", "--N", "500",
-]  # fmt: skip
 LATE_FAILURES = {
-    # Theta's cancellation breaks NUPS at Q = 10 only
-    "storage": ["sweep-storage", *CANCELLING, "--gamma", "0.18531846939972652",
-                "--start", "7", "--stop", "12", "--step", "1"],
-    # ... and at gamma = 1.05, the 21st point
-    "gamma": ["sweep-gamma", *CANCELLING, "--Q", "10", "--start", "0.05", "--stop", "1.5",
+    # the subnormal market's best responses break first at Q = 18
+    "storage": ["sweep-storage", *SUBNORMAL_ARGV, "--start", "13", "--stop", "20",
+                "--step", "1"],
+    # ... and first at gamma = 0.95 for Q = 20
+    "gamma": ["sweep-gamma", *SUBNORMAL_MARKET, "--Q", "20", "--start", "0.85", "--stop", "1.0",
               "--step", "0.05"],
 }  # fmt: skip
 

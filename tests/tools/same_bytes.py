@@ -9,19 +9,23 @@ for seeds 1..N (from ``perfbench/workloads.py``, imported read-only)
 plus EDGE, the commands that end in a named error or sit at the edge of
 the solvers.  Each tree runs the whole list through its own
 ``cli.main``, in one process of its own, with ``--out`` to a scratch
-file.  A command differs when the md5 of its CSV, its exit code, its
-stdout or its stderr differ; stderr is compared with file paths and
-line numbers stripped from warnings.  Prints each difference and exits
-1 if there is any.
+file.  A command differs when its CSV, its exit code, its stdout or its
+stderr differ; stderr is compared with file paths and line numbers
+stripped from warnings.  Prints each difference and exits 1 if there is
+any.  A differing CSV is shown by its md5 and the largest relative
+difference between its numeric cells; the summary line gives the
+largest over all CSVs, so a declared numeric change can be bounded.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -36,7 +40,8 @@ REPO = Path(__file__).resolve().parents[2]
 # The subnormal FOUND market: "inconsistent outcome" at Q = 10, broken
 # best responses at Q = 20.
 SUBNORMAL = ["--s-bh", "1e-164", "--K", "3.162277660168379e-160", "--lambda", "1", "--V", "20"]
-# Theta = A - C + 1 cancels: NUPS breaks at Q = 10 and at gamma = 1.05.
+# Theta = A - C + 1 cancels here (nine digits lost).  Computed as the
+# difference, it broke NUPS at Q = 10 and at gamma = 1.05.
 CANCELLING = [
     "--alpha", "2.2193288013645645", "--delta", "80.49250043716155",
     "--beta", "0.42371299266268153", "--V", "11", "--N", "500",
@@ -106,9 +111,9 @@ def run_commands(commands: list) -> list:
                     code = cli.main([*argv, "--out", str(out)])
                 except SystemExit as exc:  # argparse usage errors
                     code = exc.code
-            csv = hashlib.md5(out.read_bytes()).hexdigest() if out.exists() else None
+            text = out.read_bytes().decode() if out.exists() else None
             err = _WARNING_AT.sub("", stderr.getvalue().replace(str(out), "OUT"))
-            results.append({"code": code, "csv": csv, "stdout": stdout.getvalue(), "stderr": err})
+            results.append({"code": code, "csv": text, "stdout": stdout.getvalue(), "stderr": err})
     return results
 
 
@@ -137,6 +142,34 @@ def _worker(src: str) -> None:
     json.dump(run_commands(json.load(sys.stdin)), sys.stdout)
 
 
+def relative_difference(old: str, new: str) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the cells of two CSVs.
+
+    inf when the CSVs differ in shape, in a cell that is not a number,
+    or in a non-finite number.
+    """
+    old_rows, new_rows = (list(csv.reader(io.StringIO(text))) for text in (old, new))
+    if [len(row) for row in old_rows] != [len(row) for row in new_rows]:
+        return math.inf
+    worst = 0.0
+    for old_row, new_row in zip(old_rows, new_rows):
+        for a, b in zip(old_row, new_row):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                return math.inf
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return math.inf
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def _md5(text: str | None) -> str | None:
+    return None if text is None else hashlib.md5(text.encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
@@ -146,18 +179,30 @@ def main(argv=None) -> int:
     commands = perfbench_commands(args.seeds) + EDGE
     parent = run_tree(args.parent_src, commands)
     change = run_tree(args.change_src, commands)
-    differences = 0
+    differences = csv_differences = 0
+    largest = 0.0
     for argv, old, new in zip(commands, parent, change):
         fields = [key for key in old if old[key] != new[key]]
         if fields:
             differences += 1
             print(f"DIFF {' '.join(argv)}")
             for key in fields:
-                print(f"  {key}: {old[key]!r} -> {new[key]!r}")
+                if key != "csv":
+                    print(f"  {key}: {old[key]!r} -> {new[key]!r}")
+                    continue
+                change_of = f"  csv: {_md5(old['csv'])} -> {_md5(new['csv'])}"
+                if None in (old["csv"], new["csv"]):  # the exit code differs too
+                    print(change_of)
+                    continue
+                csv_differences += 1
+                rel = relative_difference(old["csv"], new["csv"])
+                largest = max(largest, rel)
+                print(f"{change_of}, relative {rel:.2g}")
     codes = sorted({r["code"] for r in change})
     print(
         f"{len(commands)} commands ({len(EDGE)} edge), exit codes {codes}: "
-        f"{differences} differences"
+        f"{differences} differences, {csv_differences} in CSVs both wrote, "
+        f"largest relative difference {largest:.2g}"
     )
     return 1 if differences else 0
 
