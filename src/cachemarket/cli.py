@@ -8,11 +8,14 @@ non-finite number in a flag or config file and an --out path that cannot be
 written), 2 equilibrium verification failure, 3 simulator-analytic mismatch
 beyond tolerance, 4 numerical failure (an ArithmeticError, such as best
 responses that break the budget because rounding spoiled their closed form).
+main can be called repeatedly in one process; it builds its parser on the
+first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -81,7 +84,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Reuse is safe because parsing leaves the tree as it was: every default
+    is immutable, the help width is read when help is formatted, and usage
+    and help go to the sys.stdout / sys.stderr of the moment.
+    """
     parser = _Parser(
         prog="cachemarket",
         description="Stackelberg pricing for small-cell video caching",

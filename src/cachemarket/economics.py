@@ -136,6 +136,13 @@ class FractionVector:
         object.__setattr__(self, "fractions", fractions)
         check_fraction_rows(fractions[None, :])
 
+    @classmethod
+    def of_checked_row(cls, row: np.ndarray) -> FractionVector:
+        """A row that check_fraction_rows has passed, not checked again."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "fractions", _read_only(row))
+        return vector
+
     def __len__(self) -> int:
         return self.fractions.size
 

@@ -205,16 +205,15 @@ class RowOutcomes:
     scheme: str
     n_participants: np.ndarray  # (R,): u of each row
     prices: np.ndarray  # (R, V): the posted prices, 0 past u
-    fractions: np.ndarray  # (R, V)
+    fractions: np.ndarray  # (R, V): every row passed check_fraction_rows
     report: ProfitReport  # profit_rows of every row
 
     def outcome(self, i: int) -> EquilibriumOutcome:
         """Row i as an EquilibriumOutcome."""
         u = int(self.n_participants[i])
         prices = PriceVector(self.prices[i, :u], self.prices.shape[1])
-        return EquilibriumOutcome(
-            self.scheme, prices, FractionVector(self.fractions[i]), u, self.report.row(i)
-        )
+        fractions = FractionVector.of_checked_row(self.fractions[i])
+        return EquilibriumOutcome(self.scheme, prices, fractions, u, self.report.row(i))
 
 
 def _best_responses(

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from cachemarket import economics, equilibrium
 from cachemarket.economics import (
     FractionVector,
     PriceVector,
+    check_fraction_rows,
     profit_report,
 )
 from cachemarket.equilibrium import (
@@ -391,3 +393,21 @@ def test_large_market_outcome(solve, gamma):
     assert tau.sum() <= 1.0 + 1e-9
     rep = outcome.report
     assert rep.global_total == pytest.approx(2.0 * rep.nsp_backhaul_saving, rel=1.2e-11)
+
+
+@pytest.mark.parametrize("solve", [nups_solve, ups_solve])
+def test_solved_fractions_are_checked_once(monkeypatch, default_instance, solve):
+    # solve_rows checks the row; the FractionVector built from it does not again
+    shapes = []
+
+    def counting(fractions):
+        shapes.append(fractions.shape)
+        check_fraction_rows(fractions)
+
+    monkeypatch.setattr(economics, "check_fraction_rows", counting)
+    monkeypatch.setattr(equilibrium, "check_fraction_rows", counting)
+    tau = solve(default_instance).fractions.fractions
+    assert shapes == [(1, default_instance.n_vrs)]
+    assert not tau.flags.writeable
+    FractionVector(tau)  # built anywhere else, a vector is still checked
+    assert shapes == [(1, default_instance.n_vrs)] * 2

@@ -25,6 +25,7 @@ from cachemarket.harness import (
 )
 
 HELP = Path(__file__).parent / "help"
+GOLDEN = Path(__file__).parent / "golden"
 # a market where Theta = A - C + 1 loses nine digits to cancellation
 CANCELLING = ["--alpha", "2.2193288013645645", "--delta", "80.49250043716155",
               "--beta", "0.42371299266268153", "--V", "11", "--N", "500"]  # fmt: skip
@@ -380,6 +381,32 @@ class TestCli:
         err = capsys.readouterr().err
         expected = f"file count N (--N, n_files) must be >= 1, got {n_files}"
         assert err == f"config error: {expected}\n"
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_keeps_no_state(self, capsys, tmp_path):
+        # an error, a help request and non-default flags leave the golden intact
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--V", "x"])
+        assert exc.value.code == 1
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cachemarket solve ")
+        argv = ["sweep-gamma", "--V", "3", "--start", "0.5", "--stop", "1", "--step", "0.5"]
+        assert cli.main([*argv, "--verify", "--out", str(tmp_path / "first.csv")]) == 0
+        out = tmp_path / "sweep_gamma.csv"
+        assert cli.main(["sweep-gamma", "--verify", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "sweep_gamma.csv").read_bytes()
+
+    def test_parsing_leaves_no_state(self):
+        parser = cli.build_parser()
+        plain = ["per-vr", "--V", "3"]
+        first = vars(parser.parse_args(plain))
+        parser.parse_args(["per-vr", "--verify", "--config", "run.cfg", "--gamma", "0.3"])
+        assert vars(parser.parse_args(plain)) == first
 
     @pytest.mark.parametrize(
         "command",

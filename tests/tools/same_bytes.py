@@ -6,15 +6,16 @@ Usage:
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The command list is every sweep and verify op of perfbench rounds 0-1
 for seeds 1..N (from ``perfbench/workloads.py``, imported read-only)
-plus EDGE, the commands that end in a named error or sit at the edge of
-the solvers.  Each tree runs the whole list through its own
-``cli.main``, in one process of its own, with ``--out`` to a scratch
-file.  A command differs when its CSV, its exit code, its stdout or its
-stderr differ; stderr is compared with file paths and line numbers
-stripped from warnings.  Prints each difference and exits 1 if there is
-any.  A differing CSV is shown by its md5 and the largest relative
-difference between its numeric cells; the summary line gives the
-largest over all CSVs, so a declared numeric change can be bounded.
+plus EDGE, the commands that end in a named error, a usage error or a
+help request, or sit at the edge of the solvers.  Each tree runs the
+whole list through its own ``cli.main``, in one process of its own, with
+``--out`` to a scratch file.  A command differs when its CSV, its exit
+code, its stdout or its stderr differ; stderr is compared with file
+paths and line numbers stripped from warnings.  Prints each difference
+and exits 1 if there is any.  A differing CSV is shown by its md5 and
+the largest relative difference between its numeric cells; the summary
+line gives the largest over all CSVs, so a declared numeric change can
+be bounded.
 """
 
 from __future__ import annotations
@@ -68,11 +69,17 @@ EDGE = [
     # Q < 1
     ["per-vr", "--Q", "0"],
     ["sweep-storage", "--start", "0.5", "--stop", "5", "--step", "0.5"],
-    # larger markets
+    # larger markets, each after a usage error or a help request, so that
+    # state one main() call leaves in the parser shows in the next
+    ["solve", "--V", "x"],
     ["per-vr", "--V", "120", "--verify"],
+    ["solve", "--scheme", "bogus"],
     ["sweep-storage", "--V", "120", "--verify"],
+    ["frobnicate"],
     ["sweep-gamma", "--V", "1000", "--Q", "50", "--start", "0", "--stop", "2.5", "--step", "0.1"],
+    ["sweep-gamma", "--help"],
     ["sweep-storage", "--V", "5000", "--gamma", "0.2"],
+    ["solve", "--help"],
     ["per-vr", "--V", "5000"],
 ]  # fmt: skip
 
