@@ -216,36 +216,30 @@ class RowOutcomes:
         return EquilibriumOutcome(self.scheme, prices, fractions, u, self.report.row(i))
 
 
-def _best_responses(
-    prices: np.ndarray,
-    gammas: np.ndarray,
+def best_response_fraction(
+    prices: np.ndarray | float,
+    gammas: np.ndarray | float,
     cfg: EconomicConfig,
     constants: CoverageConstants,
-) -> np.ndarray:
-    """Unchecked best_response_fraction, elementwise over positive prices."""
+) -> np.ndarray | float:
+    """Followers' optimal rental fractions at the given prices, elementwise.
+
+    tau* = (sqrt(Gamma Lambda s^ld / (Theta^2 lambda s_v)) - Lambda/Theta)+.
+    prices, gammas and constants.lambda_big broadcast against each other;
+    scalars give a scalar.  Every price must be positive (a NaN is not).
+    The value is deliberately not clamped at 1: a result above 1 flags a
+    price vector no leader optimum would post.
+    """
+    positive = np.asarray(prices) > 0
+    if not positive.all():
+        bad = np.asarray(prices).flat[np.argmin(positive)]
+        raise ValueError(f"price must be positive, got {bad}")
     theta = constants.theta
     lam_big = constants.lambda_big
     root = np.sqrt(
         gammas * lam_big * cfg.local_surcharge / (theta**2 * cfg.sbs_intensity * prices)
     )
     return np.maximum(root - lam_big / theta, 0.0)
-
-
-def best_response_fraction(
-    s_v: float,
-    gamma_v: float,
-    cfg: EconomicConfig,
-    constants: CoverageConstants,
-) -> float:
-    """Follower's optimal rental fraction at price s_v.
-
-    tau* = (sqrt(Gamma Lambda s^ld / (Theta^2 lambda s_v)) - Lambda/Theta)+.
-    The value is deliberately not clamped at 1: a result above 1 flags a
-    price vector no leader optimum would post.
-    """
-    if s_v <= 0:
-        raise ValueError(f"price must be positive, got {s_v}")
-    return float(_best_responses(s_v, gamma_v, cfg, constants))
 
 
 def participation_thresholds(instance: GameInstance) -> ParticipationThresholds:
@@ -401,7 +395,7 @@ def solve_rows(scheme: str, rows: GameRows) -> RowOutcomes:
             r = int(np.argmin(values != 0))
             raise ValueError(f"{name} underflows to 0 at u = {u[r]}")
     # past u a row repeats its last posted price, which keeps those entries finite
-    responses = _best_responses(
+    responses = best_response_fraction(
         np.where(posted, prices, s_u[:, None]), rows.gammas, rows.econ, rows.constants
     )
     responses = np.where(posted, responses, 0.0)
@@ -477,25 +471,6 @@ def _hit_probabilities(tau: np.ndarray, constants: CoverageConstants) -> np.ndar
     return tau / (constants.theta * tau + constants.lambda_big)
 
 
-def _vr_profit_at(
-    tau_v: float, s_v: float, gamma_v: float, instance: GameInstance
-) -> float:
-    # Spells out Gamma s^ld Pr(tau) in the follower check's original
-    # operation order: factoring Pr out rounds differently, and relative
-    # to a profit near 0 that moves follower_max_gain by about 1e-12.
-    theta = instance.constants.theta
-    lam_big = instance.constants.lambda_big
-    surcharge = (
-        gamma_v
-        * instance.econ.local_surcharge
-        * tau_v
-        / (theta * tau_v + lam_big)
-        if tau_v > 0
-        else 0.0
-    )
-    return surcharge - instance.econ.sbs_intensity * s_v * tau_v
-
-
 def verify_equilibrium(
     outcome: EquilibriumOutcome,
     instance: GameInstance,
@@ -503,61 +478,65 @@ def verify_equilibrium(
 ) -> VerificationRecord:
     """Check both equilibrium conditions by perturbation.
 
-    Follower side: moving any retailer's fraction off its posted value
-    (prices fixed) must not raise that retailer's profit.  Leader side:
-    scaling any posted price by each of _LEADER_FACTORS (followers
-    re-best-responding) must not raise the leader's objective -- the
-    provider's total profit under NUPS, the back-haul saving under UPS.
-    A scaled price counts as a check only when it stays in the leader's
-    feasible set: every best response at most 1 and their sum at most
-    1 + 1e-9.  For the water-filling allocation no prices exist;
-    instead, mass transfers between fractions must not raise the sum
-    profit.  Raises VerificationFailure naming the violated condition
-    and the retailers involved.
+    Follower side: moving a posted retailer's fraction tau (prices
+    fixed) to each of _FOLLOWER_FACTORS times tau, to its best response
+    or to tau + 0.05 must not raise that retailer's profit; equal
+    candidates are one check.  Leader side: scaling any posted price by
+    each of _LEADER_FACTORS (followers re-best-responding) must not
+    raise the leader's objective -- the provider's total profit under
+    NUPS, the back-haul saving under UPS.  A scaled price counts as a
+    check only when it stays in the leader's feasible set: every best
+    response at most 1 and their sum at most 1 + 1e-9.  For the
+    water-filling allocation no prices exist; instead, mass transfers
+    between fractions must not raise the sum profit.  Raises
+    VerificationFailure naming the first violation in the order the
+    checks are listed here, and the retailers involved.
 
     Every checked objective is a sum of per-retailer terms, and a
     follower's best response depends only on its own price, so a
-    perturbation changes one or two terms.  Each check costs O(1) array
-    work: O(V) for the price checks, O(V^2) for the V (V - 1) transfer
-    pairs, computed in blocks of bounded memory.  No solver closed form
+    perturbation changes one or two terms.  For u posted retailers the
+    follower checks are one (u x 13) array pass and the leader checks
+    one (u x 10) pass; the V (V - 1) water-filling transfer pairs are
+    O(V^2), computed in blocks of bounded memory.  No solver closed form
     is used.
     """
     if outcome.scheme == "WATERFILL":
         return _verify_waterfill(outcome, instance, rel_tol)
-    gammas = instance.gammas()
-    u = outcome.prices.n_posted()
-    follower_gain = -math.inf
-    follower_checks = 0
-    # Python floats round like numpy scalars and are cheaper in this loop
-    tau = outcome.fractions.fractions.tolist()
-    posted = zip(outcome.prices.prices.tolist(), tau, gammas.tolist())
-    for v, (price, tau_v, gamma_v) in enumerate(posted):
-        base = _vr_profit_at(tau_v, price, gamma_v, instance)
-        scale = max(abs(base), 1e-9)
-        candidates = {f * tau_v for f in _FOLLOWER_FACTORS}
-        candidates.add(
-            best_response_fraction(price, gamma_v, instance.econ, instance.constants)
-        )
-        candidates.add(tau_v + 0.05)
-        for cand in candidates:
-            if cand < 0.0:
-                continue
-            gain = (_vr_profit_at(cand, price, gamma_v, instance) - base) / scale
-            follower_gain = max(follower_gain, gain)
-            follower_checks += 1
-            if gain > rel_tol:
-                raise VerificationFailure(
-                    f"follower condition violated: retailer {v + 1} gains "
-                    f"{gain:.3e} (relative) by moving tau from {tau_v:.6g} "
-                    f"to {cand:.6g}"
-                )
-
     econ = instance.econ
     constants = instance.constants
     price = outcome.prices.prices
-    gamma = gammas[:u]
-    # UPS sets its price to maximize the back-haul saving, not the
-    # provider's total profit; check the objective each scheme claims.
+    u = price.size
+    gamma = instance.gammas()[:u]
+    tau = outcome.fractions.fractions[:u]
+    tau0 = best_response_fraction(price, gamma, econ, constants)
+
+    # Follower side.  rows: posted retailers; columns: _FOLLOWER_FACTORS,
+    # the best response, then tau + 0.05 (equal candidates are one check)
+    candidates = np.column_stack((tau[:, None] * _FOLLOWER_FACTORS, tau0, tau + 0.05))
+    surcharge = (gamma * econ.local_surcharge)[:, None]
+    rent = (econ.sbs_intensity * price)[:, None]
+
+    def vr_profits(t):
+        # Gamma s^ld t / (Theta t + Lambda) - lambda s t, in this order:
+        # factoring Pr out rounds differently, and relative to a profit
+        # near 0 that moves follower_max_gain by about 1e-12
+        return surcharge * t / (constants.theta * t + constants.lambda_big) - rent * t
+
+    base = vr_profits(tau[:, None])
+    follower_gains = (vr_profits(candidates) - base) / np.maximum(np.abs(base), 1e-9)
+    violated = follower_gains > rel_tol
+    if violated.any():
+        row, col = np.unravel_index(np.argmax(violated), violated.shape)
+        raise VerificationFailure(
+            f"follower condition violated: retailer {row + 1} gains "
+            f"{follower_gains[row, col]:.3e} (relative) by moving tau from "
+            f"{tau[row]:.6g} to {candidates[row, col]:.6g}"
+        )
+    ordered = np.sort(candidates, axis=1)
+    follower_checks = u + int(np.count_nonzero(ordered[:, 1:] != ordered[:, :-1]))
+
+    # Leader side.  UPS sets its price to maximize the back-haul saving,
+    # not the provider's total profit; check the objective each scheme claims.
     ups = outcome.scheme == "UPS"
 
     def objective_terms(tau, s, g):
@@ -573,10 +552,9 @@ def verify_equilibrium(
     profit_scale = max(abs(base_value), 1e-9)
 
     # rows: posted retailers; columns: _LEADER_FACTORS
-    tau0 = _best_responses(price, gamma, econ, constants)
     terms0 = objective_terms(tau0, price, gamma)
     trial_price = price[:, None] * np.array(_LEADER_FACTORS)
-    tau1 = _best_responses(trial_price, gamma[:, None], econ, constants)
+    tau1 = best_response_fraction(trial_price, gamma[:, None], econ, constants)
     terms1 = objective_terms(tau1, trial_price, gamma[:, None])
     over = tau0 > 1.0
     others_over = np.count_nonzero(over) - over
@@ -594,7 +572,7 @@ def verify_equilibrium(
             f"{_LEADER_FACTORS[col]} gains {gains[row, col]:.3e} (relative) in {label}"
         )
     return VerificationRecord(
-        follower_max_gain=follower_gain,
+        follower_max_gain=float(follower_gains.max(initial=-math.inf)),
         leader_max_gain=float(gains[feasible].max(initial=-math.inf)),
         follower_checks=follower_checks,
         leader_checks=int(np.count_nonzero(feasible)),

@@ -1,5 +1,6 @@
 """Stackelberg solvers: best responses, thresholds, pricing, verification."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -72,10 +73,21 @@ class TestBestResponse:
         assert tau_star == pytest.approx(best, abs=1e-4)
         assert tau_star > 1.0  # single greedy retailer at a low price
 
-    def test_rejects_nonpositive_price(self):
+    @pytest.mark.parametrize(
+        "prices, named",
+        [
+            (0.0, "0.0"),
+            (-1.0, "-1.0"),
+            (float("nan"), "nan"),
+            (np.array([2.0, 0.0, -1.0]), "0.0"),  # the first bad entry
+        ],
+        ids=["zero", "negative", "nan", "array"],
+    )
+    def test_rejects_nonpositive_price(self, prices, named):
         inst = small_instance(n_vrs=1)
-        with pytest.raises(ValueError):
-            best_response_fraction(0.0, 500.0, inst.econ, inst.constants)
+        message = re.escape(f"price must be positive, got {named}") + "$"
+        with pytest.raises(ValueError, match=message):
+            best_response_fraction(prices, 500.0, inst.econ, inst.constants)
 
 
 class TestGameInstance:

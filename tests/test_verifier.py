@@ -22,16 +22,13 @@ SOLVERS = {"nups": nups_solve, "ups": ups_solve, "waterfill": waterfill_solve}
 
 
 def seeded_markets(count, seed):
-    """Markets over the physical domain; delta skips (0.99, 1), where 2F1 is slow."""
+    """Markets over the physical domain."""
     rng = np.random.default_rng(seed)
     markets = []
     while len(markets) < count:
-        delta = float(10 ** rng.uniform(-3.0, 2.0))
-        if 0.99 < delta < 1.0:
-            continue
         cfg = ExperimentConfig(
             alpha=float(rng.uniform(2.2, 6.0)),
-            delta=delta,
+            delta=float(10 ** rng.uniform(-3.0, 2.0)),
             n_vrs=int(rng.integers(1, 41)),
             storage=int(rng.integers(10, 501)),
             gamma=float(rng.uniform(0.0, 2.0)),
@@ -56,6 +53,8 @@ def assert_same_verdict(outcome, instance, rel_tol=1e-6):
         return None
     assert record.follower_checks == oracle.follower_checks
     assert record.leader_checks == oracle.leader_checks
+    # json.dumps rejects numpy ints
+    assert type(record.follower_checks) is type(record.leader_checks) is int
     # nan and -inf (no check of that kind) must match exactly
     np.testing.assert_allclose(
         [record.follower_max_gain, record.leader_max_gain],
@@ -148,6 +147,44 @@ def test_retailer_above_one_makes_the_other_rows_infeasible():
     )
     record = assert_same_verdict(outcome, instance, math.inf)
     assert record.leader_checks == 5  # retailer 1's factors above 1
+
+
+def test_follower_violation_names_the_first_candidate_in_declared_order():
+    # retailer 3 at 0.3 of its best response: every candidate from 1.01 tau
+    # up to the best response gains, and 1.01 tau is the first of them
+    instance = make_instance(ExperimentConfig())
+    outcome = nups_solve(instance)
+    tau = list(outcome.fractions.fractions)
+    tau[2] *= 0.3
+    perturbed = with_fractions(outcome, instance, tau)
+    with pytest.raises(VerificationFailure, match=r"retailer 3 .* to 0\.0297723$"):
+        verify_equilibrium(perturbed, instance)
+    assert_same_verdict(perturbed, instance)
+
+
+def test_follower_checks_count_tied_candidates_once():
+    instance = make_instance(ExperimentConfig())
+    outcome = nups_solve(instance)
+    assert outcome.n_participants == 15
+    # retailer 3 at tau = 0: its 11 factor candidates are all 0
+    tau = list(outcome.fractions.fractions)
+    tau[2] = 0.0
+    idle = with_fractions(outcome, instance, tau)
+    # retailer 5 priced so high that its best response is 0, as is 0.0 tau
+    prices = outcome.prices.prices.copy()
+    prices[4] *= 1e3
+    econ, con = instance.econ, instance.constants
+    assert best_response_fraction(prices[4], instance.gammas()[4], econ, con) == 0.0
+    priced_out = with_fractions(
+        replace(outcome, prices=PriceVector(prices, instance.n_vrs)),
+        instance,
+        outcome.fractions.fractions,
+    )
+    counts = [
+        assert_same_verdict(tied, instance, math.inf).follower_checks
+        for tied in (idle, priced_out)
+    ]
+    assert counts == [14 * 13 + 3, 14 * 13 + 12]
 
 
 def test_waterfill_partial_moves():

@@ -81,6 +81,9 @@ EDGE = [
     ["sweep-storage", "--V", "5000", "--gamma", "0.2"],
     ["solve", "--help"],
     ["per-vr", "--V", "5000"],
+    # every retailer posted: the verifier's array passes at large u
+    ["solve", "--V", "20000", "--gamma", "0"],
+    ["solve", "--V", "20000", "--gamma", "0", "--scheme", "ups"],
 ]  # fmt: skip
 
 _WARNING_AT = re.compile(r"^\S+\.py:\d+: (?=\w+Warning: )", re.MULTILINE)

@@ -1,12 +1,12 @@
 """The per-check loop equilibrium verifier, kept as a test oracle.
 
 ``verify_equilibrium`` in ``cachemarket.equilibrium`` evaluates the
-leader and water-filling perturbations as array passes over separable
-per-retailer terms.  This module is the plain loop it replaced: every
-perturbation rebuilds a full ``profit_report``, which is O(V^2) per
-NUPS/UPS outcome and O(V^3) per water-filling outcome.  Tests compare
-the two on the same outcomes: equal check counts, the same verdict, and
-gains equal to rounding.
+follower, leader and water-filling perturbations as array passes over
+separable per-retailer terms.  This module is the plain loop it
+replaced: every leader and water-filling perturbation rebuilds a full
+``profit_report``, which is O(V^2) per NUPS/UPS outcome and O(V^3) per
+water-filling outcome.  Tests compare the two on the same outcomes:
+equal check counts, the same verdict, and gains equal to rounding.
 """
 
 from __future__ import annotations
@@ -73,14 +73,15 @@ def loop_verify_equilibrium(
     ):
         base = _vr_profit_at(tau_v, price, gammas[v], instance)
         scale = max(abs(base), 1e-9)
-        candidates = {f * tau_v for f in _FOLLOWER_FACTORS}
-        candidates.add(
-            best_response_fraction(price, gammas[v], instance.econ, instance.constants)
+        # the declared order, each distinct candidate once
+        candidates = dict.fromkeys(
+            [
+                *(f * tau_v for f in _FOLLOWER_FACTORS),
+                best_response_fraction(price, gammas[v], instance.econ, instance.constants),
+                tau_v + 0.05,
+            ]
         )
-        candidates.add(tau_v + 0.05)
         for cand in candidates:
-            if cand < 0.0:
-                continue
             gain = (_vr_profit_at(cand, price, gammas[v], instance) - base) / scale
             follower_gain = max(follower_gain, gain)
             follower_checks += 1
