@@ -292,14 +292,28 @@ def _require_pricing_domain(rows: GameRows) -> None:
         raise ValueError(f"{name} = {products[name][r]:.3g} overflows a float")
 
 
-def _price_scale(u: int, root_sum: float, lam_big: float, rows: GameRows) -> float:
-    """Lambda s^bh root_sum^2 / (lambda (u Lambda + Theta)^2)."""
-    return (
-        lam_big
-        * rows.econ.backhaul_cost
-        * root_sum**2
-        / (rows.econ.sbs_intensity * (u * lam_big + rows.constants.theta) ** 2)
-    )
+def _root_sums(roots: np.ndarray, u: np.ndarray) -> list:
+    """sum_{j<=u[r]} roots[r, j] for each row r, one numpy sum per distinct u.
+
+    Each value is numpy's pairwise sum of roots[r, :u[r]], bit for bit.
+    roots with a single row stands for that row broadcast to every row,
+    and is summed once per distinct u.  Otherwise the rows are sorted by
+    u once, and the rows sharing a u are summed as one contiguous
+    (rows x u) slice along axis 1, which numpy sums row by row exactly
+    as it sums one row.
+    """
+    counts = u.tolist()
+    if roots.shape[0] == 1:
+        sum_of = {k: float(roots[0, :k].sum()) for k in set(counts)}
+        return [sum_of[k] for k in counts]
+    order = np.argsort(u, kind="stable")
+    ordered = u[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1]))).tolist()
+    by_u = roots[order]
+    sums = np.empty(u.size)
+    for lo, hi in zip(starts, starts[1:] + [u.size]):
+        sums[order[lo:hi]] = by_u[lo:hi, : ordered[lo]].sum(axis=1)
+    return sums.tolist()
 
 
 def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
@@ -309,21 +323,29 @@ def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
                 / (lambda (u Lambda + Theta)^2);
     UPS:  the shared s = Lambda s^bh (sum_{j<=u} Gamma_j^(1/2))^2
                 / (lambda (u Lambda + Theta)^2).
-    Retailers past u get 0.  The root sums stay numpy's pairwise sums
-    and each scale is formed from Python floats, as posted prices always
-    were.  Returns the prices and the (R, V) mask of posted retailers.
+    Retailers past u get 0.  The root sums are numpy's pairwise sums of
+    each row's first u roots, taken once per distinct u (_root_sums).
+    Each scale is formed from Python floats, whose squares are libm's
+    pow: numpy's array square rounds otherwise.  Returns the prices and
+    the (R, V) mask of posted retailers.
     """
-    nups = scheme == "NUPS"
-    roots = np.cbrt(rows.gammas) if nups else np.sqrt(rows.gammas)
-    lam = rows.constants.lambda_big[:, 0].tolist()
+    gammas = rows.gammas
+    if gammas.strides[0] == 0:  # one Gamma row broadcast to every row
+        gammas = gammas[:1]
+    roots = np.cbrt(gammas) if scheme == "NUPS" else np.sqrt(gammas)
+    s_bh = rows.econ.backhaul_cost
+    intensity = rows.econ.sbs_intensity
+    theta = rows.constants.theta
     scales = np.array(
         [
-            _price_scale(u_r, roots[r, :u_r].sum(), lam[r], rows)
-            for r, u_r in enumerate(u.tolist())
+            lam * s_bh * root_sum**2 / (intensity * (u_r * lam + theta) ** 2)
+            for u_r, root_sum, lam in zip(
+                u.tolist(), _root_sums(roots, u), rows.constants.lambda_big[:, 0].tolist()
+            )
         ]
     )[:, None]
     posted = np.arange(1, rows.shape[1] + 1) <= u[:, None]
-    return np.where(posted, scales * roots if nups else scales, 0.0), posted
+    return np.where(posted, scales * roots if scheme == "NUPS" else scales, 0.0), posted
 
 
 def nups_prices_for_u(u: int, instance: GameInstance) -> PriceVector:
@@ -347,7 +369,7 @@ def _surrogates(scheme: str, rows: GameRows, width: int) -> np.ndarray:
     s_bh = rows.econ.backhaul_cost
     u = np.arange(1, width + 1)
     # Lambda^2 as CPython forms it (pow), which numpy's square may round otherwise
-    lam_sq = np.array([[lam**2] for lam in lam_big[:, 0].tolist()])
+    lam_sq = np.array([lam**2 for lam in lam_big[:, 0].tolist()])[:, None]
     if scheme == "NUPS":
         return (
             lam_sq * s_bh * np.cumsum(np.cbrt(gammas), axis=1) ** 3

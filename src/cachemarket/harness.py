@@ -164,10 +164,38 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
+def _row_format(types: tuple) -> str | None:
+    """One %-format string for rows of these cell types, None if one is neither.
+
+    '%.12g' % x equals _fmt(x) for every float and '%d' % n for every
+    int, bool and numpy integer.
+    """
+    cells = []
+    for kind in types:
+        if issubclass(kind, (int, np.integer)):
+            cells.append("%d")
+        elif issubclass(kind, (float, np.floating)):
+            cells.append("%.12g")
+        else:
+            return None
+    return ",".join(cells)
+
+
 def format_rows(header: list[str], rows: list[tuple]) -> str:
-    """Render rows to CSV text with stable numeric formatting."""
+    """Render rows to CSV text with stable numeric formatting (_fmt per cell).
+
+    Rows of numbers are formatted by one %-format string per distinct
+    row of cell types; a row holding EXCLUDED or any other type goes
+    cell by cell through _fmt.
+    """
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    formats = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = _row_format(types)
+        form = formats[types]
+        lines.append(",".join(map(_fmt, row)) if form is None else form % tuple(row))
     return "\n".join(lines) + "\n"
 
 
@@ -330,8 +358,10 @@ def _block_rows(first: GameInstance, kind: str, values: list) -> GameRows:
             storage=storage[:, None],
             constants=replace(first.constants, lambda_big=lam_big[:, None]),
         )
-    for gamma in values:
-        VrConfig(n_vrs=first.n_vrs, vr_exponent=gamma)
+    exponents = np.array(values, dtype=float)
+    bad = ~(np.isfinite(exponents) & (exponents >= 0))
+    if bad.any():
+        VrConfig(n_vrs=first.n_vrs, vr_exponent=values[int(np.argmax(bad))])  # raises
     q = zipf_rows(first.n_vrs, values)
     return replace(
         first.rows,
@@ -512,10 +542,26 @@ def run_solve(
 
 
 def sweep_values(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive arithmetic grid with float-robust endpoint handling."""
+    """Inclusive arithmetic grid with float-robust endpoint handling.
+
+    Each point is rounded to 12 decimals; a step so small that two
+    rounded points are equal is a config error, raised at the first
+    repeat.
+    """
     if step <= 0:
         raise ConfigError(f"step must be positive, got {step}")
     if stop < start:
         raise ConfigError(f"empty sweep range [{start}, {stop}]")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [round(start + i * step, 12) for i in range(count)]
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ConfigError(f"step {step} does not split [{start}, {stop}] into a finite grid")
+    count = int(math.floor(span + 1e-9)) + 1
+    values = []
+    for i in range(count):
+        value = round(start + i * step, 12)
+        if values and value == values[-1]:
+            raise ConfigError(
+                f"step {step} is too small: sweep points {i - 1} and {i} both round to {value}"
+            )
+        values.append(value)
+    return values

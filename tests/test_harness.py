@@ -1,10 +1,12 @@
 """Config parsing, sweep runners, CSV formatting, and the CLI."""
 
+import math
 import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cachemarket import cli, harness
@@ -96,10 +98,48 @@ class TestHelpers:
             sweep_values(0.1, 1.0, 0.0)
         with pytest.raises(ConfigError):
             sweep_values(1.0, 0.1, 0.1)
+        # rounding to 12 decimals merges points closer than that
+        assert sweep_values(0.0, 3e-12, 1e-12) == [0.0, 1e-12, 2e-12, 3e-12]
+        with pytest.raises(ConfigError, match="step 2e-13 is too small: sweep points 0 and 1"):
+            sweep_values(0.0, 1e-12, 2e-13)
+        with pytest.raises(ConfigError, match="step 6e-13 is too small: sweep points 1 and 2"):
+            sweep_values(0.0, 3e-12, 6e-13)
+        with pytest.raises(ConfigError, match="step 2e-13 is too small"):
+            sweep_values(10.0, 10.000000000001, 2e-13)
+        # a step this small overflows the point count; it is refused before
+        # a single point is built
+        with pytest.raises(ConfigError, match="step 1e-320 does not split"):
+            sweep_values(0.0, 1.0, 1e-320)
 
     def test_format_rows(self):
         text = format_rows(["a", "b"], [(1, 0.5), (2, EXCLUDED)])
         assert text == "a,b\n1,0.5\n2,EXCLUDED\n"
+
+    def test_format_rows_equals_formatting_each_cell(self):
+        header = ["a", "b", "c", "d", "e", "f"]
+        table = [
+            (1, 0.5, np.float64(1 / 3), np.int64(-3), True, np.float32(0.1)),
+            (2, math.nan, math.inf, -math.inf, -0.0, 5e-324),
+            (3, 1.8e308, 10**20, 1e20, np.int32(7), np.uint8(255)),
+            (4, 0.25, np.float64(-2.5e-7), np.int64(10), False, np.float32(3.0)),
+            # the price column turns EXCLUDED, then back
+            (5, EXCLUDED, 0.125, np.int64(1), True, np.float32(2.0)),
+            (6, EXCLUDED, 0.375, np.int64(2), True, np.float32(4.0)),
+            (7, 0.75, np.float64(0.0), np.int64(0), np.bool_(True), np.float32(-1.5)),
+            (8, 0.875, np.float64(1e-300), np.int64(5), False, np.float32(8.0)),
+        ]
+        expected = [",".join(header)] + [",".join(map(harness._fmt, row)) for row in table]
+        assert format_rows(header, table) == "\n".join(expected) + "\n"
+
+    def test_format_rows_formats_rows_of_numbers_at_once(self, monkeypatch):
+        calls = []
+        real = harness._fmt
+        monkeypatch.setattr(harness, "_fmt", lambda value: calls.append(value) or real(value))
+        rows = run_sweep_gamma(ExperimentConfig(), sweep_values(0.1, 2.5, 0.1))
+        format_rows(harness.SWEEP_GAMMA_HEADER, rows)
+        assert calls == []
+        assert format_rows(["a", "b"], [(1, 0.5), (2, EXCLUDED)]) == "a,b\n1,0.5\n2,EXCLUDED\n"
+        assert calls == [2, EXCLUDED]
 
     def test_make_instance_clamps_storage(self):
         cfg = ExperimentConfig(n_files=100, storage=1000)
@@ -436,6 +476,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {flag} must be finite")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-gamma", "--start", "0", "--stop", "1e-12", "--step", "2e-13"],
+            ["sweep-storage", "--start", "10", "--stop", "10.000000000001", "--step", "2e-13"],
+            ["sweep-gamma", "--start", "0", "--stop", "1", "--step", "1e-320"],
+        ],
+    )
+    def test_colliding_sweep_points_exit_code(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: step {argv[-1]} ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_non_finite_config_exit_code(self, capsys, tmp_path):
         path = tmp_path / "nan.cfg"

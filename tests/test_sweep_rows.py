@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from price_oracle import posted_prices
 
-from cachemarket import cli, harness
+from cachemarket import cli, equilibrium, harness
 from cachemarket.economics import ProfitReport, profit_report
 from cachemarket.equilibrium import VerificationFailure, nups_solve, solve_rows, ups_solve
 from cachemarket.harness import (
@@ -197,6 +200,9 @@ def _cli_bytes(tmp_path, argv, name):
         ["sweep-storage", "--V", "15", "--start", "10", "--stop", "500", "--step", "7.5"],
         ["sweep-gamma", "--V", "40", "--start", "0", "--stop", "2.5", "--step", "0.05"],
         ["sweep-gamma", "--V", "6", "--verify"],
+        # 79 distinct NUPS participant counts over 100 points
+        ["sweep-storage", "--V", "120", "--gamma", "0.2", "--start", "1", "--stop", "500",
+         "--step", "5"],
     ],
 )
 def test_small_blocks_give_the_same_bytes(tmp_path, monkeypatch, argv):
@@ -269,9 +275,18 @@ def test_one_instance_per_sweep(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "make_instance", counted)
+    vr_configs = []
+    real_vr_config = harness.VrConfig
+
+    def vr_config(*args, **kwargs):
+        vr_configs.append(kwargs)
+        return real_vr_config(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "VrConfig", vr_config)
     run_sweep_storage(ExperimentConfig(), sweep_values(10, 500, 10))
     run_sweep_gamma(ExperimentConfig(), sweep_values(0.1, 2.5, 0.1))
     assert len(calls) == 2
+    assert len(vr_configs) == 2  # one per make_instance, none per gamma point
 
 
 def test_bad_point_past_the_first_is_a_config_error():
@@ -281,3 +296,45 @@ def test_bad_point_past_the_first_is_a_config_error():
         run_sweep_storage(ExperimentConfig(), [2.0, 0.5])
     with pytest.raises(ValueError, match="vr_exponent must be finite and >= 0, got -1e-300"):
         run_sweep_gamma(ExperimentConfig(), [0.5, -1e-300])
+    # a block is checked at once; the error names its first bad value
+    with pytest.raises(ValueError, match="vr_exponent must be finite and >= 0, got nan"):
+        run_sweep_gamma(ExperimentConfig(), [0.5, 1.0, float("nan"), -1.0, float("inf")])
+    with pytest.raises(ValueError, match="vr_exponent must be finite and >= 0, got -inf"):
+        run_sweep_gamma(ExperimentConfig(), [0.5, float("-inf"), float("nan")])
+
+
+@pytest.mark.parametrize("spread", ["shared", "own", "mixed"])
+@pytest.mark.parametrize("kind", ["storage", "gamma"])
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(long_rows=st.booleans(), data=st.data())
+def test_posted_prices_equal_the_row_loop(kind, spread, long_rows, data):
+    """One root sum per distinct u gives the per-row loop's prices, bit for bit.
+
+    A storage block broadcasts one Gamma row, a gamma block has its own
+    Gamma per row.  Every row shares one u, has its own, or one of a
+    few; u <= 7 sums in order, u >= 8 takes numpy's unrolled pairwise
+    path.
+    """
+    n_vrs = data.draw(st.integers(8, 3000) if long_rows else st.integers(1, 3000))
+    lo, hi = (8, n_vrs) if long_rows else (1, min(n_vrs, 7))
+    max_rows = harness._SWEEP_BLOCK // n_vrs
+    if spread == "own":
+        max_rows = min(max_rows, hi - lo + 1)
+    n_rows = data.draw(st.integers(1, max_rows))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if spread == "shared":
+        u = np.full(n_rows, rng.integers(lo, hi + 1))
+    elif spread == "own":
+        u = rng.choice(np.arange(lo, hi + 1), n_rows, replace=False)
+    else:
+        u = rng.choice(rng.integers(lo, hi + 1, 3), n_rows)
+    cfg = ExperimentConfig(n_vrs=n_vrs, gamma=float(rng.uniform(0.0, 2.5)))
+    values = (rng.uniform(1.0, 600.0, n_rows) if kind == "storage"
+              else rng.uniform(0.0, 2.5, n_rows)).tolist()  # fmt: skip
+    rows = harness._block_rows(make_instance(cfg, **{kind: values[0]}), kind, values)
+    assert n_rows == 1 or (rows.gammas.strides[0] == 0) == (kind == "storage")
+    for scheme in ("NUPS", "UPS"):
+        prices, posted = equilibrium._posted_prices(scheme, rows, u)
+        want_prices, want_posted = posted_prices(scheme, rows, u)
+        assert np.array_equal(prices, want_prices)
+        assert np.array_equal(posted, want_posted)

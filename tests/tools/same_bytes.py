@@ -84,6 +84,15 @@ EDGE = [
     # every retailer posted: the verifier's array passes at large u
     ["solve", "--V", "20000", "--gamma", "0"],
     ["solve", "--V", "20000", "--gamma", "0", "--scheme", "ups"],
+    # sweep blocks with 79 distinct NUPS participant counts in 100 rows,
+    # with 40 in 101 rows, and three blocks of up to 21 points
+    ["sweep-storage", "--V", "120", "--gamma", "0.2", "--start", "1", "--stop", "500", "--step", "5"],
+    ["sweep-gamma", "--V", "120", "--Q", "500", "--start", "0", "--stop", "2.5", "--step", "0.025"],
+    ["sweep-gamma", "--V", "3000", "--start", "0.05", "--stop", "2.5", "--step", "0.05"],
+    # steps so small that rounded sweep points collide (config errors)
+    ["sweep-gamma", "--start", "0", "--stop", "1e-12", "--step", "2e-13"],
+    ["sweep-storage", "--start", "10", "--stop", "10.000000000001", "--step", "2e-13"],
+    ["sweep-gamma", "--start", "0", "--stop", "1", "--step", "1e-320"],
 ]  # fmt: skip
 
 _WARNING_AT = re.compile(r"^\S+\.py:\d+: (?=\w+Warning: )", re.MULTILINE)
