@@ -140,6 +140,15 @@ class GameRows:
     def shape(self) -> tuple[int, int]:
         return self.gammas.shape
 
+    @property
+    def distinct_gammas(self) -> np.ndarray:
+        """gammas, or its first row when one row is broadcast to every row.
+
+        Roots, row sums and prefix sums taken on it broadcast back to
+        every row bit for bit: each is computed along a row.
+        """
+        return self.gammas[:1] if self.gammas.strides[0] == 0 else self.gammas
+
     @cached_property
     def pricing_products(self) -> dict[str, np.ndarray]:
         """Bounds, over u <= V, on products the NUPS/UPS closed forms form.
@@ -150,9 +159,10 @@ class GameRows:
         """
         lam = self.constants.lambda_big[:, 0]
         s = self.econ.backhaul_cost
-        g1 = self.gammas[:, 0]
-        s3 = np.cbrt(self.gammas).sum(axis=1)
-        s2 = np.sqrt(self.gammas).sum(axis=1)
+        gammas = self.distinct_gammas
+        g1 = gammas[:, 0]
+        s3 = np.cbrt(gammas).sum(axis=1)
+        s2 = np.sqrt(gammas).sum(axis=1)
         n_vrs = self.gammas.shape[1]
         # an overflow, or lambda Theta^2 underflowing to 0, shows as inf or
         # nan in the bound, which fails its check
@@ -329,9 +339,7 @@ def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
     pow: numpy's array square rounds otherwise.  Returns the prices and
     the (R, V) mask of posted retailers.
     """
-    gammas = rows.gammas
-    if gammas.strides[0] == 0:  # one Gamma row broadcast to every row
-        gammas = gammas[:1]
+    gammas = rows.distinct_gammas
     roots = np.cbrt(gammas) if scheme == "NUPS" else np.sqrt(gammas)
     s_bh = rows.econ.backhaul_cost
     intensity = rows.econ.sbs_intensity
@@ -363,7 +371,7 @@ def nups_prices_for_u(u: int, instance: GameInstance) -> PriceVector:
 
 def _surrogates(scheme: str, rows: GameRows, width: int) -> np.ndarray:
     """Negated leader objective of keeping u retailers, u = 1..width, in every row."""
-    gammas = rows.gammas[:, :width]
+    gammas = rows.distinct_gammas[:, :width]
     lam_big = rows.constants.lambda_big
     theta = rows.constants.theta
     s_bh = rows.econ.backhaul_cost

@@ -12,8 +12,21 @@ the cell distances |x| (Andrews, Baccelli & Ganti, IEEE TCOM 2011).  A
 trial therefore works on squared distances R^2 u alone: path loss is
 (R^2 u)^(-alpha/2) and the nearest marked cell is the smallest R^2 u.
 
+Marking is independent thinning.  Given the count n, the cells are
+i.i.d. and the marks are i.i.d. Bernoulli(tau/F), independent of the
+positions and the fades, so the joint law is invariant under permuting
+the cells.  A trial therefore draws the number of marked cells
+M ~ Binomial(n, tau/F) and takes the first M cells in draw order as the
+marked ones: the same law as n independent marks, from one draw.
+
 Each trial consumes its own child of a numpy SeedSequence, so results
-are bit-identical regardless of how trials are scheduled.
+are bit-identical regardless of how trials are scheduled.  RNG scheme
+``per-trial-spawn-v2``: SeedSequence(seed).spawn(trials), one
+default_rng per child, drawing the Poisson count, the radii, the
+(skipped) angles, the binomial M, then the n fades.  It replaced
+``per-trial-spawn-v1``, which drew one mark uniform per cell in place of
+M; the per-trial children are the same, but a given seed's outcomes
+are not.
 """
 
 from __future__ import annotations
@@ -100,21 +113,31 @@ def _run_trial(
     cfg: SimConfig, mark_prob: float, rng: np.random.Generator
 ) -> bool:
     dist2 = sample_hppp(cfg.sbs_intensity, cfg.window_radius, rng)
-    marked_idx = np.flatnonzero(rng.random(dist2.size) < mark_prob)
-    if marked_idx.size == 0:
+    marked = rng.binomial(dist2.size, mark_prob)
+    if marked == 0:
         return False  # no cell carries the content: counts as a miss
-    fades = rng.standard_exponential(dist2.size)
-    rx_power = cfg.tx_power * fades * dist2 ** (-0.5 * cfg.alpha)
-    serving = marked_idx[np.argmin(dist2[marked_idx])]
-    interference = rx_power.sum() - rx_power[serving]
-    sinr = rx_power[serving] / (interference + cfg.noise_power)
-    return bool(sinr >= cfg.delta)
+    serving = dist2[:marked].argmin()  # the first M cells are the marked ones
+    gain = rng.standard_exponential(dist2.size)
+    gain *= dist2 ** (-0.5 * cfg.alpha)
+    signal = gain[serving]
+    # SINR >= delta without dividing: a lone cell at zero noise is a hit
+    return bool(
+        cfg.tx_power * signal
+        >= cfg.delta * (cfg.tx_power * (gain.sum() - signal) + cfg.noise_power)
+    )
 
 
 def simulate_hit_probability(
     cfg: SimConfig, tau_v: float, f_groups: int
 ) -> SimulationEstimate:
-    """Estimate the hit probability for rental fraction tau_v and F groups."""
+    """Estimate the hit probability for rental fraction tau_v and F groups.
+
+    Each of cfg.trials trials draws one PPP from its own SeedSequence
+    child, marks its first M ~ Binomial(n, tau_v / F) cells and counts
+    a hit when the nearest marked cell's SINR reaches delta; a trial
+    with no marked cell is a miss.  tau_v = 0 draws nothing.  Returns
+    the hit rate with its Wald 95% half-width.
+    """
     if not 0.0 <= tau_v <= 1.0:
         raise ValueError(f"tau_v must lie in [0, 1], got {tau_v}")
     if f_groups < 1 or int(f_groups) != f_groups:

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from cachemarket import ppp_sim
 from cachemarket.coverage import hit_probability, make_constants
 from cachemarket.ppp_sim import SimConfig, _run_trial, sample_hppp, simulate_hit_probability
 
-from ppp_oracle import run_trial, sample_hppp_points
+from ppp_oracle import run_trial, run_trial_bernoulli, sample_hppp_points
 
 
 def make_sim(**overrides):
@@ -146,6 +147,12 @@ class TestSimulator:
         with pytest.raises(ValueError, match=field):
             make_sim(**{field: value})
 
+    def test_lone_cell_without_noise_is_a_hit(self, monkeypatch):
+        # no interference and no noise: the SINR is +inf, not 0/0
+        monkeypatch.setattr(ppp_sim, "sample_hppp", lambda *args: np.array([1.0]))
+        est = simulate_hit_probability(make_sim(noise_power=0.0, trials=5), 1.0, 1)
+        assert est.p_hat == 1.0
+
     def test_accepts_zero_noise_and_numpy_trials(self):
         assert make_sim(noise_power=0.0, trials=np.int64(3)).trials == 3
         assert make_sim(seed=np.int64(0)).seed == 0
@@ -167,3 +174,27 @@ class TestAgainstPointOracle:
             assert new == old
             est = simulate_hit_probability(cfg, tau, f_groups)
             assert est.p_hat == sum(old) / cfg.trials
+
+
+class TestAgainstBernoulliMarks:
+    """The binomial count of marked cells has the law of independent marks."""
+
+    @pytest.mark.parametrize(
+        "alpha, delta, tau, f_groups, seed",
+        [
+            (4.0, 0.01, 0.5, 10, 31),
+            (4.0, 0.01, 0.5, 50, 32),  # about 8 marked cells in 785
+            (3.3, 1.0, 1.0, 1, 33),
+            (3.3, 1.0, 0.2, 5, 34),
+        ],
+    )
+    def test_same_hit_rate(self, alpha, delta, tau, f_groups, seed):
+        cfg = make_sim(alpha=alpha, delta=delta, trials=1200, seed=seed)
+        binomial = simulate_hit_probability(cfg, tau, f_groups).p_hat
+        rng = np.random.default_rng(seed + 100)
+        hits = sum(run_trial_bernoulli(cfg, tau / f_groups, rng) for _ in range(cfg.trials))
+        bernoulli = hits / cfg.trials
+        pooled = (binomial + bernoulli) / 2
+        se = math.sqrt(2.0 * pooled * (1.0 - pooled) / cfg.trials)
+        assert 0.0 < pooled < 1.0
+        assert abs(binomial - bernoulli) <= 4.0 * se

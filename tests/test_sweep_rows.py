@@ -338,3 +338,27 @@ def test_posted_prices_equal_the_row_loop(kind, spread, long_rows, data):
         want_prices, want_posted = posted_prices(scheme, rows, u)
         assert np.array_equal(prices, want_prices)
         assert np.array_equal(posted, want_posted)
+
+
+@pytest.mark.parametrize("n_vrs, gamma", [(1, 0.8), (15, 0.8), (120, 0.2)])
+def test_broadcast_row_equals_its_materialised_copy(n_vrs, gamma):
+    """A storage block's roots and sums, taken on its one Gamma row, equal every row's."""
+    values = sweep_values(1, 500, 5)
+    first = make_instance(ExperimentConfig(n_vrs=n_vrs, gamma=gamma), storage=values[0])
+    rows = harness._block_rows(first, "storage", values)
+    # row-major, as a gamma block is (np.array would copy it column-major)
+    copy = dataclasses.replace(rows, gammas=np.ascontiguousarray(rows.gammas))
+    assert rows.gammas.strides[0] == 0 and copy.gammas.strides[0] != 0
+    for name, value in rows.pricing_products.items():
+        assert np.array_equal(value, copy.pricing_products[name]), name
+    for scheme in ("NUPS", "UPS"):
+        assert np.array_equal(
+            equilibrium._surrogates(scheme, rows, n_vrs),
+            equilibrium._surrogates(scheme, copy, n_vrs),
+        )
+        got, want = solve_rows(scheme, rows), solve_rows(scheme, copy)
+        for field in ("n_participants", "prices", "fractions"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        for field in dataclasses.fields(ProfitReport):
+            name = field.name
+            assert np.array_equal(getattr(got.report, name), getattr(want.report, name)), name
