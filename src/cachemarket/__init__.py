@@ -36,7 +36,6 @@ from .equilibrium import (
     best_response_fraction,
     nups_prices_for_u,
     nups_solve,
-    participation_thresholds,
     ups_solve,
     verify_equilibrium,
     waterfill_solve,

@@ -45,7 +45,6 @@ __all__ = [
     "VerificationFailure",
     "VerificationRecord",
     "best_response_fraction",
-    "participation_thresholds",
     "participation_threshold_rows",
     "nups_prices_for_u",
     "nups_solve",
@@ -95,7 +94,10 @@ class GameInstance:
 
     @cached_property
     def thresholds(self) -> ParticipationThresholds:
-        return participation_thresholds(self)
+        """This market's U_v and Ubar_v (participation_threshold_rows)."""
+        q = np.asarray(self.pops.q, dtype=float)
+        th = participation_threshold_rows(q[None, :], self.n_files, self.constants)
+        return ParticipationThresholds(th.u_values[0], th.u_bar_values[0])
 
     @cached_property
     def rows(self) -> GameRows:
@@ -210,7 +212,11 @@ class EquilibriumOutcome:
 
 @dataclass(frozen=True)
 class RowOutcomes:
-    """NUPS or UPS equilibria of every row of a GameRows, with their profits."""
+    """NUPS or UPS equilibria of every row of a GameRows, with their profits.
+
+    solve_rows has checked every row: its u participants are the
+    retailers with a posted price and the ones with a positive fraction.
+    """
 
     scheme: str
     n_participants: np.ndarray  # (R,): u of each row
@@ -252,25 +258,16 @@ def best_response_fraction(
     return np.maximum(root - lam_big / theta, 0.0)
 
 
-def participation_thresholds(instance: GameInstance) -> ParticipationThresholds:
-    """Storage thresholds controlling how many retailers can stay in the game.
-
-    U_v    = N C (sum_{j<=v} (q_j/q_v)^(1/3) - v) / Theta
-    Ubar_v = same with square roots; Ubar_v >= U_v, both 0 at v = 1.
-    The one-row case of participation_threshold_rows.
-    """
-    q = np.asarray(instance.pops.q, dtype=float)
-    th = participation_threshold_rows(q[None, :], instance.n_files, instance.constants)
-    return ParticipationThresholds(u_values=th.u_values[0], u_bar_values=th.u_bar_values[0])
-
-
 def participation_threshold_rows(
     q: np.ndarray, n_files: int, constants: CoverageConstants
 ) -> ParticipationThresholds:
-    """participation_thresholds of each row of an (R, V) block of preferences.
+    """Storage thresholds of each row of an (R, V) block of preferences.
 
-    A retailer whose weight q_v underflowed to 0 can never take part:
-    its thresholds are +inf.
+    U_v    = N C (sum_{j<=v} (q_j/q_v)^(1/3) - v) / Theta
+    Ubar_v = same with square roots; Ubar_v >= U_v, both 0 at v = 1.
+    Retailer v can take part under NUPS (UPS) only when U_v (Ubar_v)
+    lies below Q.  A retailer whose weight q_v underflowed to 0 can
+    never take part: its thresholds are +inf.
     """
     scale = n_files * constants.c / constants.theta
     if not scale <= sys.float_info.max:
@@ -283,6 +280,15 @@ def participation_threshold_rows(
     )
     u_values, u_bar_values = scale * (ratios - v_idx)
     return ParticipationThresholds(u_values=u_values, u_bar_values=u_bar_values)
+
+
+def _bracket_count(brackets: np.ndarray, storage) -> np.ndarray:
+    """How many thresholds along the last axis lie below the storage Q.
+
+    Thresholds rise along a row, so these are the first ones.  Equality
+    within _BRACKET_TOL resolves to the lower storage bracket.
+    """
+    return (brackets < storage - _BRACKET_TOL).sum(axis=-1)
 
 
 def _require_pricing_domain(rows: GameRows) -> None:
@@ -402,11 +408,13 @@ def solve_rows(scheme: str, rows: GameRows) -> RowOutcomes:
           - s^bh sum_{j<=u} Gamma_j                              (UPS)
     over it, posts the closed-form prices for the winning count u, lets
     the followers best-respond and reports every row's profits.  Raises
-    on the first failed check, with the message of the first failing row.
+    on the first failed check, with the message of the first failing row;
+    a row whose count of positive fractions is not its u raises
+    VerificationFailure.
     """
     _require_pricing_domain(rows)
     brackets = rows.thresholds.u_values if scheme == "NUPS" else rows.thresholds.u_bar_values
-    t_max = (brackets < rows.storage - _BRACKET_TOL).sum(axis=1)
+    t_max = _bracket_count(brackets, rows.storage)
     # no column past the widest bracket: a lone row forms what it always formed
     width = int(t_max.max())
     if not t_max.all():
@@ -438,6 +446,15 @@ def solve_rows(scheme: str, rows: GameRows) -> RowOutcomes:
         )
     fractions = np.minimum(responses, 1.0)
     check_fraction_rows(fractions)
+    # prices past u are 0 and s_u > 0, so each row posts exactly u prices
+    positive = (fractions > 0).sum(axis=1)
+    bad = positive != u
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise VerificationFailure(
+            f"inconsistent outcome: participants={u[r]}, "
+            f"posted prices={u[r]}, positive fractions={positive[r]}"
+        )
     report = profit_rows(fractions, prices, rows.gammas, rows.econ, rows.constants)
     return RowOutcomes(scheme, u, prices, fractions, report)
 
@@ -455,19 +472,18 @@ def ups_solve(instance: GameInstance) -> EquilibriumOutcome:
 def waterfill_solve(instance: GameInstance) -> EquilibriumOutcome:
     """Sum-profit maximizer over the fractions (water-filling structure).
 
-    tau_v = ((sqrt(q_v)/eta - Lambda) / Theta)+ with the water level eta
-    chosen so active fractions fill the SBS budget exactly.
+    tau_v = (sqrt(q_v)/eta - Lambda) / Theta for the vbar retailers
+    whose Ubar_v lies below Q (the UPS bracket count), 0 for the rest;
+    the water level eta = sum_{v<=vbar} sqrt(q_v) / (vbar Lambda + Theta)
+    makes them fill the SBS budget exactly.  In exact arithmetic
+    sqrt(q_v)/eta > Lambda holds exactly when Ubar_v < Q.
     """
     q = np.asarray(instance.pops.q, dtype=float)
     theta = instance.constants.theta
     lam_big = instance.constants.lambda_big
     sqrt_q = np.sqrt(q)
-    v_bar = q.size
-    while v_bar >= 1:
-        eta = sqrt_q[:v_bar].sum() / (v_bar * lam_big + theta)
-        if sqrt_q[v_bar - 1] / eta - lam_big > 0.0:
-            break
-        v_bar -= 1
+    v_bar = int(_bracket_count(instance.thresholds.u_bar_values, instance.storage))
+    eta = sqrt_q[:v_bar].sum() / (v_bar * lam_big + theta)
     fractions = np.zeros(q.size)
     fractions[:v_bar] = (sqrt_q[:v_bar] / eta - lam_big) / theta
     tau = FractionVector(np.minimum(fractions, 1.0))

@@ -317,27 +317,6 @@ SWEEP_GAMMA_HEADER = [
 ]
 
 
-def _check_participants(participants, posted, fractions) -> None:
-    """Participants, posted prices and positive fractions agree in every row."""
-    positive = (fractions > 0).sum(axis=-1)
-    bad = (participants != posted) | (posted != positive)
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise VerificationFailure(
-            f"inconsistent outcome: participants={participants[r]}, "
-            f"posted prices={posted[r]}, positive fractions={positive[r]}"
-        )
-
-
-def _solve_pair(rows: GameRows) -> tuple:
-    """The NUPS and UPS RowOutcomes of every row, with the participant checks."""
-    solved = solve_rows("NUPS", rows), solve_rows("UPS", rows)
-    for outcomes in solved:
-        posted = (outcomes.prices > 0).sum(axis=-1)
-        _check_participants(outcomes.n_participants, posted, outcomes.fractions)
-    return solved
-
-
 # Entries of the (points x V) arrays of one sweep block; a sweep's memory
 # stays O(V).
 _SWEEP_BLOCK = 1 << 16
@@ -418,11 +397,12 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, values: list, verify: bool) -> 
             # too, which warns exactly as the point would on its own
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 rows = _block_rows(first, kind, block)
-                solved = _solve_pair(rows)
+                solved = solve_rows("NUPS", rows), solve_rows("UPS", rows)
         except (ValueError, ArithmeticError, VerificationFailure):
             for value in block:
                 rows = _block_rows(first, kind, [value])
-                points += block_points([value], rows, _solve_pair(rows))
+                solved = solve_rows("NUPS", rows), solve_rows("UPS", rows)
+                points += block_points([value], rows, solved)
             continue
         points += block_points(block, rows, solved)
     return points
@@ -470,7 +450,8 @@ PER_VR_HEADER = [
 def run_per_vr(cfg: ExperimentConfig, verify: bool = False) -> list[tuple]:
     """Per-retailer prices and fractions under both pricing schemes."""
     instance = make_instance(cfg)
-    nups, ups = (outcomes.outcome(0) for outcomes in _solve_pair(instance.rows))
+    nups = solve_rows("NUPS", instance.rows).outcome(0)
+    ups = solve_rows("UPS", instance.rows).outcome(0)
     if verify:
         verify_equilibrium(nups, instance)
         verify_equilibrium(ups, instance)
@@ -503,11 +484,6 @@ def run_solve(
     scheme = scheme.upper()
     if scheme in ("NUPS", "UPS"):
         outcome = (nups_solve if scheme == "NUPS" else ups_solve)(instance)
-        _check_participants(
-            np.array([outcome.n_participants]),
-            np.array([outcome.prices.n_posted()]),
-            outcome.fractions.fractions[None, :],
-        )
     elif scheme == "WATERFILL":
         outcome = waterfill_solve(instance)
     else:

@@ -11,7 +11,6 @@ from cachemarket.coverage import hit_probability
 from cachemarket.equilibrium import (
     best_response_fraction,
     nups_solve,
-    participation_thresholds,
     ups_solve,
     verify_equilibrium,
     waterfill_solve,
@@ -160,7 +159,7 @@ def test_criterion_5_sum_profit_identity(capsys):
 def test_criterion_6_participation_thresholds(capsys):
     """Threshold ordering and the bracket boundary drive the participant count."""
     cfg = ExperimentConfig()
-    th = participation_thresholds(make_instance(cfg))
+    th = make_instance(cfg).thresholds
     increasing = all(b > a for a, b in zip(th.u_values, th.u_values[1:]))
     dominated = all(
         ub >= u - 1e-12 for u, ub in zip(th.u_values, th.u_bar_values)

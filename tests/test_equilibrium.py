@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import optimize
+from test_sweep_rows import _market
+from waterfill_oracle import waterfill_fractions
 
 from cachemarket import economics, equilibrium
 from cachemarket.economics import (
@@ -20,7 +22,6 @@ from cachemarket.equilibrium import (
     best_response_fraction,
     nups_prices_for_u,
     nups_solve,
-    participation_thresholds,
     ups_solve,
     verify_equilibrium,
     waterfill_solve,
@@ -99,13 +100,13 @@ class TestGameInstance:
 
 class TestParticipationThresholds:
     def test_first_thresholds_are_zero(self, default_instance):
-        th = participation_thresholds(default_instance)
+        th = default_instance.thresholds
         assert th.u_values[0] == 0.0
         assert th.u_bar_values[0] == 0.0
 
     def test_uniform_preference_collapses(self):
         inst = small_instance(n_vrs=8, gamma=0.0)
-        th = participation_thresholds(inst)
+        th = inst.thresholds
         np.testing.assert_allclose(th.u_values, 0.0, atol=1e-12)
         np.testing.assert_allclose(th.u_bar_values, 0.0, atol=1e-12)
 
@@ -115,11 +116,11 @@ class TestParticipationThresholds:
             n_vrs = int(rng.integers(2, 51))
             gamma = float(rng.uniform(0.02, 1.0))
             inst = small_instance(n_vrs=n_vrs, gamma=gamma)
-            th = participation_thresholds(inst)
+            th = inst.thresholds
             assert all(b > a for a, b in zip(th.u_values, th.u_values[1:]))
 
     def test_shared_price_needs_more_storage(self, default_instance):
-        th = participation_thresholds(default_instance)
+        th = default_instance.thresholds
         assert all(
             ub >= u - 1e-12 for u, ub in zip(th.u_values, th.u_bar_values)
         )
@@ -308,6 +309,31 @@ class TestWaterfill:
         assert sum(wf.fractions.fractions) == pytest.approx(1.0, abs=1e-9)
 
 
+# Q - Ubar_v: on the edge, within the bracket tolerance, and clear of it
+EDGE_OFFSETS = (-1e-9, -1e-12, 0.0, 1e-12, 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_waterfill_count_is_the_ups_bracket_count(seed):
+    # the seeds are fixed: a failure is a finding, not a reason to re-seed
+    cfg = _market(np.random.default_rng([seed, 15]))
+    u_bar = make_instance(cfg).thresholds.u_bar_values
+    storages = [(float(cfg.storage), True)] + [
+        (edge + d, abs(d) == 1e-9)
+        for edge in u_bar[1:5].tolist()
+        for d in EDGE_OFFSETS
+        if 1.0 <= edge + d <= cfg.n_files
+    ]
+    for storage, clear in storages:
+        instance = make_instance(cfg, storage=storage)
+        outcome = waterfill_solve(instance)
+        assert outcome.n_participants == ups_solve(instance).n_participants, storage
+        if clear:
+            v_bar, fractions = waterfill_fractions(instance)
+            assert outcome.n_participants == v_bar, storage
+            assert np.array_equal(outcome.fractions.fractions, fractions), storage
+
+
 class TestSchemeComparisons:
     def test_dominance(self):
         rng = np.random.default_rng(31)
@@ -333,7 +359,7 @@ class TestSchemeComparisons:
         assert all(b >= a - 1e-9 for a, b in zip(profits, profits[1:]))
 
     def test_full_participation_bracket(self, default_instance):
-        q_min = float(participation_thresholds(default_instance).u_values[-1])
+        q_min = float(default_instance.thresholds.u_values[-1])
         above = make_instance(ExperimentConfig(), storage=q_min + 1e-6)
         outcome = nups_solve(above)
         assert outcome.n_participants == 15

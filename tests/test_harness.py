@@ -3,14 +3,13 @@
 import math
 import threading
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cachemarket import cli, harness
-from cachemarket.equilibrium import VerificationFailure
+from cachemarket import cli, equilibrium, harness
+from cachemarket.equilibrium import VerificationFailure, nups_solve, ups_solve
 from cachemarket.harness import (
     COVERAGE_HEADER,
     EXCLUDED,
@@ -231,17 +230,30 @@ class TestCli:
         monkeypatch.setattr(cli, "run_solve", broken)
         assert cli.main(["solve"]) == 2
 
-    def test_inconsistent_outcome_exit_code(self, monkeypatch):
-        real = harness.solve_rows
+    def test_inconsistent_outcome_exit_code(self, capsys, monkeypatch):
+        # every retailer takes part under both schemes at the defaults and Q >= 400
+        instance = make_instance(ExperimentConfig())
+        assert nups_solve(instance).n_participants == ups_solve(instance).n_participants == 15
+        real = equilibrium.best_response_fraction
 
-        def inconsistent(scheme, rows):
-            outcomes = real(scheme, rows)
-            return replace(outcomes, n_participants=outcomes.n_participants + 1)
+        def last_response_lost(*args):
+            responses = real(*args)
+            responses[..., -1] = 0.0  # the last posted retailer's
+            return responses
 
-        monkeypatch.setattr(harness, "solve_rows", inconsistent)
-        with pytest.raises(VerificationFailure, match="inconsistent outcome"):
+        monkeypatch.setattr(equilibrium, "best_response_fraction", last_response_lost)
+        message = "inconsistent outcome: participants=15, posted prices=15, positive fractions=14"
+        with pytest.raises(VerificationFailure) as exc:
             run_per_vr(ExperimentConfig())
-        assert cli.main(["per-vr"]) == 2
+        assert str(exc.value) == message
+        for argv in (
+            ["per-vr"],
+            ["solve", "--scheme", "nups"],
+            ["solve", "--scheme", "ups"],
+            ["sweep-storage", "--start", "400", "--stop", "500", "--step", "100"],
+        ):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == f"verification failure: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",

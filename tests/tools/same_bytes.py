@@ -85,6 +85,9 @@ EDGE = [
     # every retailer posted: the verifier's array passes at large u
     ["solve", "--V", "20000", "--gamma", "0"],
     ["solve", "--V", "20000", "--gamma", "0", "--scheme", "ups"],
+    # the water-filling count at large V, with few and with all retailers in
+    ["solve", "--scheme", "waterfill", "--V", "20000", "--gamma", "0.5", "--no-verify"],
+    ["solve", "--scheme", "waterfill", "--V", "20000", "--gamma", "0", "--no-verify"],
     # sweep blocks with 79 distinct NUPS participant counts in 100 rows,
     # with 40 in 101 rows, and three blocks of up to 21 points
     ["sweep-storage", "--V", "120", "--gamma", "0.2", "--start", "1", "--stop", "500", "--step", "5"],
