@@ -495,7 +495,14 @@ def waterfill_solve(instance: GameInstance) -> EquilibriumOutcome:
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Largest profit gains found by the perturbation checks (<= 0 is clean)."""
+    """Margins of verify_equilibrium, relative to the checked objective.
+
+    NUPS/UPS: the largest gains the follower and leader perturbations
+    found (-inf when there was no check of that kind).  WATERFILL:
+    leader_max_gain is the Frank-Wolfe gap (>= 0, an upper bound on any
+    feasible gain) from leader_checks = V gradient entries; there is no
+    follower check (follower_max_gain nan, follower_checks 0).
+    """
 
     follower_max_gain: float
     leader_max_gain: float
@@ -522,7 +529,7 @@ def verify_equilibrium(
     instance: GameInstance,
     rel_tol: float = 1e-6,
 ) -> VerificationRecord:
-    """Check both equilibrium conditions by perturbation.
+    """Check both equilibrium conditions, or water-filling's optimality.
 
     Follower side: moving a posted retailer's fraction tau (prices
     fixed) to each of _FOLLOWER_FACTORS times tau, to its best response
@@ -532,9 +539,7 @@ def verify_equilibrium(
     raise the leader's objective -- the provider's total profit under
     NUPS, the back-haul saving under UPS.  A scaled price counts as a
     check only when it stays in the leader's feasible set: every best
-    response at most 1 and their sum at most 1 + 1e-9.  For the
-    water-filling allocation no prices exist; instead, mass transfers
-    between fractions must not raise the sum profit.  Raises
+    response at most 1 and their sum at most 1 + 1e-9.  Raises
     VerificationFailure naming the first violation in the order the
     checks are listed here, and the retailers involved.
 
@@ -542,9 +547,15 @@ def verify_equilibrium(
     follower's best response depends only on its own price, so a
     perturbation changes one or two terms.  For u posted retailers the
     follower checks are one (u x 13) array pass and the leader checks
-    one (u x 10) pass; the V (V - 1) water-filling transfer pairs are
-    O(V^2), computed in blocks of bounded memory.  No solver closed form
-    is used.
+    one (u x 10) pass.
+
+    The water-filling allocation posts no prices.  Its sum profit is
+    concave, so its Frank-Wolfe gap (_verify_waterfill), one O(V) pass
+    over the gradient, bounds the gain of every feasible allocation:
+    mass moved between retailers and budget left unused alike.  A gap
+    above rel_tol raises VerificationFailure naming the gap and the
+    retailer of largest marginal sum profit.  No solver closed form is
+    used.
     """
     if outcome.scheme == "WATERFILL":
         return _verify_waterfill(outcome, instance, rel_tol)
@@ -625,71 +636,42 @@ def verify_equilibrium(
     )
 
 
-_TRANSFER_STEPS = (1e-4, 1e-3, 1e-2)
-# entries of the (source x destination x step) gain array built at once,
-# so its memory stays O(V)
-_TRANSFER_BLOCK = 1 << 16
-
-
 def _verify_waterfill(
     outcome: EquilibriumOutcome,
     instance: GameInstance,
     rel_tol: float,
 ) -> VerificationRecord:
-    """Pairwise mass transfers on the simplex must not raise the sum profit.
+    """The Frank-Wolfe gap of the sum profit must not exceed rel_tol.
 
-    For each step, every retailer i with tau_i > 0 moves min(step, tau_i)
-    of the budget to every other retailer j (capped at 1).  The sum
-    profit is sum_v f_v(tau_v) with f_v = Gamma_v (s^bh + s^ld) Pr, so a
-    transfer changes it by a loss in f_i plus a gain in f_j.
+    The sum profit F(tau) = sum_v w_v tau_v / (Theta tau_v + Lambda),
+    w_v = Gamma_v (s^bh + s^ld), is concave and separable, with gradient
+    g_v = w_v Lambda / (Theta tau_v + Lambda)^2 >= 0.  On the budget
+    B = max(1, sum tau) that check_fraction_rows allows, the gap
+    G = B max_j g_j - g . tau bounds F(s) - F(tau) for every s with
+    0 <= s <= 1 and sum s <= B, so it bounds every mass transfer and
+    every use of budget left idle.  It is formed as the sum of the
+    non-negative terms (g_j - g_v) tau_v and g_j (B - sum tau).
     """
     tau = outcome.fractions.fractions
-    n = tau.size
     constants = instance.constants
+    lam_big = constants.lambda_big
     weight = instance.gammas() * (
         instance.econ.backhaul_cost + instance.econ.local_surcharge
     )
-    terms = weight * _hit_probabilities(tau, constants)
-    base = outcome.report.global_total
-    scale = max(abs(base), 1e-9)
-    offset = terms.sum() - base  # sum profit at the outcome, relative to base
-    sources = np.flatnonzero(tau > 0.0)
-    checks = len(_TRANSFER_STEPS) * sources.size * (n - 1)
-    if checks == 0:
-        return VerificationRecord(
-            follower_max_gain=math.nan,
-            leader_max_gain=-math.inf,
-            follower_checks=0,
-            leader_checks=0,
+    # Lambda / (...)^2 first: it is at most 1 / Lambda, while w Lambda may overflow
+    grad = weight * (lam_big / (constants.theta * tau + lam_big) ** 2)
+    j = int(np.argmax(grad))
+    total = tau.sum()
+    gap = (grad[j] - grad) @ tau + grad[j] * (max(1.0, total) - total)
+    gap /= max(abs(outcome.report.global_total), 1e-9)
+    if not gap <= rel_tol:  # a NaN gap certifies nothing
+        raise VerificationFailure(
+            f"sum-profit condition violated: Frank-Wolfe gap {gap:.3e} (relative); "
+            f"retailer {j + 1} has the largest marginal sum profit"
         )
-
-    # gains[row, j, k]: relative gain of moving step k out of rows[row] into j
-    steps = np.array(_TRANSFER_STEPS)
-    max_gain = -math.inf
-    block = max(1, _TRANSFER_BLOCK // (n * steps.size))
-    for lo in range(0, sources.size, block):
-        rows = sources[lo : lo + block]
-        move = np.minimum(steps, tau[rows, None])
-        left = tau[rows, None] - move
-        loss = weight[rows, None] * _hit_probabilities(left, constants)
-        loss -= terms[rows, None]
-        filled = np.minimum(tau[:, None] + move[:, None, :], 1.0)
-        rise = weight[:, None] * _hit_probabilities(filled, constants) - terms[:, None]
-        rise[np.arange(rows.size), rows] = -math.inf  # no transfer to oneself
-        gains = (offset + loss[:, None, :] + rise) / scale
-        violated = gains > rel_tol
-        if violated.any():
-            # report the first violation in (source, destination, step) order
-            row, j, k = np.unravel_index(np.argmax(violated), violated.shape)
-            raise VerificationFailure(
-                f"sum-profit condition violated: moving {move[row, k]:.1e} of "
-                f"the budget from retailer {rows[row] + 1} to {j + 1} gains "
-                f"{gains[row, j, k]:.3e} (relative)"
-            )
-        max_gain = max(max_gain, float(gains.max()))
     return VerificationRecord(
         follower_max_gain=math.nan,
-        leader_max_gain=max_gain,
+        leader_max_gain=float(gap),
         follower_checks=0,
-        leader_checks=checks,
+        leader_checks=tau.size,
     )

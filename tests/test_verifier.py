@@ -1,4 +1,10 @@
-"""The array equilibrium verifier against the per-check loop oracle."""
+"""The array equilibrium verifier against the per-check loop oracle.
+
+NUPS and UPS outcomes get the oracle's verdict, check counts and gains.
+A water-filling outcome is certified by its Frank-Wolfe gap, which
+bounds every transfer gain of the oracle's grid: the oracle is then the
+reference the gap must reject at least as often as.
+"""
 
 import math
 from dataclasses import replace
@@ -65,6 +71,28 @@ def assert_same_verdict(outcome, instance, rel_tol=1e-6):
     return record
 
 
+def assert_gap_bounds_oracle(outcome, instance, rel_tol=1e-6):
+    """The water-filling record against the oracle's transfer grid.
+
+    Whatever the oracle rejects the gap rejects, and when both pass the
+    gap is at least the oracle's largest transfer gain.  Returns the
+    record (None when rejected) and the oracle's record.
+    """
+    record, failure = verdict(verify_equilibrium, outcome, instance, rel_tol)
+    oracle, oracle_failure = verdict(loop_verify_equilibrium, outcome, instance, rel_tol)
+    if failure is not None:
+        assert failure.startswith("sum-profit condition violated: Frank-Wolfe gap ")
+        return None, oracle
+    assert oracle_failure is None
+    assert (record.follower_checks, record.leader_checks) == (0, instance.n_vrs)
+    assert type(record.leader_checks) is int
+    assert math.isnan(record.follower_max_gain)
+    assert 0.0 <= record.leader_max_gain <= rel_tol
+    # the oracle's gains carry the rounding of two profit totals
+    assert oracle.leader_max_gain <= record.leader_max_gain + 1e-12
+    return record, oracle
+
+
 def with_fractions(outcome, instance, tau):
     """The outcome at other fractions, prices unchanged."""
     fractions = FractionVector(tuple(tau))
@@ -106,9 +134,15 @@ def repriced(outcome, instance, retailer, factor):
 
 @pytest.mark.parametrize("scheme", sorted(SOLVERS))
 def test_matches_loop_oracle_on_seeded_markets(scheme):
+    # NUPS/UPS: the oracle's verdict; water-filling: the gap passes every
+    # solved outcome and bounds the oracle's transfer gains
     solve = SOLVERS[scheme]
     for instance in seeded_markets(300, seed=2016):
-        assert_same_verdict(solve(instance), instance)
+        if scheme == "waterfill":
+            record, _ = assert_gap_bounds_oracle(solve(instance), instance)
+            assert record is not None
+        else:
+            assert_same_verdict(solve(instance), instance)
 
 
 def test_lone_retailer_above_one_skips_lower_prices():
@@ -188,34 +222,75 @@ def test_follower_checks_count_tied_candidates_once():
 
 
 def test_waterfill_partial_moves():
-    # a fraction below every step moves all of itself, not the step; its
-    # transfers (to others, never to itself) include the largest gain
+    # a fraction below every step moves all of itself in the oracle, not
+    # the step; the gap bounds those moves too, from one gradient entry
+    # per retailer
     instance = make_instance(ExperimentConfig(n_vrs=6, gamma=0.5625, storage=100))
     outcome = waterfill_solve(instance)
     tau = np.array(outcome.fractions.fractions)
     assert ((tau > 0) & (tau < 1e-4)).any()
-    record = assert_same_verdict(outcome, instance)
+    record, oracle = assert_gap_bounds_oracle(outcome, instance)
+    assert record.leader_checks == tau.size
     n_active = np.count_nonzero(tau > 0)
-    assert record.leader_checks == 3 * n_active * (tau.size - 1)
+    assert oracle.leader_checks == 3 * n_active * (tau.size - 1)
 
 
 def test_waterfill_lone_source_has_no_transfer_to_itself():
-    # the only source holds 1e-3: every transfer loses first-order profit,
-    # while one to itself would lose only second-order profit
+    # the only source holds 1e-3: each of the oracle's 3 transfers (none
+    # to itself) loses first-order profit, so the oracle passes.  The gap
+    # also sees the 0.999 of the budget left idle, which retailer 1 would
+    # turn into profit at its marginal rate g_1.
     instance = make_instance(ExperimentConfig(n_vrs=2, gamma=1.5))
     lone = with_fractions(waterfill_solve(instance), instance, (1e-3, 0.0))
-    record = assert_same_verdict(lone, instance, math.inf)
-    assert record.leader_checks == 3
+    record, oracle = assert_gap_bounds_oracle(lone, instance, math.inf)
+    assert oracle.leader_checks == 3 and oracle.leader_max_gain < 0.0
+    con = instance.constants
+    weight = instance.gammas()[0] * (instance.econ.backhaul_cost + instance.econ.local_surcharge)
+    marginal = weight * con.lambda_big / (con.theta * 1e-3 + con.lambda_big) ** 2
+    expected = marginal * (1.0 - 1e-3) / lone.report.global_total
+    assert record.leader_max_gain == pytest.approx(expected, rel=1e-12)
+    # at the default tolerance the oracle passes and the gap rejects
+    assert loop_verify_equilibrium(lone, instance).leader_checks == 3
+    with pytest.raises(VerificationFailure, match="retailer 1 has the largest"):
+        verify_equilibrium(lone, instance)
 
 
 def test_waterfill_transfer_caps_destination_at_one():
-    # the budget check allows a sum of 1 + 1e-9, so a transfer can lift
-    # its destination past 1; the destination is capped there.  Retailer 1
-    # is 4 times as popular, so moving mass into it is the largest gain.
+    # the budget check allows a sum of 1 + 1e-9, so the gap is taken on
+    # the budget B = sum tau = 1 + 5e-10.  The oracle caps a transfer
+    # into retailer 1 at 1 and misses the feasible point (1, 5e-10), whose
+    # gain a gap on the budget 1 would not bound.
     instance = make_instance(ExperimentConfig(n_vrs=2, gamma=2.0, delta=10.0))
     edge = with_fractions(waterfill_solve(instance), instance, (1.0 - 5e-10, 1e-9))
-    record = assert_same_verdict(edge, instance, math.inf)
-    assert record.leader_checks == 6
+    record, oracle = assert_gap_bounds_oracle(edge, instance, math.inf)
+    assert oracle.leader_checks == 6
+    filled = with_fractions(edge, instance, (1.0, 5e-10))
+    gain = (filled.report.global_total - edge.report.global_total) / edge.report.global_total
+    assert oracle.leader_max_gain < gain <= record.leader_max_gain
+
+
+def test_waterfill_gap_rejects_unused_budget():
+    # no transfer adds to the fractions' total, so the oracle passes
+    # outcomes that leave budget unused; the gap rejects them
+    instance = make_instance(ExperimentConfig())
+    idle = with_fractions(waterfill_solve(instance), instance, np.zeros(instance.n_vrs))
+    assert idle.report.global_total == 0.0
+    lone = make_instance(ExperimentConfig(n_vrs=1))
+    half = with_fractions(waterfill_solve(lone), lone, (0.5,))
+    assert waterfill_solve(lone).report.global_total > half.report.global_total
+    for outcome, market in ((idle, instance), (half, lone)):
+        assert loop_verify_equilibrium(outcome, market).leader_checks == 0
+        with pytest.raises(VerificationFailure, match="sum-profit condition violated"):
+            verify_equilibrium(outcome, market)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_waterfill_verifies_a_large_market(gamma):
+    # the gap is O(V): 10^5 retailers cost one array pass
+    instance = make_instance(ExperimentConfig(n_vrs=100_000, gamma=gamma))
+    record = verify_equilibrium(waterfill_solve(instance), instance)
+    assert record.leader_checks == 100_000
+    assert 0.0 <= record.leader_max_gain <= 1e-6
 
 
 def test_corrupted_waterfill_fails_sum_profit_check():
@@ -223,13 +298,14 @@ def test_corrupted_waterfill_fails_sum_profit_check():
     corrupted = shifted(waterfill_solve(instance), instance, 0, -1, 0.05)
     with pytest.raises(VerificationFailure, match="sum-profit"):
         verify_equilibrium(corrupted, instance)
-    assert_same_verdict(corrupted, instance)
+    assert assert_gap_bounds_oracle(corrupted, instance)[0] is None
 
 
 def test_corrupted_outcomes_match_loop_oracle():
     # with no tolerance the record carries the largest gain of every kind
     # of perturbation, positive ones included; with the default tolerance
-    # both verifiers name the same first violation
+    # both verifiers name the same first NUPS/UPS violation, and the gap
+    # rejects every water-filling outcome the oracle rejects
     rng = np.random.default_rng(1602)
     corrupted = []
     for instance in seeded_markets(40, seed=6063):
@@ -247,4 +323,28 @@ def test_corrupted_outcomes_match_loop_oracle():
                 corrupted.append((scaled, instance))
     for outcome, instance in corrupted:
         for rel_tol in (math.inf, 1e-6):
-            assert_same_verdict(outcome, instance, rel_tol)
+            if outcome.scheme == "WATERFILL":
+                assert_gap_bounds_oracle(outcome, instance, rel_tol)
+            else:
+                assert_same_verdict(outcome, instance, rel_tol)
+
+
+def test_small_moves_are_rejected_whenever_the_oracle_rejects():
+    # moves of 1e-6 ... 5e-2 out of a holder: the gain a transfer back can
+    # recover is second order in the move, the gap first order, so the gap
+    # rejects a superset and from smaller moves on
+    rng = np.random.default_rng(1603)
+    rejected = {"oracle": 0, "gap": 0}
+    for instance in seeded_markets(20, seed=6064):
+        if instance.n_vrs == 1:
+            continue
+        outcome = waterfill_solve(instance)
+        source = int(rng.choice(np.flatnonzero(outcome.fractions.fractions > 0)))
+        dest = int(rng.choice(np.delete(np.arange(instance.n_vrs), source)))
+        for move in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2):
+            amount = min(move, outcome.fractions.fractions[source])
+            moved = shifted(outcome, instance, source, dest, amount)
+            record, oracle = assert_gap_bounds_oracle(moved, instance)
+            rejected["oracle"] += oracle is None
+            rejected["gap"] += record is None
+    assert 0 < rejected["oracle"] < rejected["gap"]

@@ -1,12 +1,19 @@
 """The per-check loop equilibrium verifier, kept as a test oracle.
 
 ``verify_equilibrium`` in ``cachemarket.equilibrium`` evaluates the
-follower, leader and water-filling perturbations as array passes over
-separable per-retailer terms.  This module is the plain loop it
-replaced: every leader and water-filling perturbation rebuilds a full
-``profit_report``, which is O(V^2) per NUPS/UPS outcome and O(V^3) per
-water-filling outcome.  Tests compare the two on the same outcomes:
-equal check counts, the same verdict, and gains equal to rounding.
+follower and leader perturbations as array passes over separable
+per-retailer terms.  This module is the plain loop it replaced: every
+leader perturbation rebuilds a full ``profit_report``, which is O(V^2)
+per NUPS/UPS outcome.  Tests compare the two on the same NUPS/UPS
+outcomes: equal check counts, the same verdict, and gains equal to
+rounding.
+
+A water-filling outcome is certified by its Frank-Wolfe gap instead,
+which bounds the gain of every feasible allocation.  The loop here
+tries pairwise mass transfers between fractions, each with a full
+``profit_report`` (O(V^3) per outcome).  It is the reference the gap
+must reject a superset of: every transfer gain here is at most the gap,
+while the gap also rejects budget left unused, which no transfer finds.
 """
 
 from __future__ import annotations
