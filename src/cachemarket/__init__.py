@@ -23,10 +23,8 @@ from .economics import (
     InconsistentExclusion,
     PriceVector,
     ProfitReport,
-    backhaul_saving,
     gamma_vector,
     profit_report,
-    vr_profit,
 )
 from .equilibrium import (
     EquilibriumOutcome,
@@ -34,7 +32,6 @@ from .equilibrium import (
     ParticipationThresholds,
     VerificationFailure,
     best_response_fraction,
-    nups_prices_for_u,
     nups_solve,
     ups_solve,
     verify_equilibrium,

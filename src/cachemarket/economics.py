@@ -26,8 +26,6 @@ __all__ = [
     "gamma_vector",
     "ordered_sums",
     "check_fraction_rows",
-    "backhaul_saving",
-    "vr_profit",
     "profit_report",
     "profit_rows",
     "ProfitReport",
@@ -198,37 +196,6 @@ def gamma_vector(q: Sequence[float], cfg: EconomicConfig) -> np.ndarray:
     The file-group popularities drop out because they sum to one.
     """
     return np.asarray(q, dtype=float) * cfg.mu_intensity * cfg.requests_per_mu
-
-
-def backhaul_saving(
-    tau: FractionVector,
-    pops: PopularityVectors,
-    cfg: EconomicConfig,
-    constants: CoverageConstants,
-) -> float:
-    """Back-haul cost avoided per unit area: sum_v Gamma_v Pr(tau_v) s^bh."""
-    gammas = gamma_vector(pops.q, cfg)
-    report = profit_rows(tau.fractions, np.zeros(len(tau)), gammas, cfg, constants)
-    return float(report.nsp_backhaul_saving)
-
-
-def vr_profit(
-    tau_v: float,
-    s_v: float,
-    gamma_v: float,
-    cfg: EconomicConfig,
-    constants: CoverageConstants,
-) -> float:
-    """Retailer profit: surcharge revenue minus rent.
-
-    Gamma_v s^ld tau / (Theta tau + Lambda) - lambda s_v tau; concave in tau.
-    """
-    if not 0.0 <= tau_v <= 1.0:
-        raise ValueError(f"tau_v must lie in [0, 1], got {tau_v}")
-    if s_v < 0:
-        raise ValueError(f"s_v must be >= 0, got {s_v}")
-    report = profit_rows(np.array([tau_v]), np.array([s_v]), gamma_v, cfg, constants)
-    return float(report.vr_profits[0])
 
 
 def profit_report(

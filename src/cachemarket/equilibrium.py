@@ -46,7 +46,6 @@ __all__ = [
     "VerificationRecord",
     "best_response_fraction",
     "participation_threshold_rows",
-    "nups_prices_for_u",
     "nups_solve",
     "ups_solve",
     "solve_rows",
@@ -362,19 +361,6 @@ def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
     return np.where(posted, scales * roots if scheme == "NUPS" else scales, 0.0), posted
 
 
-def nups_prices_for_u(u: int, instance: GameInstance) -> PriceVector:
-    """Per-retailer prices keeping exactly the u most popular retailers.
-
-    s_i = Lambda s^bh (sum_{j<=u} Gamma_j^(1/3))^2 Gamma_i^(1/3)
-          / (lambda (u Lambda + Theta)^2)   for i <= u; the rest are priced out.
-    """
-    if not 1 <= u <= instance.n_vrs:
-        raise ValueError(f"u must lie in 1..{instance.n_vrs}, got {u}")
-    _require_pricing_domain(instance.rows)
-    prices, _ = _posted_prices("NUPS", instance.rows, np.array([u]))
-    return PriceVector(prices[0, :u], instance.n_vrs)
-
-
 def _surrogates(scheme: str, rows: GameRows, width: int) -> np.ndarray:
     """Negated leader objective of keeping u retailers, u = 1..width, in every row."""
     gammas = rows.distinct_gammas[:, :width]
@@ -526,10 +512,14 @@ def _hit_probabilities(tau: np.ndarray, constants: CoverageConstants) -> np.ndar
 
 def verify_equilibrium(
     outcome: EquilibriumOutcome,
-    instance: GameInstance,
+    rows: GameRows,
+    i: int = 0,
     rel_tol: float = 1e-6,
 ) -> VerificationRecord:
     """Check both equilibrium conditions, or water-filling's optimality.
+
+    The market is row i of rows: its Gamma row, the economics and the
+    coverage constants at that row's Lambda.
 
     Follower side: moving a posted retailer's fraction tau (prices
     fixed) to each of _FOLLOWER_FACTORS times tau, to its best response
@@ -557,13 +547,13 @@ def verify_equilibrium(
     retailer of largest marginal sum profit.  No solver closed form is
     used.
     """
+    econ = rows.econ
+    constants = replace(rows.constants, lambda_big=float(rows.constants.lambda_big[i, 0]))
     if outcome.scheme == "WATERFILL":
-        return _verify_waterfill(outcome, instance, rel_tol)
-    econ = instance.econ
-    constants = instance.constants
+        return _verify_waterfill(outcome, rows.gammas[i], econ, constants, rel_tol)
     price = outcome.prices.prices
     u = price.size
-    gamma = instance.gammas()[:u]
+    gamma = rows.gammas[i, :u]
     tau = outcome.fractions.fractions[:u]
     tau0 = best_response_fraction(price, gamma, econ, constants)
 
@@ -638,7 +628,9 @@ def verify_equilibrium(
 
 def _verify_waterfill(
     outcome: EquilibriumOutcome,
-    instance: GameInstance,
+    gammas: np.ndarray,
+    econ: EconomicConfig,
+    constants: CoverageConstants,
     rel_tol: float,
 ) -> VerificationRecord:
     """The Frank-Wolfe gap of the sum profit must not exceed rel_tol.
@@ -653,11 +645,8 @@ def _verify_waterfill(
     non-negative terms (g_j - g_v) tau_v and g_j (B - sum tau).
     """
     tau = outcome.fractions.fractions
-    constants = instance.constants
     lam_big = constants.lambda_big
-    weight = instance.gammas() * (
-        instance.econ.backhaul_cost + instance.econ.local_surcharge
-    )
+    weight = gammas * (econ.backhaul_cost + econ.local_surcharge)
     # Lambda / (...)^2 first: it is at most 1 / Lambda, while w Lambda may overflow
     grad = weight * (lam_big / (constants.theta * tau + lam_big) ** 2)
     j = int(np.argmax(grad))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import CatalogConfig, VrConfig, build_popularity, zipf_rows
-from .coverage import CoverageConstants, hit_probability, make_constants
+from .coverage import hit_probability, make_constants
 from .economics import EconomicConfig, PriceVector, gamma_vector
 from .equilibrium import (
     GameInstance,
@@ -216,12 +216,8 @@ def make_instance(
     cfg: ExperimentConfig,
     gamma: float | None = None,
     storage: float | None = None,
-    constants: CoverageConstants | None = None,
 ) -> GameInstance:
-    """Build a consistent game instance from an experiment config.
-
-    Given constants of the same (delta, alpha), only Lambda = C F is redone.
-    """
+    """Build a consistent game instance from an experiment config."""
     if cfg.n_files < 1:
         raise ConfigError(f"file count N (--N, n_files) must be >= 1, got {cfg.n_files}")
     q_eff = _storage(cfg.storage if storage is None else storage, cfg.n_files)
@@ -235,10 +231,7 @@ def make_instance(
         mu_intensity=cfg.mu_intensity,
         sbs_intensity=cfg.sbs_intensity,
     )
-    if constants is None:
-        constants = make_constants(cfg.delta, cfg.alpha, catalog.f_groups)
-    else:
-        constants = replace(constants, lambda_big=constants.c * catalog.f_groups)
+    constants = make_constants(cfg.delta, cfg.alpha, catalog.f_groups)
     return GameInstance(
         pops=pops, econ=econ, constants=constants, n_files=cfg.n_files, storage=q_eff
     )
@@ -370,10 +363,9 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, values: list, verify: bool) -> 
     def block_points(block, rows, solved) -> list:
         """The tuples of a solved block; each point is verified first if asked."""
         if verify:
-            for i, value in enumerate(block):
-                instance = make_instance(cfg, constants=first.constants, **{kind: value})
+            for i in range(len(block)):
                 for outcomes in solved:
-                    verify_equilibrium(outcomes.outcome(i), instance)
+                    verify_equilibrium(outcomes.outcome(i), rows, i)
         nups, ups = solved
         return list(
             zip(
@@ -453,8 +445,8 @@ def run_per_vr(cfg: ExperimentConfig, verify: bool = False) -> list[tuple]:
     nups = solve_rows("NUPS", instance.rows).outcome(0)
     ups = solve_rows("UPS", instance.rows).outcome(0)
     if verify:
-        verify_equilibrium(nups, instance)
-        verify_equilibrium(ups, instance)
+        verify_equilibrium(nups, instance.rows)
+        verify_equilibrium(ups, instance.rows)
     return list(
         zip(
             range(1, cfg.n_vrs + 1),
@@ -489,7 +481,7 @@ def run_solve(
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     if verify:
-        verify_equilibrium(outcome, instance)
+        verify_equilibrium(outcome, instance.rows)
     rep = outcome.report
     rows = list(
         zip(

@@ -1,17 +1,24 @@
-"""The per-row posted-price pass, kept as a test oracle.
+"""Price and profit oracles kept out of the library.
 
-``_posted_prices`` in ``cachemarket.equilibrium`` takes one numpy root
-sum per distinct participant count u of a block, and sums a Gamma row
-broadcast to every row only once per u.  This module is the loop it
-replaced: one 1-D pairwise sum and one scale per row.  Both must give
-the same prices, bit for bit.
+``posted_prices`` is the per-row posted-price pass.  ``_posted_prices``
+in ``cachemarket.equilibrium`` takes one numpy root sum per distinct
+participant count u of a block, and sums a Gamma row broadcast to every
+row only once per u.  ``posted_prices`` is the loop it replaced: one
+1-D pairwise sum and one scale per row.  Both must give the same
+prices, bit for bit.
+
+``nups_prices_for_u``, ``backhaul_saving`` and ``vr_profit`` are the
+one-market views the tests read: the NUPS prices at a given
+participant count, the provider's back-haul saving, and one retailer's
+profit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cachemarket.equilibrium import GameRows
+from cachemarket.economics import PriceVector, gamma_vector, profit_rows
+from cachemarket.equilibrium import GameInstance, GameRows
 
 
 def _price_scale(u: int, root_sum: float, lam_big: float, rows: GameRows) -> float:
@@ -40,3 +47,35 @@ def posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
     )[:, None]
     posted = np.arange(1, rows.shape[1] + 1) <= u[:, None]
     return np.where(posted, scales * roots if nups else scales, 0.0), posted
+
+
+def nups_prices_for_u(u: int, instance: GameInstance) -> PriceVector:
+    """Per-retailer prices keeping exactly the u most popular retailers.
+
+    s_i = Lambda s^bh (sum_{j<=u} Gamma_j^(1/3))^2 Gamma_i^(1/3)
+          / (lambda (u Lambda + Theta)^2)   for i <= u; the rest are priced out.
+    """
+    if not 1 <= u <= instance.n_vrs:
+        raise ValueError(f"u must lie in 1..{instance.n_vrs}, got {u}")
+    prices, _ = posted_prices("NUPS", instance.rows, np.array([u]))
+    return PriceVector(prices[0, :u], instance.n_vrs)
+
+
+def backhaul_saving(tau, pops, cfg, constants) -> float:
+    """Back-haul cost avoided per unit area: sum_v Gamma_v Pr(tau_v) s^bh."""
+    gammas = gamma_vector(pops.q, cfg)
+    report = profit_rows(tau.fractions, np.zeros(len(tau)), gammas, cfg, constants)
+    return float(report.nsp_backhaul_saving)
+
+
+def vr_profit(tau_v: float, s_v: float, gamma_v: float, cfg, constants) -> float:
+    """Retailer profit: surcharge revenue minus rent.
+
+    Gamma_v s^ld tau / (Theta tau + Lambda) - lambda s_v tau; concave in tau.
+    """
+    if not 0.0 <= tau_v <= 1.0:
+        raise ValueError(f"tau_v must lie in [0, 1], got {tau_v}")
+    if s_v < 0:
+        raise ValueError(f"s_v must be >= 0, got {s_v}")
+    report = profit_rows(np.array([tau_v]), np.array([s_v]), gamma_v, cfg, constants)
+    return float(report.vr_profits[0])

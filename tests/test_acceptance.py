@@ -229,13 +229,13 @@ def test_criterion_8_equilibria_survive_perturbation(capsys):
             ups_solve(instance),
             waterfill_solve(instance),
         ):
-            record = verify_equilibrium(outcome, instance, rel_tol=1e-6)
+            record = verify_equilibrium(outcome, instance.rows, rel_tol=1e-6)
             worst = max(worst, record.leader_max_gain)
             if outcome.scheme != "WATERFILL":
                 worst = max(worst, record.follower_max_gain)
             checked += 1
     for instance in random_instances(10, seed=5150):
-        record = verify_equilibrium(nups_solve(instance), instance)
+        record = verify_equilibrium(nups_solve(instance), instance.rows)
         worst = max(worst, record.leader_max_gain, record.follower_max_gain)
         checked += 1
     ok = worst <= 1e-6

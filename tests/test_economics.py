@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from price_oracle import backhaul_saving, vr_profit
 
 from cachemarket.catalog import CatalogConfig, VrConfig, build_popularity
 from cachemarket.coverage import hit_probability, make_constants
@@ -12,10 +13,8 @@ from cachemarket.economics import (
     FractionVector,
     InconsistentExclusion,
     PriceVector,
-    backhaul_saving,
     gamma_vector,
     profit_report,
-    vr_profit,
 )
 
 A_REF = 0.01 * math.atan(0.1) / 0.1

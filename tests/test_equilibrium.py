@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from price_oracle import nups_prices_for_u
 from scipy import optimize
 from test_sweep_rows import _market
 from waterfill_oracle import waterfill_fractions
@@ -20,7 +21,6 @@ from cachemarket.equilibrium import (
     GameInstance,
     VerificationFailure,
     best_response_fraction,
-    nups_prices_for_u,
     nups_solve,
     ups_solve,
     verify_equilibrium,
@@ -377,7 +377,7 @@ class TestVerification:
             ups_solve(default_instance),
             waterfill_solve(default_instance),
         ):
-            verify_equilibrium(outcome, default_instance)
+            verify_equilibrium(outcome, default_instance.rows)
 
     def test_corrupted_price_fails_leader_check(self, default_instance):
         outcome = nups_solve(default_instance)
@@ -403,7 +403,7 @@ class TestVerification:
             outcome, prices=corrupted_prices, fractions=fractions, report=report
         )
         with pytest.raises(VerificationFailure, match="leader"):
-            verify_equilibrium(corrupted, default_instance)
+            verify_equilibrium(corrupted, default_instance.rows)
 
     def test_corrupted_fraction_fails_follower_check(self, default_instance):
         outcome = nups_solve(default_instance)
@@ -412,7 +412,7 @@ class TestVerification:
         fractions[1] -= 0.05
         corrupted = replace(outcome, fractions=FractionVector(tuple(fractions)))
         with pytest.raises(VerificationFailure, match="follower"):
-            verify_equilibrium(corrupted, default_instance)
+            verify_equilibrium(corrupted, default_instance.rows)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0])

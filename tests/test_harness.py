@@ -550,6 +550,15 @@ class TestCli:
         assert capsys.readouterr().err == "config error: seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["solve"], ["sweep-storage", "--verify"]])
+    @pytest.mark.parametrize("beta", ["0", "2.5"])
+    def test_beta_changes_no_output(self, tmp_path, argv, beta):
+        # the solvers read only the retailer weights q, never the file weights
+        default, other = tmp_path / "default.csv", tmp_path / "beta.csv"
+        assert cli.main([*argv, "--out", str(default)]) == 0
+        assert cli.main([*argv, "--beta", beta, "--out", str(other)]) == 0
+        assert other.read_bytes() == default.read_bytes()
+
     def test_override_flags(self, tmp_path):
         out = tmp_path / "v.csv"
         code = cli.main(["per-vr", "--V", "3", "--out", str(out)])

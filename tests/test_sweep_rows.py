@@ -247,11 +247,12 @@ def test_verification_runs_point_by_point(capsys, monkeypatch):
     real = harness.verify_equilibrium
     checked = []
 
-    def fail_at_q30(outcome, instance):
-        checked.append((instance.storage, outcome.scheme))
-        if instance.storage == 30 and outcome.scheme == "UPS":
+    def fail_at_q30(outcome, rows, i):
+        storage = rows.storage[i, 0]
+        checked.append((storage, outcome.scheme))
+        if storage == 30 and outcome.scheme == "UPS":
             raise VerificationFailure("planted at Q = 30")
-        return real(outcome, instance)
+        return real(outcome, rows, i)
 
     monkeypatch.setattr(harness, "verify_equilibrium", fail_at_q30)
     argv = ["sweep-storage", "--start", "10", "--stop", "50", "--step", "10", "--verify"]
@@ -277,10 +278,47 @@ def test_one_instance_per_sweep(monkeypatch):
         return real_vr_config(*args, **kwargs)
 
     monkeypatch.setattr(harness, "VrConfig", vr_config)
-    run_sweep_storage(ExperimentConfig(), sweep_values(10, 500, 10))
-    run_sweep_gamma(ExperimentConfig(), sweep_values(0.1, 2.5, 0.1))
-    assert len(calls) == 2
-    assert len(vr_configs) == 2  # one per make_instance, none per gamma point
+    sweeps = [
+        (run_sweep_storage, sweep_values(10, 500, 10)),
+        (run_sweep_gamma, sweep_values(0.1, 2.5, 0.1)),
+    ]
+    # a verified sweep checks each point against its row of the block
+    for verify in (False, True):
+        for sweep, values in sweeps:
+            calls.clear()
+            vr_configs.clear()
+            sweep(ExperimentConfig(), values, verify=verify)
+            assert len(calls) == 1
+            assert len(vr_configs) == 1  # one per make_instance, none per gamma point
+
+
+@pytest.mark.parametrize(
+    "kind, cfg, values",
+    [
+        ("storage", ExperimentConfig(n_vrs=120), sweep_values(10, 500, 10)),
+        ("gamma", ExperimentConfig(n_vrs=1000, storage=50), sweep_values(0.1, 1.0, 0.1)),
+    ],
+    ids=["storage", "gamma"],
+)
+def test_block_row_verifies_like_its_own_market(monkeypatch, kind, cfg, values):
+    # a point's row of the block holds its market's Gamma row and Lambda bit
+    # for bit, so verifying against it gives the one-point market's record
+    verified = []
+    real = harness.verify_equilibrium
+
+    def recorded(outcome, rows, i):
+        record = real(outcome, rows, i)
+        verified.append((outcome, rows, i, record))
+        return record
+
+    monkeypatch.setattr(harness, "verify_equilibrium", recorded)
+    (run_sweep_storage if kind == "storage" else run_sweep_gamma)(cfg, values, verify=True)
+    assert len(verified) == 2 * len(values)  # NUPS, then UPS, point by point
+    for k, (outcome, rows, i, record) in enumerate(verified):
+        own = make_instance(cfg, **{kind: values[k // 2]}).rows
+        assert rows.gammas[i].tobytes() == own.gammas[0].tobytes()
+        assert rows.constants.lambda_big[i, 0] == own.constants.lambda_big[0, 0]
+        assert real(outcome, own) == record
 
 
 def test_bad_point_past_the_first_is_a_config_error():

@@ -44,15 +44,15 @@ def seeded_markets(count, seed):
     return markets
 
 
-def verdict(verify, outcome, instance, rel_tol):
+def verdict(verify, outcome, market, rel_tol):
     try:
-        return verify(outcome, instance, rel_tol), None
+        return verify(outcome, market, rel_tol=rel_tol), None
     except VerificationFailure as exc:
         return None, str(exc)
 
 
 def assert_same_verdict(outcome, instance, rel_tol=1e-6):
-    record, failure = verdict(verify_equilibrium, outcome, instance, rel_tol)
+    record, failure = verdict(verify_equilibrium, outcome, instance.rows, rel_tol)
     oracle, oracle_failure = verdict(loop_verify_equilibrium, outcome, instance, rel_tol)
     assert failure == oracle_failure
     if oracle is None:
@@ -78,7 +78,7 @@ def assert_gap_bounds_oracle(outcome, instance, rel_tol=1e-6):
     gap is at least the oracle's largest transfer gain.  Returns the
     record (None when rejected) and the oracle's record.
     """
-    record, failure = verdict(verify_equilibrium, outcome, instance, rel_tol)
+    record, failure = verdict(verify_equilibrium, outcome, instance.rows, rel_tol)
     oracle, oracle_failure = verdict(loop_verify_equilibrium, outcome, instance, rel_tol)
     if failure is not None:
         assert failure.startswith("sum-profit condition violated: Frank-Wolfe gap ")
@@ -192,7 +192,7 @@ def test_follower_violation_names_the_first_candidate_in_declared_order():
     tau[2] *= 0.3
     perturbed = with_fractions(outcome, instance, tau)
     with pytest.raises(VerificationFailure, match=r"retailer 3 .* to 0\.0297723$"):
-        verify_equilibrium(perturbed, instance)
+        verify_equilibrium(perturbed, instance.rows)
     assert_same_verdict(perturbed, instance)
 
 
@@ -252,7 +252,7 @@ def test_waterfill_lone_source_has_no_transfer_to_itself():
     # at the default tolerance the oracle passes and the gap rejects
     assert loop_verify_equilibrium(lone, instance).leader_checks == 3
     with pytest.raises(VerificationFailure, match="retailer 1 has the largest"):
-        verify_equilibrium(lone, instance)
+        verify_equilibrium(lone, instance.rows)
 
 
 def test_waterfill_transfer_caps_destination_at_one():
@@ -281,14 +281,14 @@ def test_waterfill_gap_rejects_unused_budget():
     for outcome, market in ((idle, instance), (half, lone)):
         assert loop_verify_equilibrium(outcome, market).leader_checks == 0
         with pytest.raises(VerificationFailure, match="sum-profit condition violated"):
-            verify_equilibrium(outcome, market)
+            verify_equilibrium(outcome, market.rows)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 def test_waterfill_verifies_a_large_market(gamma):
     # the gap is O(V): 10^5 retailers cost one array pass
     instance = make_instance(ExperimentConfig(n_vrs=100_000, gamma=gamma))
-    record = verify_equilibrium(waterfill_solve(instance), instance)
+    record = verify_equilibrium(waterfill_solve(instance), instance.rows)
     assert record.leader_checks == 100_000
     assert 0.0 <= record.leader_max_gain <= 1e-6
 
@@ -297,7 +297,7 @@ def test_corrupted_waterfill_fails_sum_profit_check():
     instance = make_instance(ExperimentConfig())
     corrupted = shifted(waterfill_solve(instance), instance, 0, -1, 0.05)
     with pytest.raises(VerificationFailure, match="sum-profit"):
-        verify_equilibrium(corrupted, instance)
+        verify_equilibrium(corrupted, instance.rows)
     assert assert_gap_bounds_oracle(corrupted, instance)[0] is None
 
 

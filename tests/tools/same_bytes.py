@@ -5,8 +5,8 @@ Usage:
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The command list is every sweep and verify op of perfbench rounds 0-1
-for seeds 1..N (from ``perfbench/workloads.py``, imported read-only)
-plus EDGE, the commands that end in a named error, a usage error or a
+for seeds 1..N (from ``perfbench/workloads.py``, imported read-only),
+each sweep op also in its ``--verify`` form, plus EDGE, the commands that end in a named error, a usage error or a
 help request, or sit at the edge of the solvers, and two small
 verify-coverage grids, which show a change of the simulator's random
 stream.  Each tree runs the whole list through its own ``cli.main``, in
@@ -106,7 +106,10 @@ _WARNING_AT = re.compile(r"^\S+\.py:\d+: (?=\w+Warning: )", re.MULTILINE)
 
 
 def perfbench_commands(seeds: int) -> list:
-    """Every sweep and verify op of rounds 0-1 for seeds 1..seeds."""
+    """Every sweep and verify op of rounds 0-1 for seeds 1..seeds.
+
+    Each sweep op comes twice: as perfbench runs it, then with --verify.
+    """
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", REPO / "perfbench" / "workloads.py"
@@ -114,12 +117,13 @@ def perfbench_commands(seeds: int) -> list:
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses look their module up there
     spec.loader.exec_module(workloads)
-    return [
-        list(op.argv)
-        for seed in range(1, seeds + 1)
-        for index in (0, 1)
-        for op in workloads.sweep_round(seed, index) + workloads.verify_round(seed, index)
-    ]
+    commands = []
+    for seed in range(1, seeds + 1):
+        for index in (0, 1):
+            sweeps = [list(op.argv) for op in workloads.sweep_round(seed, index)]
+            commands += sweeps + [[*argv, "--verify"] for argv in sweeps]
+            commands += [list(op.argv) for op in workloads.verify_round(seed, index)]
+    return commands
 
 
 def run_commands(commands: list) -> list:
