@@ -1,8 +1,12 @@
 """Command-line interface.
 
 Subcommands: verify-coverage, sweep-gamma, sweep-storage, per-vr, solve.
-verify-coverage runs its grid points in order on one thread; it accepts
---jobs for compatibility and ignores it.
+verify-coverage simulates its grid points on a fork process pool, one
+worker per CPU, when the grid holds at least 10 000 trials (points x trials)
+and the process can fork safely; smaller grids run in order in this process.
+Each point owns its random stream, so the CSV is the same bytes on either
+path.  --jobs is accepted for compatibility and ignored: the program sizes
+the pool itself.
 Exit codes: 0 success, 1 config error (including a usage error, a
 non-finite number in a flag or config file and an --out path that cannot be
 written), 2 equilibrium verification failure, 3 simulator-analytic mismatch

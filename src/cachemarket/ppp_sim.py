@@ -37,7 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SimConfig", "SimulationEstimate", "sample_hppp", "simulate_hit_probability"]
+__all__ = [
+    "SimConfig",
+    "SimulationEstimate",
+    "check_point",
+    "sample_hppp",
+    "simulate_hit_probability",
+]
 
 # Expected SBS count the window must hold for truncation error to stay
 # negligible against the grid tolerance.
@@ -127,6 +133,15 @@ def _run_trial(
     )
 
 
+def check_point(tau_v: float, f_groups: int) -> None:
+    """Raise ValueError unless tau_v lies in [0, 1] and f_groups is a positive integer."""
+    if not 0.0 <= tau_v <= 1.0:
+        raise ValueError(f"tau_v must lie in [0, 1], got {tau_v}")
+    finite = isinstance(f_groups, numbers.Integral) or math.isfinite(f_groups)
+    if not (finite and f_groups >= 1 and int(f_groups) == f_groups):
+        raise ValueError(f"f_groups must be a positive integer, got {f_groups}")
+
+
 def simulate_hit_probability(
     cfg: SimConfig, tau_v: float, f_groups: int
 ) -> SimulationEstimate:
@@ -138,10 +153,7 @@ def simulate_hit_probability(
     with no marked cell is a miss.  tau_v = 0 draws nothing.  Returns
     the hit rate with its Wald 95% half-width.
     """
-    if not 0.0 <= tau_v <= 1.0:
-        raise ValueError(f"tau_v must lie in [0, 1], got {tau_v}")
-    if f_groups < 1 or int(f_groups) != f_groups:
-        raise ValueError(f"f_groups must be a positive integer, got {f_groups}")
+    check_point(tau_v, f_groups)
     mark_prob = tau_v / f_groups
     hits = 0
     if tau_v > 0.0:

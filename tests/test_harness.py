@@ -1,6 +1,8 @@
 """Config parsing, sweep runners, CSV formatting, and the CLI."""
 
 import math
+import multiprocessing
+import os
 import threading
 import warnings
 from pathlib import Path
@@ -564,3 +566,105 @@ class TestCli:
         code = cli.main(["per-vr", "--V", "3", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 4  # header + 3 retailers
+
+
+# four points of 200 trials: quick on either path
+POOL_GRID = "tau_grid = 0.2, 0.8\nq_grid = 50\nlambda_grid = 10, 20\n"
+
+
+def _coverage_path(monkeypatch, pooled: bool) -> None:
+    """Send verify-coverage down the pool path or the serial one."""
+    monkeypatch.setattr(harness, "_POOL_MIN_TRIALS", 0 if pooled else math.inf)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+class TestCoveragePool:
+    def _run(self, tmp_path, name, *extra):
+        path = tmp_path / "grid.cfg"
+        path.write_text(POOL_GRID)
+        out = tmp_path / name
+        argv = ["verify-coverage", "--config", str(path), "--trials", "200", *extra]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        return out.read_bytes()
+
+    def test_pool_and_serial_write_the_same_bytes(self, tmp_path, monkeypatch):
+        _coverage_path(monkeypatch, pooled=False)
+        serial = self._run(tmp_path, "serial.csv")
+        assert serial.count(b"\n") == 5  # header + 4 grid points
+        _coverage_path(monkeypatch, pooled=True)
+        assert harness._pool_workers(4, 200) == 3
+        assert self._run(tmp_path, "pool.csv") == serial
+        assert self._run(tmp_path, "jobs.csv", "--jobs", "4") == serial
+
+    def test_pool_runs_a_wrapped_simulator(self, tmp_path, monkeypatch):
+        # perfbench's tracer replaces the simulator with a closure, which
+        # does not pickle; the workers must still find and run it
+        _coverage_path(monkeypatch, pooled=False)
+        serial = self._run(tmp_path, "serial.csv")
+        calls = tmp_path / "calls"
+        original = harness.simulate_hit_probability
+
+        def wrapped(*args):
+            with calls.open("a") as log:
+                log.write(f"{os.getpid()}\n")
+            return original(*args)
+
+        monkeypatch.setattr(harness, "simulate_hit_probability", wrapped)
+        _coverage_path(monkeypatch, pooled=True)
+        assert self._run(tmp_path, "pool.csv") == serial
+        pids = calls.read_text().split()
+        assert len(pids) == 4 and str(os.getpid()) not in pids
+
+    def test_bad_point_fails_before_any_trial(self, capsys, tmp_path, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(harness, "simulate_hit_probability", no_trials)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+        path = tmp_path / "bad.cfg"
+        path.write_text("tau_grid = 0.2, 1.5\n")
+        out = tmp_path / "cov.csv"
+        argv = ["verify-coverage", "--config", str(path), "--trials", "1000"]
+        assert harness._pool_workers(24, 1000) == 2  # the grid is pool-sized
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: tau_v must lie in [0, 1], got 1.5\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_pool_size(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)))
+        minimum = harness._POOL_MIN_TRIALS
+        assert harness._pool_workers(10, minimum // 10) == 8
+        assert harness._pool_workers(3, minimum) == 3  # at most one per point
+        assert harness._pool_workers(10, minimum // 10 - 1) == 1
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0})
+        assert harness._pool_workers(10, minimum) == 1
+
+    def test_other_threads_keep_the_grid_here(self, monkeypatch):
+        # fork copies a lock another thread holds, but not the thread
+        _coverage_path(monkeypatch, pooled=True)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert harness._pool_workers(4, 200) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert harness._pool_workers(4, 200) == 3
+
+    def test_daemonic_process_simulates_serially(self, tmp_path, monkeypatch):
+        # a daemonic process may not start children, so it keeps the grid
+        _coverage_path(monkeypatch, pooled=True)
+        cfg = ExperimentConfig(**SMALL_SIM)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            assert pool.apply(harness._pool_workers, (2, 300)) == 1
+            nested = pool.apply(run_verify_coverage, (cfg,))
+        finally:
+            pool.close()
+            pool.join()
+        assert nested == run_verify_coverage(cfg)
+        assert multiprocessing.active_children() == []

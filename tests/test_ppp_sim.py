@@ -124,6 +124,12 @@ class TestSimulator:
         with pytest.raises(ValueError):
             simulate_hit_probability(cfg, 0.5, 2.5)
 
+    @pytest.mark.parametrize("f_groups", [math.inf, -math.inf, math.nan])
+    def test_non_finite_groups_are_named(self, f_groups):
+        # int() used to raise its own OverflowError (inf) or ValueError (nan)
+        with pytest.raises(ValueError, match="f_groups must be a positive integer"):
+            simulate_hit_probability(make_sim(), 0.5, f_groups)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             make_sim(trials=0)

@@ -7,9 +7,9 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 The command list is every sweep and verify op of perfbench rounds 0-1
 for seeds 1..N (from ``perfbench/workloads.py``, imported read-only),
 each sweep op also in its ``--verify`` form, plus EDGE, the commands that end in a named error, a usage error or a
-help request, or sit at the edge of the solvers, and two small
+help request, or sit at the edge of the solvers, and three
 verify-coverage grids, which show a change of the simulator's random
-stream.  Each tree runs the whole list through its own ``cli.main``, in
+stream: two run in one process, one on the process pool.  Each tree runs the whole list through its own ``cli.main``, in
 one process of its own, with ``--out`` to a scratch file.  A command differs when its CSV, its exit
 code, its stdout or its stderr differ; stderr is compared with file
 paths and line numbers stripped from warnings.  Prints each difference
@@ -97,9 +97,12 @@ EDGE = [
     ["sweep-gamma", "--start", "0", "--stop", "1e-12", "--step", "2e-13"],
     ["sweep-storage", "--start", "10", "--stop", "10.000000000001", "--step", "2e-13"],
     ["sweep-gamma", "--start", "0", "--stop", "1", "--step", "1e-320"],
-    # the simulator's random stream: two small coverage grids
+    # the simulator's random stream: two grids below the pool minimum and
+    # one above it, then a pool-sized grid whose window is too small
     ["verify-coverage", "--trials", "50"],
     ["verify-coverage", "--alpha", "3.3", "--delta", "1.0", "--trials", "50"],
+    ["verify-coverage", "--trials", "100"],
+    ["verify-coverage", "--radius", "1", "--trials", "1000"],
 ]  # fmt: skip
 
 _WARNING_AT = re.compile(r"^\S+\.py:\d+: (?=\w+Warning: )", re.MULTILINE)
