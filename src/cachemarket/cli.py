@@ -7,13 +7,20 @@ and the process can fork safely; smaller grids run in order in this process.
 Each point owns its random stream, so the CSV is the same bytes on either
 path.  --jobs is accepted for compatibility and ignored: the program sizes
 the pool itself.
+verify-coverage reads its grid from lambda_grid and q_grid (--config) and
+ignores --lambda and --Q.
 Exit codes: 0 success, 1 config error (including a usage error, a
-non-finite number in a flag or config file and an --out path that cannot be
-written), 2 equilibrium verification failure, 3 simulator-analytic mismatch
-beyond tolerance, 4 numerical failure (an ArithmeticError, such as best
-responses that break the budget because rounding spoiled their closed form).
+non-finite number in a flag or config file, an --out path that cannot be
+written, a pricing product below the smallest normal float, a coverage
+window whose expected cell count lambda pi R^2 is not finite, and a market
+whose arrays do not fit in memory, with numpy's message), 2 equilibrium
+verification failure, 3 simulator-analytic mismatch beyond tolerance,
+4 numerical failure (an ArithmeticError, such as best responses that break
+the budget because rounding spoiled their closed form).
 main can be called repeatedly in one process; it builds its parser on the
-first call and reuses it.
+first call and reuses it.  When argv starts with a subcommand, that
+subcommand's parser alone reads the rest; any other argv goes through the
+top-level parser.
 """
 
 from __future__ import annotations
@@ -53,20 +60,20 @@ _FLAGS = [
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    flags = [(flag, getattr(args, f"cfg_{dest}")) for flag, dest, _ in _FLAGS]
+    updates = {}
+    flags = []
+    for flag, dest, _ in _FLAGS:
+        value = getattr(args, f"cfg_{dest}")
+        if value is not None:
+            updates[dest] = value
+            flags.append((flag, value))
     flags += [(f"--{n}", getattr(args, n, None)) for n in ("start", "stop", "step")]
     for flag, value in flags:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
-    cfg = ExperimentConfig()
     if args.config:
-        cfg = load_config(args.config, cfg)
-    updates = {}
-    for _, dest, _ in _FLAGS:
-        value = getattr(args, f"cfg_{dest}")
-        if value is not None:
-            updates[dest] = value
-    return replace(cfg, **updates)
+        return replace(load_config(args.config), **updates)
+    return ExperimentConfig(**updates)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -88,7 +95,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later one.
 
@@ -96,6 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     is immutable, the help width is read when help is formatted, and usage
     and help go to the sys.stdout / sys.stderr of the moment.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = _Parser(
         prog="cachemarket",
         description="Stackelberg pricing for small-cell video caching",
@@ -138,12 +150,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the equilibrium perturbation checks",
     )
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), reading a subcommand's flags once.
+
+    When argv starts with a subcommand, that subcommand's parser alone
+    parses the rest: the top-level parser would scan every token first
+    and then hand them all to it.  Tokens it leaves over get the
+    top-level parser's usage error, as parse_args reports them.  Any
+    other argv goes through the top-level parser.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = _build_config(args)
         if args.command == "verify-coverage":
@@ -178,6 +209,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"config error: the market does not fit in memory: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -35,6 +35,16 @@ class CoverageConstants:
                 f"C and Theta must be positive, got C={self.c}, Theta={self.theta}"
             )
 
+    def with_lambda_big(self, lambda_big) -> CoverageConstants:
+        """These C and Theta with another Lambda (a float or an array).
+
+        C and Theta were checked when self was built, so they are not
+        checked again.
+        """
+        constants = object.__new__(CoverageConstants)
+        constants.__dict__.update(c=self.c, theta=self.theta, lambda_big=lambda_big)
+        return constants
+
 
 def make_constants(delta: float, alpha: float, f_groups: float) -> CoverageConstants:
     """Build coverage constants for SINR threshold delta, path-loss alpha, F groups."""

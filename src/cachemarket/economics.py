@@ -116,6 +116,14 @@ class PriceVector:
             i = np.argmin(prices >= 0)
             raise ValueError(f"price {i + 1} must be >= 0, got {prices[i]}")
 
+    @classmethod
+    def of_checked_row(cls, row: np.ndarray, n_vrs: int) -> PriceVector:
+        """The posted prices of a solve_rows row, to n_vrs retailers, not checked again."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "prices", _read_only(row))
+        object.__setattr__(vector, "n_vrs", n_vrs)
+        return vector
+
     def __len__(self) -> int:
         return self.n_vrs
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -93,22 +93,20 @@ class GameInstance:
 
     @cached_property
     def thresholds(self) -> ParticipationThresholds:
-        """This market's U_v and Ubar_v (participation_threshold_rows)."""
-        q = np.asarray(self.pops.q, dtype=float)
-        th = participation_threshold_rows(q[None, :], self.n_files, self.constants)
+        """This market's U_v and Ubar_v: the one row of self.rows.thresholds."""
+        th = self.rows.thresholds
         return ParticipationThresholds(th.u_values[0], th.u_bar_values[0])
 
     @cached_property
     def rows(self) -> GameRows:
         """This market as the one row of a GameRows."""
-        th = self.thresholds
-        lam_big = np.array([[self.constants.lambda_big]])
+        q = np.asarray(self.pops.q, dtype=float)
         return GameRows(
             gammas=self._gammas[None, :],
-            thresholds=ParticipationThresholds(th.u_values[None, :], th.u_bar_values[None, :]),
+            thresholds=participation_threshold_rows(q[None, :], self.n_files, self.constants),
             storage=np.array([[self.storage]], dtype=float),
             econ=self.econ,
-            constants=replace(self.constants, lambda_big=lam_big),
+            constants=self.constants.with_lambda_big(np.array([[self.constants.lambda_big]])),
         )
 
 
@@ -184,8 +182,9 @@ class GameRows:
 
         s_u is the price posted to retailer u.  Gamma and the price, and
         so both products, are smallest at the least popular posted
-        retailer u.  If neither is 0 there, no posted retailer's best
-        response divides by 0 or loses its numerator to underflow.
+        retailer u.  If both are normal floats there (at least
+        sys.float_info.min), no posted retailer's best response divides
+        by 0 or loses digits of its numerator or denominator to underflow.
         """
         gamma_u = self.gammas[np.arange(u.size), u - 1]
         return {
@@ -226,7 +225,7 @@ class RowOutcomes:
     def outcome(self, i: int) -> EquilibriumOutcome:
         """Row i as an EquilibriumOutcome."""
         u = int(self.n_participants[i])
-        prices = PriceVector(self.prices[i, :u], self.prices.shape[1])
+        prices = PriceVector.of_checked_row(self.prices[i, :u], self.prices.shape[1])
         fractions = FractionVector.of_checked_row(self.fractions[i])
         return EquilibriumOutcome(self.scheme, prices, fractions, u, self.report.row(i))
 
@@ -414,10 +413,21 @@ def solve_rows(scheme: str, rows: GameRows) -> RowOutcomes:
     if not (s_u > 0).all():
         r = int(np.argmin(s_u > 0))
         raise ValueError(f"price must be positive, got {prices[r, : u[r]].min()}")
-    for name, values in rows.pricing_floors(u, s_u).items():
+    floors = rows.pricing_floors(u, s_u)
+    for name, values in floors.items():
         if not values.all():
             r = int(np.argmin(values != 0))
             raise ValueError(f"{name} underflows to 0 at u = {u[r]}")
+    # a subnormal product has lost digits: the best responses built on it
+    # can break the budget or vanish although a price is posted
+    for name, values in floors.items():
+        subnormal = values < sys.float_info.min
+        if subnormal.any():
+            r = int(np.argmax(subnormal))
+            raise ValueError(
+                f"{name} = {values[r]:.3g} at u = {u[r]} is below the smallest "
+                f"normal float, {sys.float_info.min:.3g}"
+            )
     # past u a row repeats its last posted price, which keeps those entries finite
     responses = best_response_fraction(
         np.where(posted, prices, s_u[:, None]), rows.gammas, rows.econ, rows.constants
@@ -548,7 +558,7 @@ def verify_equilibrium(
     used.
     """
     econ = rows.econ
-    constants = replace(rows.constants, lambda_big=float(rows.constants.lambda_big[i, 0]))
+    constants = rows.constants.with_lambda_big(float(rows.constants.lambda_big[i, 0]))
     if outcome.scheme == "WATERFILL":
         return _verify_waterfill(outcome, rows.gammas[i], econ, constants, rel_tol)
     price = outcome.prices.prices

@@ -173,8 +173,9 @@ def _fmt(value) -> str:
 def _row_format(types: tuple) -> str | None:
     """One %-format string for rows of these cell types, None if one is neither.
 
-    '%.12g' % x equals _fmt(x) for every float and '%d' % n for every
-    int, bool and numpy integer.
+    '%.12g' % x equals _fmt(x) for every float, '%d' % n for every int,
+    bool and numpy integer, and '%.0sEXCLUDED' % EXCLUDED is the literal
+    cell ('%.0s' consumes the value and prints nothing).
     """
     cells = []
     for kind in types:
@@ -182,6 +183,8 @@ def _row_format(types: tuple) -> str | None:
             cells.append("%d")
         elif issubclass(kind, (float, np.floating)):
             cells.append("%.12g")
+        elif kind is type(EXCLUDED):
+            cells.append("%.0sEXCLUDED")
         else:
             return None
     return ",".join(cells)
@@ -190,8 +193,8 @@ def _row_format(types: tuple) -> str | None:
 def format_rows(header: list[str], rows: list[tuple]) -> str:
     """Render rows to CSV text with stable numeric formatting (_fmt per cell).
 
-    Rows of numbers are formatted by one %-format string per distinct
-    row of cell types; a row holding EXCLUDED or any other type goes
+    Rows of numbers and EXCLUDED are formatted by one %-format string
+    per distinct row of cell types; a row holding any other type goes
     cell by cell through _fmt.
     """
     lines = [",".join(header)]
@@ -393,7 +396,7 @@ def _block_rows(first: GameInstance, kind: str, values: list) -> GameRows:
             first.rows,
             gammas=np.broadcast_to(first.gammas(), (len(values), first.n_vrs)),
             storage=storage[:, None],
-            constants=replace(first.constants, lambda_big=lam_big[:, None]),
+            constants=first.constants.with_lambda_big(lam_big[:, None]),
         )
     exponents = np.array(values, dtype=float)
     bad = ~(np.isfinite(exponents) & (exponents >= 0))
@@ -405,9 +408,8 @@ def _block_rows(first: GameInstance, kind: str, values: list) -> GameRows:
         gammas=gamma_vector(q, first.econ),
         thresholds=participation_threshold_rows(q, first.n_files, first.constants),
         storage=np.full((len(values), 1), first.storage, dtype=float),
-        constants=replace(
-            first.constants,
-            lambda_big=np.full((len(values), 1), first.constants.lambda_big),
+        constants=first.constants.with_lambda_big(
+            np.full((len(values), 1), first.constants.lambda_big)
         ),
     )
 

@@ -79,7 +79,15 @@ class SimConfig:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        expected = self.sbs_intensity * math.pi * self.window_radius**2
+        try:
+            expected = self.sbs_intensity * math.pi * self.window_radius**2
+        except OverflowError:  # R^2 alone leaves the float range
+            expected = math.inf
+        if not math.isfinite(expected):
+            raise ValueError(
+                f"expected SBS count lambda * pi * R^2 = {expected} is not finite "
+                f"(lambda = {self.sbs_intensity}, R = {self.window_radius})"
+            )
         if expected < _MIN_EXPECTED_COUNT:
             raise ValueError(
                 f"window too small: expected SBS count {expected:.1f} < "

@@ -133,14 +133,26 @@ class TestHelpers:
         assert format_rows(header, table) == "\n".join(expected) + "\n"
 
     def test_format_rows_formats_rows_of_numbers_at_once(self, monkeypatch):
+        # rows of int, float and EXCLUDED cells take one %-format string
+        # each, never _fmt, and spell every cell as _fmt does
+        header = ["a", "b", "c", "d", "e", "f"]
+        table = [
+            (1, EXCLUDED, 0.5, np.int64(-3), True, -0.0),
+            (2, 0.25, EXCLUDED, np.int32(7), False, math.inf),
+            (3, EXCLUDED, EXCLUDED, np.uint8(255), True, -math.inf),
+            (4, EXCLUDED, 0.125, np.int64(0), False, np.float64(-0.0)),
+        ]
+        expected = [",".join(header)] + [",".join(map(harness._fmt, row)) for row in table]
+        solved, _ = run_solve(ExperimentConfig(storage=10), "nups")
+        assert solved[-1][1] is EXCLUDED
         calls = []
         real = harness._fmt
         monkeypatch.setattr(harness, "_fmt", lambda value: calls.append(value) or real(value))
+        assert format_rows(header, table) == "\n".join(expected) + "\n"
+        format_rows(harness.OUTCOME_HEADER, solved)
         rows = run_sweep_gamma(ExperimentConfig(), sweep_values(0.1, 2.5, 0.1))
         format_rows(harness.SWEEP_GAMMA_HEADER, rows)
         assert calls == []
-        assert format_rows(["a", "b"], [(1, 0.5), (2, EXCLUDED)]) == "a,b\n1,0.5\n2,EXCLUDED\n"
-        assert calls == [2, EXCLUDED]
 
     def test_make_instance_clamps_storage(self):
         cfg = ExperimentConfig(n_files=100, storage=1000)
@@ -260,17 +272,29 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            # subnormal products: the best responses sum to 1.31
-            ["solve", "--scheme", scheme, "--s-bh", "1e-164", "--K", "3.162277660168379e-160",
-             "--lambda", "1", "--V", "20", "--gamma", "1", "--Q", "20"]
-            for scheme in ("nups", "ups")
+            # rounding spoils the closed form: the best responses sum to
+            # 1.0000000018626451 and 1.00390625
+            ["solve", "--delta", "2e4"],
+            ["solve", "--scheme", "ups", "--alpha", "2.000000000001", "--delta", "2.1"],
         ],
-    )  # fmt: skip
+    )
     def test_numerical_failure_exit_code(self, capsys, argv):
         assert cli.main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("scheme", ["nups", "ups"])
+    def test_subnormal_product_exit_code(self, capsys, scheme):
+        # Gamma_1 * Lambda * s_ld = 1.7e-322 is subnormal: the best
+        # responses built on it summed to 1.31 before the floor
+        argv = ["solve", "--scheme", scheme, "--s-bh", "1e-164", "--K", "3.162277660168379e-160",
+                "--lambda", "1", "--V", "20", "--gamma", "1", "--Q", "20"]  # fmt: skip
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: Gamma_u * Lambda * s_ld = 1.73e-322 at u = 1 is below the "
+            "smallest normal float, 2.23e-308\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -560,6 +584,59 @@ class TestCli:
         assert cli.main([*argv, "--out", str(default)]) == 0
         assert cli.main([*argv, "--beta", beta, "--out", str(other)]) == 0
         assert other.read_bytes() == default.read_bytes()
+
+    def test_coverage_ignores_lambda_and_q_flags(self, tmp_path):
+        # verify-coverage reads lambda_grid and q_grid, never lambda or Q
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        argv = ["verify-coverage", "--trials", "1"]
+        code = cli.main([*argv, "--out", str(plain)])  # 3: one trial misses the tolerance
+        extra = ["--lambda", "1e308", "--Q", "7"]
+        assert cli.main([*argv, *extra, "--out", str(flagged)]) == code
+        assert flagged.read_bytes() == plain.read_bytes()
+        assert plain.read_text().count("\n") == 1 + 4 * 3 * 10  # the default grid
+
+    def test_coverage_window_overflow_exit_code(self, capsys, tmp_path):
+        out = tmp_path / "cov.csv"
+        argv = ["verify-coverage", "--radius", "1e200", "--trials", "1", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: expected SBS count lambda * pi * R^2 = inf is not finite "
+            "(lambda = 10.0, R = 1e+200)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--V", "--N"])
+    @pytest.mark.parametrize("command", ["solve", "per-vr", "sweep-gamma"])
+    def test_market_too_large_for_memory_exit_code(self, capsys, tmp_path, command, flag):
+        # 10^15 float64 values (7.1 PiB): numpy refuses the allocation
+        # before any page is touched
+        out = tmp_path / "out.csv"
+        assert cli.main([command, flag, str(10**15), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the market does not fit in memory: Unable to allocate")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_subcommand_skips_the_top_level_parse(self, monkeypatch, tmp_path):
+        parser = cli.build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a subcommand's argv")
+
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        assert cli.main(["solve", "--V", "3", "--out", str(tmp_path / "out.csv")]) == 0
+        monkeypatch.undo()
+        assert cli.main(["solve", "--V", "3", "--out", str(tmp_path / "full.csv")]) == 0
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+    def test_subcommand_leftovers_get_the_top_level_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "extra", "--V", "3"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cachemarket [-h]")
+        assert err.endswith("cachemarket: error: unrecognized arguments: extra\n")
 
     def test_override_flags(self, tmp_path):
         out = tmp_path / "v.csv"

@@ -137,6 +137,17 @@ class TestSimulator:
             make_sim(window_radius=0.5)  # expected count drops below 100
 
     @pytest.mark.parametrize(
+        "fields",
+        [
+            {"window_radius": 1e200},  # R^2 alone overflows (OverflowError from **)
+            {"window_radius": 1e10, "sbs_intensity": 1e300},  # R^2 fits, lambda pi R^2 does not
+        ],
+    )
+    def test_non_finite_expected_count_is_named(self, fields):
+        with pytest.raises(ValueError, match=r"expected SBS count lambda \* pi \* R\^2 = inf"):
+            make_sim(**fields)
+
+    @pytest.mark.parametrize(
         "field,value",
         [
             (name, value)

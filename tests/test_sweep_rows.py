@@ -103,8 +103,9 @@ def test_zero_weight_retailers_in_a_gamma_sweep():
     assert_sweep_matches_points(cfg, "gamma", [0.5, 150.0, 200.0])
 
 
-# the market of the subnormal FOUND case: the NUPS fraction at Q = 10
-# rounds to 0 although a price is posted
+# the market of the subnormal FOUND case: Gamma_1 * Lambda * s_ld is
+# 3.5e-322 at Q = 10, so the NUPS fraction rounded to 0 although a price
+# was posted; the floor rejects it first
 SUBNORMAL = ExperimentConfig(
     s_bh=1e-164, requests_per_mu=3.162277660168379e-160, sbs_intensity=1, n_vrs=20, gamma=1
 )
@@ -116,28 +117,29 @@ SUBNORMAL_ARGV = [*SUBNORMAL_MARKET, "--gamma", "1"]
 def test_subnormal_market_fails_at_its_first_point():
     values = sweep_values(10, 500, 10)
     rows, error = point_rows(SUBNORMAL, "storage", values)
-    assert rows == [] and "inconsistent outcome" in str(error)
+    assert rows == [] and type(error) is ValueError
+    assert str(error).startswith("Gamma_u * Lambda * s_ld = 3.46e-322 at u = 1 is below")
     assert_sweep_matches_points(SUBNORMAL, "storage", values)
 
 
 def test_per_vr_fails_like_the_sweep_point(capsys):
     _, error = point_rows(SUBNORMAL, "storage", [10.0])
-    line = f"verification failure: {error}\n"
+    line = f"config error: {error}\n"
     sweep = ["sweep-storage", *SUBNORMAL_ARGV, "--start", "10", "--stop", "500", "--step", "10"]
-    assert cli.main(sweep) == 2
+    assert cli.main(sweep) == 1
     assert capsys.readouterr().err == line
-    assert cli.main(["per-vr", *SUBNORMAL_ARGV, "--Q", "10"]) == 2
+    assert cli.main(["per-vr", *SUBNORMAL_ARGV, "--Q", "10"]) == 1
     assert capsys.readouterr().err == line
 
 
 @pytest.mark.parametrize("scheme", ["nups", "ups"])
 def test_solve_fails_like_per_vr(capsys, scheme):
-    # solve checks the participants before the verifier sees the outcome
+    # solve checks the floors before any fraction is formed
     _, error = point_rows(SUBNORMAL, "storage", [10.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["solve", "--scheme", scheme, *SUBNORMAL_ARGV, "--Q", "10"]) == 2
-    assert capsys.readouterr().err == f"verification failure: {error}\n"
+        assert cli.main(["solve", "--scheme", scheme, *SUBNORMAL_ARGV, "--Q", "10"]) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
 
 
 def assert_report_is_profit_report(outcome, instance):
@@ -217,12 +219,15 @@ def test_small_blocks_give_the_same_bytes(tmp_path, monkeypatch, argv):
     assert len(sizes) == 2 * -(-points // 3) and max(sizes) == 3  # NUPS and UPS per block
 
 
+# Gamma_u * Lambda * s_ld falls as Q or gamma grows; in this market it
+# passes the normal floor at the first points and drops below it later
+LATE_MARKET = ["--s-bh", "1e-164", "--K", "8e-144", "--lambda", "1", "--V", "20"]
 LATE_FAILURES = {
-    # the subnormal market's best responses break first at Q = 18
-    "storage": ["sweep-storage", *SUBNORMAL_ARGV, "--start", "13", "--stop", "20",
-                "--step", "1"],
-    # ... and first at gamma = 0.95 for Q = 20
-    "gamma": ["sweep-gamma", *SUBNORMAL_MARKET, "--Q", "20", "--start", "0.85", "--stop", "1.0",
+    # ... first at Q = 360
+    "storage": ["sweep-storage", *LATE_MARKET, "--gamma", "1", "--start", "340", "--stop",
+                "370", "--step", "10"],
+    # ... and first at gamma = 0.35 for Q = 500
+    "gamma": ["sweep-gamma", *LATE_MARKET, "--Q", "500", "--start", "0.25", "--stop", "0.4",
               "--step", "0.05"],
 }  # fmt: skip
 
@@ -232,15 +237,15 @@ LATE_FAILURES = {
 def test_first_failing_point_raises_its_own_error(capsys, monkeypatch, name, block):
     argv = LATE_FAILURES[name]
     if block is not None:
-        monkeypatch.setattr(harness, "_SWEEP_BLOCK", block)  # 1-2 points per block
+        monkeypatch.setattr(harness, "_SWEEP_BLOCK", block)  # one point per block
     kind = "storage" if argv[0] == "sweep-storage" else "gamma"
     flags = dict(zip(argv[1::2], argv[2::2]))
     values = sweep_values(*(float(flags[f]) for f in ("--start", "--stop", "--step")))
     cfg = cli._build_config(cli.build_parser().parse_args(argv))
     rows, error = point_rows(cfg, kind, values)
-    assert rows and error is not None  # the first point solves, a later one fails
-    assert cli.main(argv) == 4
-    assert capsys.readouterr().err == f"numerical failure: {error}\n"
+    assert len(rows) == 2 and "below the smallest normal float" in str(error)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
 
 
 def test_verification_runs_point_by_point(capsys, monkeypatch):

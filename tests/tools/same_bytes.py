@@ -70,6 +70,15 @@ EDGE = [
     # Q < 1
     ["per-vr", "--Q", "0"],
     ["sweep-storage", "--start", "0.5", "--stop", "5", "--step", "0.5"],
+    # argv that the top-level parser reads (a flag before the subcommand,
+    # a help request, no subcommand) or whose leftovers get its usage
+    # error; an abbreviated flag and a repeated one
+    ["--V", "3", "solve"],
+    ["-h", "solve"],
+    ["solve", "--sche", "ups", "--V", "3"],
+    ["solve", "extra"],
+    ["solve", "--V", "3", "--V", "4"],
+    [],
     # larger markets, each after a usage error or a help request, so that
     # state one main() call leaves in the parser shows in the next
     ["solve", "--V", "x"],
