@@ -83,15 +83,20 @@ class PopularityVectors:
 
 def zipf_vector(n: int, exponent: float) -> np.ndarray:
     """Normalized Zipf weights 1/k^exponent, k = 1..n, most popular first."""
-    return zipf_rows(n, [exponent])[0]
+    weights = np.arange(1, n + 1, dtype=float) ** -exponent
+    return weights / weights.sum()
 
 
 def zipf_rows(n: int, exponents) -> np.ndarray:
-    """zipf_vector(n, e) for each exponent e, one row each."""
+    """zipf_vector(n, e) for each exponent e >= 0, one row each, bit for bit."""
     ranks = np.arange(1, n + 1, dtype=float)
-    # one power per row: for some exponents ndarray ** takes a shortcut
-    # (ranks ** -1.0 is 1 / ranks) that a broadcast exponent column skips
-    weights = np.array([ranks ** -exponent for exponent in exponents])
+    exponents = np.asarray(exponents, dtype=float)
+    weights = ranks ** -exponents[:, None]
+    # ndarray ** a scalar power of -1 or 0 takes a shortcut (ranks ** -1.0 is
+    # 1 / ranks) that the broadcast column skips; rows with e = 1 or 0 take it
+    # too.  Its other shortcut powers (0.5, 1, 2) would need e < 0.
+    for i in np.flatnonzero((exponents == 1) | (exponents == 0)).tolist():
+        weights[i] = ranks ** -float(exponents[i])
     return weights / weights.sum(axis=1, keepdims=True)
 
 

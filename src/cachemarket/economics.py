@@ -72,6 +72,12 @@ class EconomicConfig:
                 f"zeta * K = {self.mu_intensity} * {self.requests_per_mu} "
                 "overflows a float"
             )
+        # below the normal range every Gamma_v has lost digits, or is 0
+        if demand < sys.float_info.min:
+            raise ValueError(
+                f"zeta * K = {self.mu_intensity} * {self.requests_per_mu} = {demand:.3g} "
+                f"is below the smallest normal float, {sys.float_info.min:.3g}"
+            )
         money = max(self.backhaul_cost, self.local_surcharge) * demand
         if not money <= sys.float_info.max / 2:
             raise ValueError(f"s * zeta * K = {money:.3g} overflows a float")
@@ -184,6 +190,10 @@ class ProfitReport:
     vr_surcharge: np.ndarray
     vr_rent: np.ndarray
     global_total: float
+
+    def rows(self, part: slice) -> ProfitReport:
+        """The operating points in part of a profit_rows report."""
+        return ProfitReport(**{name: value[part] for name, value in vars(self).items()})
 
     def row(self, i: int) -> ProfitReport:
         """Operating point i of a profit_rows report, with float totals."""

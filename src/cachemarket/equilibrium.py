@@ -149,6 +149,16 @@ class GameRows:
         return self.gammas[:1] if self.gammas.strides[0] == 0 else self.gammas
 
     @cached_property
+    def roots(self) -> dict[str, np.ndarray]:
+        """Gamma^(1/3) (NUPS) and Gamma^(1/2) (UPS) of distinct_gammas, by scheme.
+
+        The pricing bounds, the surrogates and the posted prices all read
+        them, so each is taken once per GameRows.
+        """
+        gammas = self.distinct_gammas
+        return {"NUPS": np.cbrt(gammas), "UPS": np.sqrt(gammas)}
+
+    @cached_property
     def pricing_products(self) -> dict[str, np.ndarray]:
         """Bounds, over u <= V, on products the NUPS/UPS closed forms form.
 
@@ -158,10 +168,9 @@ class GameRows:
         """
         lam = self.constants.lambda_big[:, 0]
         s = self.econ.backhaul_cost
-        gammas = self.distinct_gammas
-        g1 = gammas[:, 0]
-        s3 = np.cbrt(gammas).sum(axis=1)
-        s2 = np.sqrt(gammas).sum(axis=1)
+        g1 = self.distinct_gammas[:, 0]
+        s3 = self.roots["NUPS"].sum(axis=1)
+        s2 = self.roots["UPS"].sum(axis=1)
         n_vrs = self.gammas.shape[1]
         # an overflow, or lambda Theta^2 underflowing to 0, shows as inf or
         # nan in the bound, which fails its check
@@ -176,25 +185,6 @@ class GameRows:
                     numerator / (self.econ.sbs_intensity * self.constants.theta**2)
                 ),
             }
-
-    def pricing_floors(self, u: np.ndarray, s_u: np.ndarray) -> dict[str, np.ndarray]:
-        """The best responses' numerator and denominator at retailer u of each row.
-
-        s_u is the price posted to retailer u.  Gamma and the price, and
-        so both products, are smallest at the least popular posted
-        retailer u.  If both are normal floats there (at least
-        sys.float_info.min), no posted retailer's best response divides
-        by 0 or loses digits of its numerator or denominator to underflow.
-        """
-        gamma_u = self.gammas[np.arange(u.size), u - 1]
-        return {
-            "Gamma_u * Lambda * s_ld": (
-                gamma_u * self.constants.lambda_big[:, 0] * self.econ.local_surcharge
-            ),
-            "Theta^2 * lambda * s_u": (
-                self.constants.theta**2 * self.econ.sbs_intensity * s_u
-            ),
-        }
 
 
 @dataclass(frozen=True)
@@ -343,8 +333,7 @@ def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
     pow: numpy's array square rounds otherwise.  Returns the prices and
     the (R, V) mask of posted retailers.
     """
-    gammas = rows.distinct_gammas
-    roots = np.cbrt(gammas) if scheme == "NUPS" else np.sqrt(gammas)
+    roots = rows.roots[scheme]
     s_bh = rows.econ.backhaul_cost
     intensity = rows.econ.sbs_intensity
     theta = rows.constants.theta
@@ -360,29 +349,34 @@ def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
     return np.where(posted, scales * roots if scheme == "NUPS" else scales, 0.0), posted
 
 
-def _surrogates(scheme: str, rows: GameRows, width: int) -> np.ndarray:
-    """Negated leader objective of keeping u retailers, u = 1..width, in every row."""
-    gammas = rows.distinct_gammas[:, :width]
+def _surrogates(schemes: tuple, rows: GameRows, widths: list) -> list:
+    """Negated leader objective of keeping u retailers, u = 1..widths[k], for schemes[k].
+
+    One (R, widths[k]) array per scheme.  The terms the schemes share,
+    Lambda^2, (u Lambda + Theta)^2 and s^bh sum_{j<=u} Gamma_j, are
+    formed once, at the widest width; a prefix of their columns is what
+    a narrower width forms.
+    """
+    width = max(widths)
     lam_big = rows.constants.lambda_big
-    theta = rows.constants.theta
     s_bh = rows.econ.backhaul_cost
     u = np.arange(1, width + 1)
     # Lambda^2 as CPython forms it (pow), which numpy's square may round otherwise
     lam_sq = np.array([lam**2 for lam in lam_big[:, 0].tolist()])[:, None]
-    if scheme == "NUPS":
-        return (
-            lam_sq * s_bh * np.cumsum(np.cbrt(gammas), axis=1) ** 3
-            / (u * lam_big + theta) ** 2
-            - s_bh * np.cumsum(gammas, axis=1)
-        )
-    return (
-        u * lam_sq * s_bh * np.cumsum(np.sqrt(gammas), axis=1) ** 2
-        / (u * lam_big + theta) ** 2
-        - s_bh * np.cumsum(gammas, axis=1)
-    )
+    denominators = (u * lam_big + rows.constants.theta) ** 2
+    demand = s_bh * np.cumsum(rows.distinct_gammas[:, :width], axis=1)
+    surrogates = []
+    for scheme, w in zip(schemes, widths):
+        root_sums = np.cumsum(rows.roots[scheme][:, :w], axis=1)
+        if scheme == "NUPS":
+            lead = lam_sq * s_bh * root_sums**3
+        else:
+            lead = u[:w] * lam_sq * s_bh * root_sums**2
+        surrogates.append(lead / denominators[:, :w] - demand[:, :w])
+    return surrogates
 
 
-def solve_rows(scheme: str, rows: GameRows) -> RowOutcomes:
+def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
     """NUPS or UPS equilibrium of every row of a GameRows.
 
     Each row determines its feasible participant range from the U_v
@@ -396,24 +390,58 @@ def solve_rows(scheme: str, rows: GameRows) -> RowOutcomes:
     on the first failed check, with the message of the first failing row;
     a row whose count of positive fractions is not its u raises
     VerificationFailure.
+
+    scheme may also be a tuple of schemes, such as ("NUPS", "UPS"): they
+    are solved in one pass and one RowOutcomes is returned per scheme, in
+    order, each the same as its own call would give.  Each scheme picks
+    its u and posts its prices; the checks and best responses after that
+    run once, on the schemes' rows stacked in order, so a failure names
+    the first failing row of the first check that fails (and the budget
+    message the scheme of that row) rather than the first scheme's error.
     """
+    schemes = (scheme,) if isinstance(scheme, str) else tuple(scheme)
     _require_pricing_domain(rows)
-    brackets = rows.thresholds.u_values if scheme == "NUPS" else rows.thresholds.u_bar_values
-    t_max = _bracket_count(brackets, rows.storage)
-    # no column past the widest bracket: a lone row forms what it always formed
-    width = int(t_max.max())
-    if not t_max.all():
-        raise ValueError("no retailer lies below the first participation threshold")
-    surrogates = _surrogates(scheme, rows, width)
-    surrogates[np.arange(1, width + 1) > t_max[:, None]] = np.inf
-    u = 1 + surrogates.argmin(axis=1)  # argmin takes the smallest u on ties
-    prices, posted = _posted_prices(scheme, rows, u)
+    t_max, widths = [], []
+    for name in schemes:
+        brackets = rows.thresholds.u_values if name == "NUPS" else rows.thresholds.u_bar_values
+        counts = _bracket_count(brackets, rows.storage)
+        if not counts.all():
+            raise ValueError("no retailer lies below the first participation threshold")
+        t_max.append(counts)
+        # no column past the widest bracket: a lone row forms what it always formed
+        widths.append(int(counts.max()))
+    heads = []
+    for name, counts, surrogates in zip(schemes, t_max, _surrogates(schemes, rows, widths)):
+        surrogates[np.arange(1, surrogates.shape[1] + 1) > counts[:, None]] = np.inf
+        u = 1 + surrogates.argmin(axis=1)  # argmin takes the smallest u on ties
+        heads.append((u, rows.gammas[np.arange(u.size), u - 1], *_posted_prices(name, rows, u)))
+    # Past the heads, one pass over the schemes' rows stacked in order.
+    # Gamma stays one broadcast row when the rows share it.
+    gammas, constants = rows.distinct_gammas, rows.constants
+    if len(schemes) == 1:
+        u, gamma_u, prices, posted = heads[0]
+    else:
+        u, gamma_u, prices, posted = map(np.concatenate, zip(*heads))
+        if gammas.shape[0] > 1:
+            gammas = np.concatenate([gammas] * len(schemes))
+        constants = constants.with_lambda_big(
+            np.concatenate([constants.lambda_big] * len(schemes))
+        )
+    econ = rows.econ
     # Gamma, and so the price, falls along a row: s_u is the smallest posted price
     s_u = prices[np.arange(u.size), u - 1]
     if not (s_u > 0).all():
         r = int(np.argmin(s_u > 0))
         raise ValueError(f"price must be positive, got {prices[r, : u[r]].min()}")
-    floors = rows.pricing_floors(u, s_u)
+    # The best responses' numerator and denominator at retailer u of each
+    # row.  Gamma and the price, and so both products, are smallest there.
+    # If both are normal floats (at least sys.float_info.min), no posted
+    # retailer's best response divides by 0 or loses digits of its
+    # numerator or denominator to underflow.
+    floors = {
+        "Gamma_u * Lambda * s_ld": gamma_u * constants.lambda_big[:, 0] * econ.local_surcharge,
+        "Theta^2 * lambda * s_u": constants.theta**2 * econ.sbs_intensity * s_u,
+    }
     for name, values in floors.items():
         if not values.all():
             r = int(np.argmin(values != 0))
@@ -430,15 +458,16 @@ def solve_rows(scheme: str, rows: GameRows) -> RowOutcomes:
             )
     # past u a row repeats its last posted price, which keeps those entries finite
     responses = best_response_fraction(
-        np.where(posted, prices, s_u[:, None]), rows.gammas, rows.econ, rows.constants
+        np.where(posted, prices, s_u[:, None]), gammas, econ, constants
     )
     responses = np.where(posted, responses, 0.0)
     totals = ordered_sums(responses)
     over = totals > 1.0 + 1e-9
     if over.any():
-        total = float(totals[np.argmax(over)])
+        r = int(np.argmax(over))
         raise ArithmeticError(
-            f"{scheme} best responses sum to {total}; the posted prices are broken"
+            f"{schemes[r // rows.shape[0]]} best responses sum to {float(totals[r])}; "
+            "the posted prices are broken"
         )
     fractions = np.minimum(responses, 1.0)
     check_fraction_rows(fractions)
@@ -451,8 +480,17 @@ def solve_rows(scheme: str, rows: GameRows) -> RowOutcomes:
             f"inconsistent outcome: participants={u[r]}, "
             f"posted prices={u[r]}, positive fractions={positive[r]}"
         )
-    report = profit_rows(fractions, prices, rows.gammas, rows.econ, rows.constants)
-    return RowOutcomes(scheme, u, prices, fractions, report)
+    report = profit_rows(fractions, prices, gammas, econ, constants)
+    if len(schemes) == 1:
+        return RowOutcomes(scheme, u, prices, fractions, report)
+    n_rows = rows.shape[0]
+    outcomes = []
+    for k, name in enumerate(schemes):
+        part = slice(k * n_rows, (k + 1) * n_rows)
+        outcomes.append(
+            RowOutcomes(name, u[part], prices[part], fractions[part], report.rows(part))
+        )
+    return tuple(outcomes)
 
 
 def nups_solve(instance: GameInstance) -> EquilibriumOutcome:

@@ -387,68 +387,73 @@ def _block_rows(first: GameInstance, kind: str, values: list) -> GameRows:
     """first's market at every point of a sweep block, one row per point.
 
     kind is "storage" or "gamma": the parameter that varies along the
-    rows.  A bad point raises what make_instance raises for it.
+    rows.  The first bad point raises what make_instance raises for it.
     """
+    n_points = len(values)
     if kind == "storage":
-        storage = np.array([_storage(q, first.n_files) for q in values], dtype=float)
+        storage = np.minimum(np.array(values, dtype=float), first.n_files)
+        bad = ~(storage >= 1)
+        if bad.any():
+            _storage(values[int(np.argmax(bad))], first.n_files)  # raises
+        gammas = np.broadcast_to(first.gammas(), (n_points, first.n_vrs))
+        thresholds = first.rows.thresholds
         lam_big = first.constants.c * (first.n_files / storage)
-        return replace(
-            first.rows,
-            gammas=np.broadcast_to(first.gammas(), (len(values), first.n_vrs)),
-            storage=storage[:, None],
-            constants=first.constants.with_lambda_big(lam_big[:, None]),
-        )
-    exponents = np.array(values, dtype=float)
-    bad = ~(np.isfinite(exponents) & (exponents >= 0))
-    if bad.any():
-        VrConfig(n_vrs=first.n_vrs, vr_exponent=values[int(np.argmax(bad))])  # raises
-    q = zipf_rows(first.n_vrs, values)
-    return replace(
-        first.rows,
-        gammas=gamma_vector(q, first.econ),
-        thresholds=participation_threshold_rows(q, first.n_files, first.constants),
-        storage=np.full((len(values), 1), first.storage, dtype=float),
-        constants=first.constants.with_lambda_big(
-            np.full((len(values), 1), first.constants.lambda_big)
-        ),
+    else:
+        exponents = np.array(values, dtype=float)
+        bad = ~(np.isfinite(exponents) & (exponents >= 0))
+        if bad.any():
+            VrConfig(n_vrs=first.n_vrs, vr_exponent=values[int(np.argmax(bad))])  # raises
+        q = zipf_rows(first.n_vrs, exponents)
+        gammas = gamma_vector(q, first.econ)
+        thresholds = participation_threshold_rows(q, first.n_files, first.constants)
+        storage = np.full(n_points, first.storage, dtype=float)
+        lam_big = np.full(n_points, first.constants.lambda_big)
+    return GameRows(
+        gammas=gammas,
+        thresholds=thresholds,
+        storage=storage[:, None],
+        econ=first.econ,
+        constants=first.constants.with_lambda_big(lam_big[:, None]),
     )
 
 
 def _run_sweep(cfg: ExperimentConfig, kind: str, values: list, verify: bool) -> list:
-    """Solve every point of a sweep; one tuple per point.
+    """The CSV rows of a sweep, one tuple per point, starting with its value.
 
-    Each tuple is (q_min, qp_min, u_nups, u_ups, s_nsp_nups, s_nsp_ups,
-    s_glb_nups, s_glb_ups).  The points are solved together, in blocks
-    of at most _SWEEP_BLOCK entries.  When a check fails anywhere in a
-    block, its points are solved again as one-point blocks, in order, so
-    the first failing point raises its own error.
+    A gamma row is (gamma, q_min, qp_min, u_nups, u_ups, s_nsp_nups,
+    s_nsp_ups, s_glb_nups, s_glb_ups); a storage row is the same without
+    q_min and qp_min.  The points are solved together, in blocks of at
+    most _SWEEP_BLOCK entries, NUPS and UPS in one solve_rows pass per
+    block.  When a check fails anywhere in a block, its points are solved
+    again as one-point blocks, in order and one scheme per call, so the
+    first failing point raises its own error.
     """
     if not values:
         return []
     first = make_instance(cfg, **{kind: values[0]})
+    columns = [[] for _ in range(8 if kind == "gamma" else 6)]
 
-    def block_points(block, rows, solved) -> list:
-        """The tuples of a solved block; each point is verified first if asked."""
+    def add(rows: GameRows, solved: tuple) -> None:
+        """Append a solved block's cells; each point is verified first if asked."""
         if verify:
-            for i in range(len(block)):
+            for i in range(rows.shape[0]):
                 for outcomes in solved:
                     verify_equilibrium(outcomes.outcome(i), rows, i)
         nups, ups = solved
-        return list(
-            zip(
-                np.broadcast_to(rows.thresholds.u_values[:, -1], len(block)).tolist(),
-                np.broadcast_to(rows.thresholds.u_bar_values[:, -1], len(block)).tolist(),
-                nups.n_participants.tolist(),
-                ups.n_participants.tolist(),
-                nups.report.nsp_total.tolist(),
-                ups.report.nsp_total.tolist(),
-                nups.report.global_total.tolist(),
-                ups.report.global_total.tolist(),
-            )
-        )
+        cells = [
+            nups.n_participants,
+            ups.n_participants,
+            nups.report.nsp_total,
+            ups.report.nsp_total,
+            nups.report.global_total,
+            ups.report.global_total,
+        ]
+        if kind == "gamma":
+            cells[:0] = rows.thresholds.u_values[:, -1], rows.thresholds.u_bar_values[:, -1]
+        for column, cell in zip(columns, cells):
+            column += cell.tolist()
 
     size = max(1, _SWEEP_BLOCK // first.n_vrs)
-    points = []
     for lo in range(0, len(values), size):
         block = values[lo : lo + size]
         try:
@@ -456,15 +461,14 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, values: list, verify: bool) -> 
             # too, which warns exactly as the point would on its own
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 rows = _block_rows(first, kind, block)
-                solved = solve_rows("NUPS", rows), solve_rows("UPS", rows)
+                solved = solve_rows(("NUPS", "UPS"), rows)
         except (ValueError, ArithmeticError, VerificationFailure):
             for value in block:
                 rows = _block_rows(first, kind, [value])
-                solved = solve_rows("NUPS", rows), solve_rows("UPS", rows)
-                points += block_points([value], rows, solved)
+                add(rows, (solve_rows("NUPS", rows), solve_rows("UPS", rows)))
             continue
-        points += block_points(block, rows, solved)
-    return points
+        add(rows, solved)
+    return list(zip(values, *columns))
 
 
 def run_sweep_gamma(
@@ -473,7 +477,7 @@ def run_sweep_gamma(
     verify: bool = False,
 ) -> list[tuple]:
     """Sweep the retailer preference exponent at fixed storage."""
-    return [(g, *point) for g, point in zip(gammas, _run_sweep(cfg, "gamma", gammas, verify))]
+    return _run_sweep(cfg, "gamma", gammas, verify)
 
 
 SWEEP_STORAGE_HEADER = [
@@ -493,8 +497,7 @@ def run_sweep_storage(
     verify: bool = False,
 ) -> list[tuple]:
     """Sweep the per-SBS storage size at fixed preference exponent."""
-    points = _run_sweep(cfg, "storage", storages, verify)
-    return [(q, *point[2:]) for q, point in zip(storages, points)]
+    return _run_sweep(cfg, "storage", storages, verify)
 
 
 PER_VR_HEADER = [

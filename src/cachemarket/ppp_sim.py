@@ -48,6 +48,9 @@ __all__ = [
 # Expected SBS count the window must hold for truncation error to stay
 # negligible against the grid tolerance.
 _MIN_EXPECTED_COUNT = 100.0
+# The largest Poisson mean numpy's Generator.poisson accepts ("lam value
+# too large" above it).
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,12 @@ class SimConfig:
         if not math.isfinite(expected):
             raise ValueError(
                 f"expected SBS count lambda * pi * R^2 = {expected} is not finite "
+                f"(lambda = {self.sbs_intensity}, R = {self.window_radius})"
+            )
+        if expected > _POISSON_LAM_MAX:
+            raise ValueError(
+                f"expected SBS count lambda * pi * R^2 = {expected:.3g} exceeds numpy's "
+                f"Poisson limit, {_POISSON_LAM_MAX:.3g} "
                 f"(lambda = {self.sbs_intensity}, R = {self.window_radius})"
             )
         if expected < _MIN_EXPECTED_COUNT:

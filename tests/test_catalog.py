@@ -14,6 +14,7 @@ from cachemarket.catalog import (
     group_popularity,
     vr_preference,
     zipf_rows,
+    zipf_vector,
 )
 from cachemarket.economics import EconomicConfig, gamma_vector
 
@@ -77,13 +78,16 @@ def test_normalization(n, exponent):
     assert all(b <= a for a, b in zip(t, t[1:]))
 
 
-@pytest.mark.parametrize("n", [1, 30, 1000, 100_000])
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 120, 1000, 100_000])
 def test_zipf_rows_are_the_vector_formula(n):
-    exponents = [0.0, 0.5, 1.0, 2.0, 0.8, 1.7]
+    # the gamma sweep grid, the shortcut exponents and random ones
+    grid = [round(0.05 * i, 12) for i in range(51)]
+    exponents = [*grid, 0.5, 1.0, 2.0, 0.8, 1.7, *np.random.default_rng(n).uniform(0, 3, 8)]
     ranks = np.arange(1, n + 1, dtype=float)
-    for row, exponent in zip(zipf_rows(n, exponents), exponents):
+    for row, exponent in zip(zipf_rows(n, exponents), exponents, strict=True):
         weights = ranks ** -exponent  # at 1.0, ndarray ** divides instead of calling pow
         assert np.array_equal(row, weights / weights.sum())
+        assert np.array_equal(row, zipf_vector(n, exponent))
 
 
 def test_zipf_ratio_identity():

@@ -1,6 +1,7 @@
 """Profit model identities."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -256,3 +257,11 @@ def test_economic_config_rejects_non_positive_or_non_finite(field, value):
 def test_economic_config_rejects_overflowing_demand_scale():
     with pytest.raises(ValueError, match=r"zeta \* K .* overflows"):
         make_econ(requests_per_mu=1e300, mu_intensity=1e300)
+
+
+@pytest.mark.parametrize("zeta, k", [(1e-200, 1e-200), (1e-160, 1e-160), (1.0, 1e-308)])
+def test_economic_config_rejects_subnormal_demand_scale(zeta, k):
+    # zeta * K is 0 or subnormal: every Gamma_v would have lost digits
+    with pytest.raises(ValueError, match=r"zeta \* K = .* is below the smallest normal float"):
+        make_econ(requests_per_mu=k, mu_intensity=zeta)
+    make_econ(requests_per_mu=sys.float_info.min, mu_intensity=1.0)

@@ -343,6 +343,28 @@ class TestCli:
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, demand",
+        [
+            # zeta * K underflows to 0: every Gamma_v and so every price was
+            # 0 ("price must be positive, got 0.0")
+            *[([command, "--zeta", "1e-200", "--K", "1e-200"], "0")
+              for command in ("solve", "per-vr", "sweep-gamma", "sweep-storage")],
+            (["solve", "--scheme", "waterfill", "--zeta", "1e-200", "--K", "1e-200"], "0"),
+            # subnormal: the floor on Gamma_u * Lambda * s_ld named that product
+            (["solve", "--zeta", "1e-160", "--K", "1e-160"], "1e-320"),
+        ],
+    )  # fmt: skip
+    def test_subnormal_demand_scale_exit_code(self, capsys, tmp_path, argv, demand):
+        out = tmp_path / "out.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: zeta * K = {argv[argv.index('--zeta') + 1]} * "
+            f"{argv[argv.index('--K') + 1]} = {demand} is below the smallest normal float, "
+            "2.23e-308\n"
+        )
+        assert not out.exists()
+
     def test_overflowing_demand_scale_exit_code(self, capsys):
         assert cli.main(["solve", "--K", "1e300", "--zeta", "1e300"]) == 1
         err = capsys.readouterr().err
@@ -602,6 +624,17 @@ class TestCli:
         assert capsys.readouterr().err == (
             "config error: expected SBS count lambda * pi * R^2 = inf is not finite "
             "(lambda = 10.0, R = 1e+200)\n"
+        )
+        assert not out.exists()
+
+    def test_coverage_window_past_poisson_limit_exit_code(self, capsys, tmp_path):
+        # numpy refused this mean with "lam value too large", naming neither R nor the mean
+        out = tmp_path / "cov.csv"
+        argv = ["verify-coverage", "--radius", "1e9", "--trials", "1", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: expected SBS count lambda * pi * R^2 = 3.14e+19 exceeds numpy's "
+            "Poisson limit, 9.22e+18 (lambda = 10.0, R = 1000000000.0)\n"
         )
         assert not out.exists()
 

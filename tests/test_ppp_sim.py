@@ -148,6 +148,29 @@ class TestSimulator:
             make_sim(**fields)
 
     @pytest.mark.parametrize(
+        "fields",
+        [
+            {"window_radius": 1e9},  # 3.1e19 cells
+            # a mean just past the limit
+            {"window_radius": 1.0,
+             "sbs_intensity": float(np.nextafter(ppp_sim._POISSON_LAM_MAX, 1e300)) / math.pi},
+        ],
+    )  # fmt: skip
+    def test_expected_count_past_numpys_poisson_limit_is_named(self, fields):
+        expected = fields.get("sbs_intensity", 10.0) * math.pi * fields["window_radius"] ** 2
+        assert expected > ppp_sim._POISSON_LAM_MAX
+        # numpy refuses such a mean before it draws anything
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(expected)
+        with pytest.raises(ValueError) as exc:
+            make_sim(**fields)
+        assert str(exc.value).startswith(
+            f"expected SBS count lambda * pi * R^2 = {expected:.3g} exceeds numpy's Poisson "
+            f"limit, 9.22e+18 (lambda = {fields.get('sbs_intensity', 10.0)}, "
+            f"R = {fields['window_radius']})"
+        )
+
+    @pytest.mark.parametrize(
         "field,value",
         [
             (name, value)

@@ -206,17 +206,20 @@ def test_small_blocks_give_the_same_bytes(tmp_path, monkeypatch, argv):
     v = int(argv[argv.index("--V") + 1])
     monkeypatch.setattr(harness, "_SWEEP_BLOCK", 3 * v)  # three points per block
     real = harness.solve_rows
-    sizes = []
+    calls = []
 
     def recording(scheme, rows):
-        sizes.append(rows.shape[0])
+        calls.append((scheme, rows.shape[0]))
         return real(scheme, rows)
 
     monkeypatch.setattr(harness, "solve_rows", recording)
     assert _cli_bytes(tmp_path, argv, "blocks.csv") == whole
     assert whole[0] == 0
     points = whole[1].count(b"\n") - 1
-    assert len(sizes) == 2 * -(-points // 3) and max(sizes) == 3  # NUPS and UPS per block
+    # one pass for NUPS and UPS per block
+    assert {scheme for scheme, _ in calls} == {("NUPS", "UPS")}
+    sizes = [size for _, size in calls]
+    assert len(sizes) == -(-points // 3) and max(sizes) == 3
 
 
 # Gamma_u * Lambda * s_ld falls as Q or gamma grows; in this market it
@@ -388,14 +391,51 @@ def test_broadcast_row_equals_its_materialised_copy(n_vrs, gamma):
     assert rows.gammas.strides[0] == 0 and copy.gammas.strides[0] != 0
     for name, value in rows.pricing_products.items():
         assert np.array_equal(value, copy.pricing_products[name]), name
-    for scheme in ("NUPS", "UPS"):
-        assert np.array_equal(
-            equilibrium._surrogates(scheme, rows, n_vrs),
-            equilibrium._surrogates(scheme, copy, n_vrs),
-        )
+    schemes, widths = ("NUPS", "UPS"), [n_vrs, n_vrs]
+    for got, want in zip(
+        equilibrium._surrogates(schemes, rows, widths),
+        equilibrium._surrogates(schemes, copy, widths),
+    ):
+        assert np.array_equal(got, want)
+    for scheme in schemes:
         got, want = solve_rows(scheme, rows), solve_rows(scheme, copy)
         for field in ("n_participants", "prices", "fractions"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         for field in dataclasses.fields(ProfitReport):
             name = field.name
             assert np.array_equal(getattr(got.report, name), getattr(want.report, name)), name
+
+
+@pytest.mark.parametrize("n_vrs", [1, 2, 7, 30, 64, 65, 119, 120])
+@pytest.mark.parametrize("kind", ["storage", "gamma"])
+def test_pair_pass_equals_one_scheme_calls(kind, n_vrs):
+    """solve_rows(("NUPS", "UPS"), rows) gives, bit for bit, each scheme's own call."""
+    rng = np.random.default_rng([n_vrs, 11])
+    cfg = dataclasses.replace(_market(rng), n_vrs=n_vrs)
+    if kind == "storage":  # one broadcast Gamma row
+        values = rng.uniform(1.0, 1.3 * cfg.n_files, 40).tolist()
+    else:  # gamma = 0 and 1 take ndarray **'s shortcuts in zipf_rows
+        values = [0.0, 1.0, *rng.uniform(0.0, 2.5, 38).tolist()]
+    rows = harness._block_rows(make_instance(cfg, **{kind: values[0]}), kind, values)
+    pair = solve_rows(("NUPS", "UPS"), rows)
+    assert len(pair) == 2
+    for scheme, got in zip(("NUPS", "UPS"), pair):
+        want = solve_rows(scheme, dataclasses.replace(rows))
+        assert got.scheme == want.scheme == scheme
+        for field in ("n_participants", "prices", "fractions"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        for field in dataclasses.fields(ProfitReport):
+            name = field.name
+            assert np.array_equal(getattr(got.report, name), getattr(want.report, name)), name
+
+
+def test_pair_budget_failure_names_its_scheme():
+    # UPS solves this market; NUPS, second in the stack, breaks the budget
+    rows = make_instance(ExperimentConfig(delta=2e4)).rows
+    solve_rows("UPS", rows)
+    with pytest.raises(ArithmeticError) as one:
+        solve_rows("NUPS", rows)
+    with pytest.raises(ArithmeticError) as pair:
+        solve_rows(("UPS", "NUPS"), rows)
+    assert str(pair.value) == str(one.value)
+    assert str(one.value).startswith("NUPS best responses sum to ")

@@ -102,6 +102,12 @@ EDGE = [
     ["sweep-storage", "--V", "120", "--gamma", "0.2", "--start", "1", "--stop", "500", "--step", "5"],
     ["sweep-gamma", "--V", "120", "--Q", "500", "--start", "0", "--stop", "2.5", "--step", "0.025"],
     ["sweep-gamma", "--V", "3000", "--start", "0.05", "--stop", "2.5", "--step", "0.05"],
+    # gamma = 0 and 1, whose Zipf rows take ndarray **'s scalar shortcuts
+    ["sweep-gamma", "--V", "120", "--start", "0", "--stop", "2", "--step", "0.5"],
+    ["sweep-gamma", "--V", "1000", "--start", "0", "--stop", "2", "--step", "0.5"],
+    # zeta * K below the normal range: 0, and subnormal (config errors)
+    ["solve", "--zeta", "1e-200", "--K", "1e-200"],
+    ["solve", "--zeta", "1e-160", "--K", "1e-160"],
     # steps so small that rounded sweep points collide (config errors)
     ["sweep-gamma", "--start", "0", "--stop", "1e-12", "--step", "2e-13"],
     ["sweep-storage", "--start", "10", "--stop", "10.000000000001", "--step", "2e-13"],
@@ -112,6 +118,8 @@ EDGE = [
     ["verify-coverage", "--alpha", "3.3", "--delta", "1.0", "--trials", "50"],
     ["verify-coverage", "--trials", "100"],
     ["verify-coverage", "--radius", "1", "--trials", "1000"],
+    # an expected cell count past numpy's Poisson limit (a config error)
+    ["verify-coverage", "--radius", "1e9", "--trials", "1"],
 ]  # fmt: skip
 
 _WARNING_AT = re.compile(r"^\S+\.py:\d+: (?=\w+Warning: )", re.MULTILINE)
