@@ -124,30 +124,30 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
 
     p = add("verify-coverage", "Monte-Carlo check of the hit-probability closed form")
     p.add_argument(
-        "--jobs", type=int, default=1, help="ignored; grid points run in order"
+        "--jobs", type=int, default=1, help="ignored; the program sizes its process pool"
     )
 
     p = add("sweep-gamma", "sweep the retailer preference exponent")
     p.add_argument("--start", type=float, default=0.1)
     p.add_argument("--stop", type=float, default=1.0)
     p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--verify", action="store_true", help="perturbation-check outcomes")
+    p.add_argument("--verify", action="store_true", help="certify the equilibria")
 
     p = add("sweep-storage", "sweep the per-SBS storage size")
     p.add_argument("--start", type=float, default=10.0)
     p.add_argument("--stop", type=float, default=500.0)
     p.add_argument("--step", type=float, default=10.0)
-    p.add_argument("--verify", action="store_true", help="perturbation-check outcomes")
+    p.add_argument("--verify", action="store_true", help="certify the equilibria")
 
     p = add("per-vr", "per-retailer prices and fractions")
-    p.add_argument("--verify", action="store_true", help="perturbation-check outcomes")
+    p.add_argument("--verify", action="store_true", help="certify the equilibria")
 
     p = add("solve", "solve one instance and print the outcome")
     p.add_argument("--scheme", choices=["nups", "ups", "waterfill"], default="nups")
     p.add_argument(
         "--no-verify",
         action="store_true",
-        help="skip the equilibrium perturbation checks",
+        help="skip the equilibrium certificates",
     )
 
     return parser, sub.choices

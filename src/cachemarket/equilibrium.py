@@ -330,8 +330,9 @@ def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
     Retailers past u get 0.  The root sums are numpy's pairwise sums of
     each row's first u roots, taken once per distinct u (_root_sums).
     Each scale is formed from Python floats, whose squares are libm's
-    pow: numpy's array square rounds otherwise.  Returns the prices and
-    the (R, V) mask of posted retailers.
+    pow: numpy's array square rounds otherwise.  A scale that underflows
+    to 0 raises ValueError naming it.  Returns the prices and the (R, V)
+    mask of posted retailers.
     """
     roots = rows.roots[scheme]
     s_bh = rows.econ.backhaul_cost
@@ -345,6 +346,13 @@ def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
             )
         ]
     )[:, None]
+    if not scales.all():
+        r = int(np.argmin(scales[:, 0] != 0))
+        root = "1/3" if scheme == "NUPS" else "1/2"
+        raise ValueError(
+            f"Lambda * s_bh * (sum_(j<=u) Gamma_j^({root}))^2 / (lambda * (u Lambda + Theta)^2) "
+            f"underflows to 0 at u = {u[r]}"
+        )
     posted = np.arange(1, rows.shape[1] + 1) <= u[:, None]
     return np.where(posted, scales * roots if scheme == "NUPS" else scales, 0.0), posted
 
@@ -529,13 +537,13 @@ def waterfill_solve(instance: GameInstance) -> EquilibriumOutcome:
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Margins of verify_equilibrium, relative to the checked objective.
+    """Certified bounds of verify_equilibrium, relative to the checked objective.
 
-    NUPS/UPS: the largest gains the follower and leader perturbations
-    found (-inf when there was no check of that kind).  WATERFILL:
-    leader_max_gain is the Frank-Wolfe gap (>= 0, an upper bound on any
-    feasible gain) from leader_checks = V gradient entries; there is no
-    follower check (follower_max_gain nan, follower_checks 0).
+    follower_max_gain is the largest gain a posted retailer can make by
+    moving its own fraction, from follower_checks = u retailers (nan and
+    0 under water-filling, which posts no prices).  leader_max_gain is
+    the Frank-Wolfe gap of the leader's objective (>= 0, an upper bound
+    on any feasible gain), from leader_checks = V gradient entries.
     """
 
     follower_max_gain: float
@@ -544,18 +552,22 @@ class VerificationRecord:
     leader_checks: int
 
 
-_FOLLOWER_FACTORS = (0.0, 0.25, 0.5, 0.8, 0.9, 0.99, 1.01, 1.1, 1.25, 1.5, 2.0)
-_LEADER_FACTORS = (0.5, 0.8, 0.9, 0.95, 0.99, 1.01, 1.05, 1.1, 1.25, 2.0)
+def _frank_wolfe_gap(grad: np.ndarray, tau: np.ndarray) -> tuple[float, int]:
+    """Frank-Wolfe gap of a concave objective at tau, and its best retailer.
 
-
-def _hit_probabilities(tau: np.ndarray, constants: CoverageConstants) -> np.ndarray:
-    """coverage.hit_probability without its range check, elementwise.
-
-    The leader checks evaluate it at trial best responses above 1, which
-    the checked scalar version rejects, before discarding them as
-    infeasible.
+    grad is the objective's gradient at tau.  On the budget
+    B = max(1, sum tau) that check_fraction_rows allows, the gap
+    G = B max(g_j, 0) - g . tau, with g_j the largest entry, bounds
+    f(s) - f(tau) for every s with 0 <= s <= 1 and sum s <= B, so it
+    bounds every mass transfer, every use of budget left idle and, where
+    every marginal is negative, every cut.  It is formed as the sum of
+    the non-negative terms (top - g_v) tau_v and top (B - sum tau), with
+    top = max(g_j, 0).
     """
-    return tau / (constants.theta * tau + constants.lambda_big)
+    j = int(np.argmax(grad))
+    top = max(grad[j], 0.0)
+    total = tau.sum()
+    return (top - grad) @ tau + top * (max(1.0, total) - total), j
 
 
 def verify_equilibrium(
@@ -564,151 +576,103 @@ def verify_equilibrium(
     i: int = 0,
     rel_tol: float = 1e-6,
 ) -> VerificationRecord:
-    """Check both equilibrium conditions, or water-filling's optimality.
+    """Certify both equilibrium conditions, or water-filling's optimality.
 
     The market is row i of rows: its Gamma row, the economics and the
-    coverage constants at that row's Lambda.
-
-    Follower side: moving a posted retailer's fraction tau (prices
-    fixed) to each of _FOLLOWER_FACTORS times tau, to its best response
-    or to tau + 0.05 must not raise that retailer's profit; equal
-    candidates are one check.  Leader side: scaling any posted price by
-    each of _LEADER_FACTORS (followers re-best-responding) must not
-    raise the leader's objective -- the provider's total profit under
-    NUPS, the back-haul saving under UPS.  A scaled price counts as a
-    check only when it stays in the leader's feasible set: every best
-    response at most 1 and their sum at most 1 + 1e-9.  Raises
-    VerificationFailure naming the first violation in the order the
-    checks are listed here, and the retailers involved.
-
-    Every checked objective is a sum of per-retailer terms, and a
-    follower's best response depends only on its own price, so a
-    perturbation changes one or two terms.  For u posted retailers the
-    follower checks are one (u x 13) array pass and the leader checks
-    one (u x 10) pass.
-
-    The water-filling allocation posts no prices.  Its sum profit is
-    concave, so its Frank-Wolfe gap (_verify_waterfill), one O(V) pass
-    over the gradient, bounds the gain of every feasible allocation:
-    mass moved between retailers and budget left unused alike.  A gap
-    above rel_tol raises VerificationFailure naming the gap and the
-    retailer of largest marginal sum profit.  No solver closed form is
+    coverage constants at that row's Lambda.  No solver closed form is
     used.
+
+    Follower side (NUPS/UPS): a posted retailer's profit
+    Gamma s^ld t / (Theta t + Lambda) - lambda s_v t is concave in t, so
+    min(best response, 1) is its exact maximizer on [0, 1]; its gain over
+    the retailer's fraction, relative to max(|profit|, 1e-9), must not
+    exceed rel_tol.
+
+    Leader side: the objective, as a function of the fractions the
+    followers take, is concave and separable, so its Frank-Wolfe gap
+    (_frank_wolfe_gap), one O(V) pass over its gradient, bounds the gain
+    of every feasible allocation, priced-out retailers included.  With
+    x = Theta t + Lambda:
+      NUPS      the provider profit.  The price that buys fraction t is
+                s_v(t) = Gamma_v s^ld Lambda / (lambda x^2), so
+                g_v = Gamma_v Lambda [s^ld (Lambda - Theta t) / x^3
+                + s^bh / x^2].  It is concave on [0, 1] when
+                (2 s^ld + s^bh) Lambda >= Theta (s^ld - s^bh), which is
+                checked before anything else.  A posted price below
+                s_v(tau_v) (a follower clamped at 1) forgoes rent, which
+                is added to the gap.
+      UPS       the back-haul saving, g_v = Gamma_v s^bh Lambda / x^2:
+                the shared price's allocation must be the water-filling
+                one.
+      WATERFILL the sum profit, g_v = Gamma_v (s^bh + s^ld) Lambda / x^2.
+    The gap is taken relative to max(|objective|, 1e-9).
+
+    Raises VerificationFailure naming the first retailer that gains,
+    else the gap and the retailer of largest marginal objective.
     """
     econ = rows.econ
     constants = rows.constants.with_lambda_big(float(rows.constants.lambda_big[i, 0]))
-    if outcome.scheme == "WATERFILL":
-        return _verify_waterfill(outcome, rows.gammas[i], econ, constants, rel_tol)
+    theta, lam_big = constants.theta, constants.lambda_big
+    s_ld, s_bh = econ.local_surcharge, econ.backhaul_cost
+    gammas = rows.gammas[i]
+    tau = outcome.fractions.fractions
     price = outcome.prices.prices
     u = price.size
-    gamma = rows.gammas[i, :u]
-    tau = outcome.fractions.fractions[:u]
-    tau0 = best_response_fraction(price, gamma, econ, constants)
-
-    # Follower side.  rows: posted retailers; columns: _FOLLOWER_FACTORS,
-    # the best response, then tau + 0.05 (equal candidates are one check)
-    candidates = np.column_stack((tau[:, None] * _FOLLOWER_FACTORS, tau0, tau + 0.05))
-    surcharge = (gamma * econ.local_surcharge)[:, None]
-    rent = (econ.sbs_intensity * price)[:, None]
-
-    def vr_profits(t):
-        # Gamma s^ld t / (Theta t + Lambda) - lambda s t, in this order:
-        # factoring Pr out rounds differently, and relative to a profit
-        # near 0 that moves follower_max_gain by about 1e-12
-        return surcharge * t / (constants.theta * t + constants.lambda_big) - rent * t
-
-    base = vr_profits(tau[:, None])
-    follower_gains = (vr_profits(candidates) - base) / np.maximum(np.abs(base), 1e-9)
-    violated = follower_gains > rel_tol
-    if violated.any():
-        row, col = np.unravel_index(np.argmax(violated), violated.shape)
+    # the one condition under which the NUPS leader's objective is concave
+    if outcome.scheme == "NUPS" and not (2 * s_ld + s_bh) * lam_big >= theta * (s_ld - s_bh):
         raise VerificationFailure(
-            f"follower condition violated: retailer {row + 1} gains "
-            f"{follower_gains[row, col]:.3e} (relative) by moving tau from "
-            f"{tau[row]:.6g} to {candidates[row, col]:.6g}"
+            "leader condition uncertified: the provider profit is not concave in the "
+            f"fractions, (2 s_ld + s_bh) Lambda < Theta (s_ld - s_bh) at s_ld={s_ld}, "
+            f"s_bh={s_bh}"
         )
-    ordered = np.sort(candidates, axis=1)
-    follower_checks = u + int(np.count_nonzero(ordered[:, 1:] != ordered[:, :-1]))
+    follower_gain, follower_checks = math.nan, 0
+    if outcome.scheme != "WATERFILL":
+        gamma, t = gammas[:u], tau[:u]
+        best = np.minimum(best_response_fraction(price, gamma, econ, constants), 1.0)
+        surcharge = gamma * s_ld
+        rent = econ.sbs_intensity * price
 
-    # Leader side.  UPS sets its price to maximize the back-haul saving,
-    # not the provider's total profit; check the objective each scheme claims.
-    ups = outcome.scheme == "UPS"
+        def vr_profits(t):
+            return surcharge * t / (theta * t + lam_big) - rent * t
 
-    def objective_terms(tau, s, g):
-        saving = g * _hit_probabilities(tau, constants) * econ.backhaul_cost
-        return saving if ups else tau * econ.sbs_intensity * s + saving
+        base = vr_profits(t)
+        gains = (vr_profits(best) - base) / np.maximum(np.abs(base), 1e-9)
+        violated = ~(gains <= rel_tol)  # a NaN gain certifies nothing
+        if violated.any():
+            v = int(np.argmax(violated))
+            raise VerificationFailure(
+                f"follower condition violated: retailer {v + 1} gains "
+                f"{gains[v]:.3e} (relative) by moving tau from {t[v]:.6g} to {best[v]:.6g}"
+            )
+        follower_gain, follower_checks = float(gains.max(initial=-math.inf)), u
 
-    if ups:
-        base_value = outcome.report.nsp_backhaul_saving
-        label = "back-haul saving"
+    # Lambda / x^2 first: it is at most 1 / Lambda, while Gamma Lambda may overflow
+    x = theta * tau + lam_big
+    marginal_hit = lam_big / x**2
+    shortfall = 0.0
+    if outcome.scheme == "NUPS":
+        grad = gammas * (marginal_hit * (s_ld * (lam_big - theta * tau) / x + s_bh))
+        condition, label, total = "leader", "provider profit", outcome.report.nsp_total
+        # the rent each posted fraction would fetch at the price that buys it,
+        # less the rent paid: positive only where a price sits below that one
+        shortfall = np.maximum(t * (surcharge * marginal_hit[:u] - rent), 0.0).sum()
+    elif outcome.scheme == "UPS":
+        grad = gammas * s_bh * marginal_hit
+        condition, label = "leader", "back-haul saving"
+        total = outcome.report.nsp_backhaul_saving
     else:
-        base_value = outcome.report.nsp_total
-        label = "provider profit"
-    profit_scale = max(abs(base_value), 1e-9)
-
-    # rows: posted retailers; columns: _LEADER_FACTORS
-    terms0 = objective_terms(tau0, price, gamma)
-    trial_price = price[:, None] * np.array(_LEADER_FACTORS)
-    tau1 = best_response_fraction(trial_price, gamma[:, None], econ, constants)
-    terms1 = objective_terms(tau1, trial_price, gamma[:, None])
-    over = tau0 > 1.0
-    others_over = np.count_nonzero(over) - over
-    feasible = (
-        (tau1 <= 1.0)
-        & (others_over == 0)[:, None]
-        & ((tau0.sum() - tau0)[:, None] + tau1 <= 1.0 + 1e-9)
-    )
-    gains = ((terms0.sum() - terms0)[:, None] + terms1 - base_value) / profit_scale
-    violated = feasible & (gains > rel_tol)
-    if violated.any():
-        row, col = np.unravel_index(np.argmax(violated), violated.shape)
-        raise VerificationFailure(
-            f"leader condition violated: scaling price {row + 1} by "
-            f"{_LEADER_FACTORS[col]} gains {gains[row, col]:.3e} (relative) in {label}"
-        )
-    return VerificationRecord(
-        follower_max_gain=float(follower_gains.max(initial=-math.inf)),
-        leader_max_gain=float(gains[feasible].max(initial=-math.inf)),
-        follower_checks=follower_checks,
-        leader_checks=int(np.count_nonzero(feasible)),
-    )
-
-
-def _verify_waterfill(
-    outcome: EquilibriumOutcome,
-    gammas: np.ndarray,
-    econ: EconomicConfig,
-    constants: CoverageConstants,
-    rel_tol: float,
-) -> VerificationRecord:
-    """The Frank-Wolfe gap of the sum profit must not exceed rel_tol.
-
-    The sum profit F(tau) = sum_v w_v tau_v / (Theta tau_v + Lambda),
-    w_v = Gamma_v (s^bh + s^ld), is concave and separable, with gradient
-    g_v = w_v Lambda / (Theta tau_v + Lambda)^2 >= 0.  On the budget
-    B = max(1, sum tau) that check_fraction_rows allows, the gap
-    G = B max_j g_j - g . tau bounds F(s) - F(tau) for every s with
-    0 <= s <= 1 and sum s <= B, so it bounds every mass transfer and
-    every use of budget left idle.  It is formed as the sum of the
-    non-negative terms (g_j - g_v) tau_v and g_j (B - sum tau).
-    """
-    tau = outcome.fractions.fractions
-    lam_big = constants.lambda_big
-    weight = gammas * (econ.backhaul_cost + econ.local_surcharge)
-    # Lambda / (...)^2 first: it is at most 1 / Lambda, while w Lambda may overflow
-    grad = weight * (lam_big / (constants.theta * tau + lam_big) ** 2)
-    j = int(np.argmax(grad))
-    total = tau.sum()
-    gap = (grad[j] - grad) @ tau + grad[j] * (max(1.0, total) - total)
-    gap /= max(abs(outcome.report.global_total), 1e-9)
+        grad = gammas * (s_bh + s_ld) * marginal_hit
+        condition, label, total = "sum-profit", "sum profit", outcome.report.global_total
+    gap, j = _frank_wolfe_gap(grad, tau)
+    gap = (gap + shortfall) / max(abs(total), 1e-9)
     if not gap <= rel_tol:  # a NaN gap certifies nothing
         raise VerificationFailure(
-            f"sum-profit condition violated: Frank-Wolfe gap {gap:.3e} (relative); "
-            f"retailer {j + 1} has the largest marginal sum profit"
+            f"{condition} condition violated: Frank-Wolfe gap {gap:.3e} (relative); "
+            f"retailer {j + 1} has the largest marginal {label}"
         )
     return VerificationRecord(
-        follower_max_gain=math.nan,
+        follower_max_gain=follower_gain,
         leader_max_gain=float(gap),
-        follower_checks=0,
+        follower_checks=follower_checks,
         leader_checks=tau.size,
     )

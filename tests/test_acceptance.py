@@ -213,7 +213,7 @@ def test_criterion_7_sweep_trends(capsys):
 
 
 def test_criterion_8_equilibria_survive_perturbation(capsys):
-    """Perturbation checks at 1e-6 on defaults, corners, and random draws."""
+    """Certified gains at most 1e-6 on defaults, corners, and random draws."""
     scenarios = [
         ExperimentConfig(),
         ExperimentConfig(storage=10, gamma=1.0),
@@ -239,7 +239,7 @@ def test_criterion_8_equilibria_survive_perturbation(capsys):
         worst = max(worst, record.leader_max_gain, record.follower_max_gain)
         checked += 1
     ok = worst <= 1e-6
-    announce(capsys, 8, ok, f"{checked} outcomes verified, max perturbation gain {worst:.2e}")
+    announce(capsys, 8, ok, f"{checked} outcomes verified, max certified gain {worst:.2e}")
     assert ok
 
 

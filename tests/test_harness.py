@@ -285,6 +285,19 @@ class TestCli:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("scheme", ["nups", "ups"])
+    def test_idle_budget_exit_code(self, capsys, scheme):
+        # Lambda / Theta = 1.03e10: the best response cancels, and the lone
+        # retailer takes 0.999998092651 of the budget instead of 1.  The
+        # leader could use the rest, so the certificate rejects the outcome.
+        argv = ["solve", "--scheme", scheme, "--alpha", "2.1", "--delta", "2e4", "--V", "1"]
+        assert cli.main(argv) == 2
+        label = {"nups": "provider profit", "ups": "back-haul saving"}[scheme]
+        assert capsys.readouterr().err == (
+            "verification failure: leader condition violated: Frank-Wolfe gap 1.907e-06 "
+            f"(relative); retailer 1 has the largest marginal {label}\n"
+        )
+
+    @pytest.mark.parametrize("scheme", ["nups", "ups"])
     def test_subnormal_product_exit_code(self, capsys, scheme):
         # Gamma_1 * Lambda * s_ld = 1.7e-322 is subnormal: the best
         # responses built on it summed to 1.31 before the floor
@@ -419,12 +432,17 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["solve", "sweep-storage"])
     def test_price_underflowing_to_zero_exit_code(self, capsys, command):
-        # Lambda s^bh Gamma / lambda is below the smallest float; this check
-        # comes before the floors, so its message is the one printed
+        # the posted-price scale is below the smallest float; this check
+        # comes before the floors, so its message is the one printed.  All
+        # 15 retailers take part at the defaults, 1 at the sweep's Q = 10.
+        u = 15 if command == "solve" else 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main([command, "--s-bh", "1e-300", "--lambda", "1e300"]) == 1
-        assert capsys.readouterr().err == "config error: price must be positive, got 0.0\n"
+        assert capsys.readouterr().err == (
+            "config error: Lambda * s_bh * (sum_(j<=u) Gamma_j^(1/3))^2 / "
+            f"(lambda * (u Lambda + Theta)^2) underflows to 0 at u = {u}\n"
+        )
 
     @pytest.mark.parametrize(
         "command",

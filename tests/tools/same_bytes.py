@@ -91,9 +91,15 @@ EDGE = [
     ["sweep-storage", "--V", "5000", "--gamma", "0.2"],
     ["solve", "--help"],
     ["per-vr", "--V", "5000"],
-    # every retailer posted: the verifier's array passes at large u
+    # every retailer posted: the certificates' array passes at large u
     ["solve", "--V", "20000", "--gamma", "0"],
     ["solve", "--V", "20000", "--gamma", "0", "--scheme", "ups"],
+    # the best response cancels and leaves budget idle, which the leader's
+    # certificate rejects (exit 2)
+    ["solve", "--alpha", "2.1", "--delta", "2e4", "--V", "1"],
+    ["solve", "--scheme", "ups", "--alpha", "2.1", "--delta", "2e4", "--V", "1"],
+    # the posted-price scale underflows to 0 (a config error)
+    ["solve", "--s-bh", "1e-300", "--lambda", "1e300"],
     # the water-filling count at large V, with few and with all retailers in
     ["solve", "--scheme", "waterfill", "--V", "20000", "--gamma", "0.5", "--no-verify"],
     ["solve", "--scheme", "waterfill", "--V", "20000", "--gamma", "0", "--no-verify"],

@@ -1,19 +1,17 @@
-"""The per-check loop equilibrium verifier, kept as a test oracle.
+"""The perturbation-grid equilibrium verifier in loop form, kept as a test oracle.
 
-``verify_equilibrium`` in ``cachemarket.equilibrium`` evaluates the
-follower and leader perturbations as array passes over separable
-per-retailer terms.  This module is the plain loop it replaced: every
-leader perturbation rebuilds a full ``profit_report``, which is O(V^2)
-per NUPS/UPS outcome.  Tests compare the two on the same NUPS/UPS
-outcomes: equal check counts, the same verdict, and gains equal to
-rounding.
-
-A water-filling outcome is certified by its Frank-Wolfe gap instead,
-which bounds the gain of every feasible allocation.  The loop here
-tries pairwise mass transfers between fractions, each with a full
-``profit_report`` (O(V^3) per outcome).  It is the reference the gap
-must reject a superset of: every transfer gain here is at most the gap,
-while the gap also rejects budget left unused, which no transfer finds.
+``verify_equilibrium`` in ``cachemarket.equilibrium`` certifies every
+scheme with exact bounds: each follower's maximizer on [0, 1] and the
+Frank-Wolfe gap of the leader's concave objective, which bounds the gain
+of every feasible allocation.  This module tries grids instead, each
+trial with a full ``profit_report``: for NUPS/UPS 13 follower fractions
+per posted retailer and 10 factors per posted price (O(V^2) per
+outcome), for water-filling pairwise mass transfers between fractions
+(O(V^3)).  A grid finds only the deviations it tries, so it is the
+reference the certificates must reject a superset of; the gap also
+rejects budget left unused and priced-out retailers, which no grid
+tries.  Its follower grid tries fractions above 1, which no retailer can
+take, so its follower gains can exceed the certified ones.
 """
 
 from __future__ import annotations
