@@ -7,8 +7,8 @@ and the process can fork safely; smaller grids run in order in this process.
 Each point owns its random stream, so the CSV is the same bytes on either
 path.  --jobs is accepted for compatibility and ignored: the program sizes
 the pool itself.
-verify-coverage reads its grid from lambda_grid and q_grid (--config) and
-ignores --lambda and --Q.
+verify-coverage reads its grid from lambda_grid and q_grid (--config);
+--lambda or --Q on its command line is a config error that names the grid.
 Exit codes: 0 success, 1 config error (including a usage error, a
 non-finite number in a flag or config file, an --out path that cannot be
 written, a pricing product below the smallest normal float, a coverage
@@ -18,9 +18,14 @@ verification failure, 3 simulator-analytic mismatch beyond tolerance,
 4 numerical failure (an ArithmeticError, such as best responses that break
 the budget because rounding spoiled their closed form).
 main can be called repeatedly in one process; it builds its parser on the
-first call and reuses it.  When argv starts with a subcommand, that
-subcommand's parser alone reads the rest; any other argv goes through the
-top-level parser.
+first call and reuses it.  When argv is a subcommand followed by that
+subcommand's exact long flags, each value flag followed by a value that
+does not start with "-", main reads the flags straight from a table built
+from the parser's own actions: each value goes through the flag's type and
+choices.  Any other argv (a help request, an abbreviated flag, --flag=value,
+"--", a value such as -1, a value its type or choices refuse, a flag before
+the subcommand) goes to argparse, so help, usage errors and abbreviations
+are argparse's.
 """
 
 from __future__ import annotations
@@ -59,12 +64,21 @@ _FLAGS = [
 ]
 
 
+# verify-coverage reads these config fields from its grids, never from a flag
+_COVERAGE_GRIDS = {"sbs_intensity": "lambda_grid", "storage": "q_grid"}
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     updates = {}
     flags = []
     for flag, dest, _ in _FLAGS:
         value = getattr(args, f"cfg_{dest}")
         if value is not None:
+            if args.command == "verify-coverage" and dest in _COVERAGE_GRIDS:
+                grid = _COVERAGE_GRIDS[dest]
+                raise ConfigError(
+                    f"verify-coverage reads {grid} (set in a --config file), not {flag}"
+                )
             updates[dest] = value
             flags.append((flag, value))
     flags += [(f"--{n}", getattr(args, n, None)) for n in ("start", "stop", "step")]
@@ -107,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and each subcommand's parser by name."""
+    """The top-level parser and each subcommand's flag table by name."""
     parser = _Parser(
         prog="cachemarket",
         description="Stackelberg pricing for small-cell video caching",
@@ -150,27 +164,72 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
         help="skip the equilibrium certificates",
     )
 
-    return parser, sub.choices
+    return parser, {name: _flag_table(command) for name, command in sub.choices.items()}
+
+
+def _flag_table(command: argparse.ArgumentParser) -> tuple[dict, dict]:
+    """A subcommand's defaults, and (dest, type, choices, store_true) by flag.
+
+    Both come from the subcommand's parser: the defaults are what it
+    returns for no flags, and only its plain one-value and store_true
+    actions get entries, so the help flag and any other kind of action
+    send an argv to argparse.
+    """
+    flags = {}
+    for action in command._actions:
+        store = type(action) is argparse._StoreAction and action.nargs is None
+        store_true = type(action) is argparse._StoreTrueAction
+        if store or store_true:
+            for flag in action.option_strings:
+                flags[flag] = (action.dest, action.type, action.choices, store_true)
+    return vars(command.parse_args([])), flags
+
+
+def _read_flags(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) for argv it reads alike, else None.
+
+    argv must be a subcommand followed by its exact flags, each value flag
+    followed by a value that does not start with "-" and that the flag's
+    type and choices accept.  Any other token declines: a help request, an
+    abbreviation, --flag=value, "--", a value such as -1, a missing value.
+    """
+    table = _parsers()[1].get(argv[0]) if argv else None
+    if table is None:
+        return None
+    defaults, flags = table
+    values = dict(defaults)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = flags.get(token)
+        if flag is None:
+            return None
+        dest, kind, choices, store_true = flag
+        if store_true:
+            values[dest] = True
+            continue
+        raw = next(tokens, "-")  # a missing value declines as a dash does
+        if raw.startswith("-"):
+            return None
+        try:
+            value = raw if kind is None else kind(raw)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    # parse_args sets command first, then the subcommand's fields in order
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), reading a subcommand's flags once.
+    """build_parser().parse_args(argv), without argparse where it can.
 
-    When argv starts with a subcommand, that subcommand's parser alone
-    parses the rest: the top-level parser would scan every token first
-    and then hand them all to it.  Tokens it leaves over get the
-    top-level parser's usage error, as parse_args reports them.  Any
-    other argv goes through the top-level parser.
+    _read_flags reads a subcommand's well-formed argv from its flag table.
+    Any argv it declines goes to the top-level parser, the only path that
+    prints help and usage errors and expands abbreviated flags.
     """
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    args = _read_flags(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

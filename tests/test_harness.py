@@ -1,5 +1,6 @@
 """Config parsing, sweep runners, CSV formatting, and the CLI."""
 
+import argparse
 import math
 import multiprocessing
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cachemarket import cli, equilibrium, harness
 from cachemarket.equilibrium import VerificationFailure, nups_solve, ups_solve
@@ -625,15 +628,17 @@ class TestCli:
         assert cli.main([*argv, "--beta", beta, "--out", str(other)]) == 0
         assert other.read_bytes() == default.read_bytes()
 
-    def test_coverage_ignores_lambda_and_q_flags(self, tmp_path):
-        # verify-coverage reads lambda_grid and q_grid, never lambda or Q
-        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
-        argv = ["verify-coverage", "--trials", "1"]
-        code = cli.main([*argv, "--out", str(plain)])  # 3: one trial misses the tolerance
-        extra = ["--lambda", "1e308", "--Q", "7"]
-        assert cli.main([*argv, *extra, "--out", str(flagged)]) == code
-        assert flagged.read_bytes() == plain.read_bytes()
-        assert plain.read_text().count("\n") == 1 + 4 * 3 * 10  # the default grid
+    def test_coverage_rejects_lambda_and_q_flags(self, capsys, tmp_path):
+        # verify-coverage reads lambda_grid and q_grid; it once ignored these flags
+        out = tmp_path / "cov.csv"
+        for flag, value, grid in [("--lambda", "1e308", "lambda_grid"), ("--Q", "7", "q_grid")]:
+            argv = ["verify-coverage", "--trials", "1", flag, value, "--out", str(out)]
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"config error: verify-coverage reads {grid} (set in a --config file), "
+                f"not {flag}\n"
+            )
+            assert not out.exists()
 
     def test_coverage_window_overflow_exit_code(self, capsys, tmp_path):
         out = tmp_path / "cov.csv"
@@ -669,17 +674,19 @@ class TestCli:
         assert not out.exists()
 
     def test_subcommand_skips_the_top_level_parse(self, monkeypatch, tmp_path):
-        parser = cli.build_parser()
+        cli.build_parser()
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the top-level parser parsed a subcommand's argv")
+            raise AssertionError("argparse parsed a well-formed subcommand argv")
 
-        monkeypatch.setattr(parser, "parse_args", refuse)
-        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        # every parser of the tree: the top-level one and the subcommand's
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
         assert cli.main(["solve", "--V", "3", "--out", str(tmp_path / "out.csv")]) == 0
         monkeypatch.undo()
-        assert cli.main(["solve", "--V", "3", "--out", str(tmp_path / "full.csv")]) == 0
-        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+        full = tmp_path / "full.csv"
+        assert cli.main(["solve", "--V=3", "--out", str(full)]) == 0  # argparse reads "--V=3"
+        assert (tmp_path / "out.csv").read_bytes() == full.read_bytes()
 
     def test_subcommand_leftovers_get_the_top_level_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -694,6 +701,84 @@ class TestCli:
         code = cli.main(["per-vr", "--V", "3", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 4  # header + 3 retailers
+
+
+def _subcommand_parsers() -> dict:
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+# forms that argparse reads another way than a subcommand's exact flags:
+# abbreviations (one ambiguous), "=" forms, "--" and help
+ODD_OPTIONS = ["--alp", "--sch", "--no-v", "--st", "--alpha=4", "--V=3", "--", "-h", "--help", "-x"]
+VALUES = ["3", "0.5", "4", "1e-3", "ups", "waterfill", "run.cfg", "-1", "-1e-3", "nan",
+          "inf", "", " 2 ", "0x10", "NUPS", "solve"]  # fmt: skip
+
+
+def _sound_flags(name: str) -> dict:
+    """Each flag of one subcommand and the values its type accepts."""
+    values = {int: ["3", " 2 "], float: ["0.5", "nan", "1e-3"], None: ["run.cfg", "ups"]}
+    actions = _subcommand_parsers()[name]._option_string_actions
+    return {
+        option: [()] if action.nargs == 0  # store_true
+        else [(value,) for value in action.choices or values[action.type]]
+        for option, action in sorted(actions.items())
+        if option not in ("-h", "--help")
+    }
+
+
+@st.composite
+def _argvs(draw) -> list:
+    """A subcommand, or not, then pieces: mostly its own flags with values
+    its types accept, else a flag with any token, with none, or one odd
+    token, which may be any subcommand's option."""
+    parsers = _subcommand_parsers()
+    every = sorted({option for p in parsers.values() for option in p._option_string_actions})
+    first = draw(st.sampled_from([*sorted(parsers), "frobnicate", "--V", "-h"]))
+    flags = _sound_flags(first if first in parsers else "solve")
+    argv = [first]
+    for _ in range(draw(st.integers(0, 8))):
+        option, kind = draw(st.sampled_from(sorted(flags))), draw(st.integers(0, 9))
+        if kind < 7:
+            argv += [option, *draw(st.sampled_from(flags[option]))]
+        elif kind == 7:
+            argv += [option, draw(st.sampled_from(VALUES + ODD_OPTIONS))]
+        elif kind == 8:
+            argv.append(option)
+        else:
+            argv.append(draw(st.sampled_from(ODD_OPTIONS + VALUES + every)))
+    return argv
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(argv=_argvs())
+@example(argv=["solve", "--alph", "4"])
+@example(argv=["solve", "--alpha=4"])
+@example(argv=["solve", "--gamma", "-1"])
+@example(argv=["solve", "--delta", "-1e-3"])
+@example(argv=["solve", "--V", "3", "--V", "4"])
+@example(argv=["per-vr", "--verify", "3"])
+@example(argv=["solve", "--", "--V", "3"])
+@example(argv=["sweep-gamma", "--V", "3", "-h"])
+@example(argv=["solve", "--scheme", "NUPS"])
+@example(argv=["solve", "--config", "-h"])
+@example(argv=["solve", "--V", "0x10", "--alpha", "nan", "--out", ""])
+@example(argv=["sweep-storage", "--st", "1"])
+@example(argv=["per-vr", "--help", "run.cfg"])
+def test_flag_reader_declines_or_matches_argparse(argv):
+    """The flag reader returns None or exactly what parse_args returns.
+
+    Compared by repr, so that NaN matches NaN and the field order counts.
+    """
+    args = cli._read_flags(argv)
+    if args is None:
+        return
+    try:
+        expected = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        raise AssertionError(f"read {argv}, which argparse refuses (exit {exc.code})")
+    assert repr(vars(args)) == repr(vars(expected))
 
 
 # four points of 200 trials: quick on either path

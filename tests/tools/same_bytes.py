@@ -70,15 +70,27 @@ EDGE = [
     # Q < 1
     ["per-vr", "--Q", "0"],
     ["sweep-storage", "--start", "0.5", "--stop", "5", "--step", "0.5"],
-    # argv that the top-level parser reads (a flag before the subcommand,
-    # a help request, no subcommand) or whose leftovers get its usage
-    # error; an abbreviated flag and a repeated one
+    # argv that the flag reader declines, so argparse reads it: a flag
+    # before the subcommand, a help request, no subcommand, a leftover
+    # token, an abbreviated flag, an "=" form, a value that starts with
+    # "-", "--", a store_true flag with a value; and a repeated flag,
+    # which the reader reads itself
     ["--V", "3", "solve"],
     ["-h", "solve"],
     ["solve", "--sche", "ups", "--V", "3"],
     ["solve", "extra"],
     ["solve", "--V", "3", "--V", "4"],
     [],
+    ["solve", "--alph", "4"],
+    ["solve", "--alpha=4"],
+    ["solve", "--gamma", "-1"],
+    ["solve", "--delta", "-1e-3"],
+    ["per-vr", "--verify", "3"],
+    ["solve", "--", "--V", "3"],
+    ["sweep-gamma", "--V", "3", "-h"],
+    # verify-coverage reads lambda_grid and q_grid, not --lambda or --Q
+    ["verify-coverage", "--lambda", "1e308", "--trials", "1"],
+    ["verify-coverage", "--Q", "7", "--trials", "1"],
     # larger markets, each after a usage error or a help request, so that
     # state one main() call leaves in the parser shows in the next
     ["solve", "--V", "x"],
