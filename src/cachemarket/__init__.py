@@ -17,19 +17,11 @@ from .catalog import (
     vr_preference,
 )
 from .coverage import CoverageConstants, hit_probability, make_constants
-from .economics import (
-    EconomicConfig,
-    FractionVector,
-    InconsistentExclusion,
-    PriceVector,
-    ProfitReport,
-    gamma_vector,
-    profit_report,
-)
+from .economics import EconomicConfig, ProfitReport, gamma_vector, profit_report
 from .equilibrium import (
-    EquilibriumOutcome,
     GameInstance,
     ParticipationThresholds,
+    RowOutcomes,
     VerificationFailure,
     best_response_fraction,
     nups_solve,

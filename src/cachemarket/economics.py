@@ -15,25 +15,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import PopularityVectors
 from .coverage import CoverageConstants, hit_probability
 
 __all__ = [
-    "InconsistentExclusion",
     "EconomicConfig",
-    "PriceVector",
-    "FractionVector",
     "gamma_vector",
     "ordered_sums",
     "check_fraction_rows",
     "profit_report",
-    "profit_rows",
     "ProfitReport",
 ]
-
-
-class InconsistentExclusion(ValueError):
-    """A positive rental fraction was paired with a priced-out retailer."""
 
 
 @dataclass(frozen=True)
@@ -94,75 +85,11 @@ def ordered_sums(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=-1)[..., -1]
 
 
-def _read_only(values) -> np.ndarray:
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
-
-
-@dataclass(frozen=True)
-class PriceVector:
-    """SBS rental prices posted to retailers 1..len(prices).
-
-    The other n_vrs - len(prices) retailers, the least popular ones, are
-    priced out.  n_vrs defaults to len(prices): every retailer is priced.
-    """
-
-    prices: np.ndarray
-    n_vrs: int | None = None
-
-    def __post_init__(self) -> None:
-        prices = _read_only(self.prices)
-        object.__setattr__(self, "prices", prices)
-        if self.n_vrs is None:
-            object.__setattr__(self, "n_vrs", prices.size)
-        if not prices.size <= self.n_vrs:
-            raise ValueError(f"{prices.size} prices posted to {self.n_vrs} retailers")
-        if not (prices >= 0).all():
-            i = np.argmin(prices >= 0)
-            raise ValueError(f"price {i + 1} must be >= 0, got {prices[i]}")
-
-    @classmethod
-    def of_checked_row(cls, row: np.ndarray, n_vrs: int) -> PriceVector:
-        """The posted prices of a solve_rows row, to n_vrs retailers, not checked again."""
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "prices", _read_only(row))
-        object.__setattr__(vector, "n_vrs", n_vrs)
-        return vector
-
-    def __len__(self) -> int:
-        return self.n_vrs
-
-    def n_posted(self) -> int:
-        return self.prices.size
-
-
-@dataclass(frozen=True)
-class FractionVector:
-    """Per-retailer fractions of rented SBSs; the total may not exceed 1."""
-
-    fractions: np.ndarray
-
-    def __post_init__(self) -> None:
-        fractions = _read_only(self.fractions)
-        object.__setattr__(self, "fractions", fractions)
-        check_fraction_rows(fractions[None, :])
-
-    @classmethod
-    def of_checked_row(cls, row: np.ndarray) -> FractionVector:
-        """A row that check_fraction_rows has passed, not checked again."""
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "fractions", _read_only(row))
-        return vector
-
-    def __len__(self) -> int:
-        return self.fractions.size
-
-
 def check_fraction_rows(fractions: np.ndarray) -> None:
-    """Each row of an (R, V) block is a valid FractionVector, or ValueError.
+    """Each row of an (R, V) block is a feasible allocation, or ValueError.
 
-    The error names the first offending row.
+    Feasible: every fraction lies in [0, 1] and the row sums to at most
+    1 + 1e-9 (the SBS budget).  The error names the first offending row.
     """
     inside = (fractions >= 0.0) & (fractions <= 1.0)
     if not inside.all():
@@ -177,35 +104,23 @@ def check_fraction_rows(fractions: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ProfitReport:
-    """All profit aggregates for one (prices, fractions) operating point.
+    """All profit aggregates of R (prices, fractions) operating points.
 
-    From profit_rows, every field holds one entry (a total) or one row
-    (a per-retailer array) per operating point; row(i) picks point i.
+    Every field is an array: the totals hold one entry per operating
+    point, the per-retailer fields one row.
     """
 
-    nsp_leasing: float
-    nsp_backhaul_saving: float
-    nsp_total: float
+    nsp_leasing: np.ndarray
+    nsp_backhaul_saving: np.ndarray
+    nsp_total: np.ndarray
     vr_profits: np.ndarray
     vr_surcharge: np.ndarray
     vr_rent: np.ndarray
-    global_total: float
+    global_total: np.ndarray
 
     def rows(self, part: slice) -> ProfitReport:
-        """The operating points in part of a profit_rows report."""
+        """The operating points in part of this report."""
         return ProfitReport(**{name: value[part] for name, value in vars(self).items()})
-
-    def row(self, i: int) -> ProfitReport:
-        """Operating point i of a profit_rows report, with float totals."""
-        return ProfitReport(
-            nsp_leasing=float(self.nsp_leasing[i]),
-            nsp_backhaul_saving=float(self.nsp_backhaul_saving[i]),
-            nsp_total=float(self.nsp_total[i]),
-            vr_profits=self.vr_profits[i],
-            vr_surcharge=self.vr_surcharge[i],
-            vr_rent=self.vr_rent[i],
-            global_total=float(self.global_total[i]),
-        )
 
 
 def gamma_vector(q: Sequence[float], cfg: EconomicConfig) -> np.ndarray:
@@ -217,29 +132,6 @@ def gamma_vector(q: Sequence[float], cfg: EconomicConfig) -> np.ndarray:
 
 
 def profit_report(
-    tau: FractionVector,
-    s: PriceVector,
-    pops: PopularityVectors,
-    cfg: EconomicConfig,
-    constants: CoverageConstants,
-) -> ProfitReport:
-    """Assemble every profit aggregate for the given operating point.
-
-    The NSP's leasing income is the rent the retailers pay.  This is the
-    one-row case of profit_rows.
-    """
-    if not len(tau) == len(s) == len(pops.q):
-        raise ValueError("vector lengths are inconsistent")
-    u = s.n_posted()
-    if (tau.fractions[u:] > 0.0).any():
-        raise InconsistentExclusion("positive fraction for a priced-out retailer")
-    prices = np.zeros(len(s))
-    prices[:u] = s.prices
-    gammas = gamma_vector(pops.q, cfg)
-    return profit_rows(tau.fractions[None, :], prices[None, :], gammas, cfg, constants).row(0)
-
-
-def profit_rows(
     tau: np.ndarray,
     prices: np.ndarray,
     gammas: np.ndarray,

@@ -26,14 +26,11 @@ from .catalog import PopularityVectors
 from .coverage import CoverageConstants
 from .economics import (
     EconomicConfig,
-    FractionVector,
-    PriceVector,
     ProfitReport,
     check_fraction_rows,
     gamma_vector,
     ordered_sums,
     profit_report,
-    profit_rows,
 )
 
 __all__ = [
@@ -41,7 +38,6 @@ __all__ = [
     "GameRows",
     "RowOutcomes",
     "ParticipationThresholds",
-    "EquilibriumOutcome",
     "VerificationFailure",
     "VerificationRecord",
     "best_response_fraction",
@@ -90,12 +86,6 @@ class GameInstance:
     def gammas(self) -> np.ndarray:
         """Demand densities Gamma_v = q_v zeta K (read-only)."""
         return self._gammas
-
-    @cached_property
-    def thresholds(self) -> ParticipationThresholds:
-        """This market's U_v and Ubar_v: the one row of self.rows.thresholds."""
-        th = self.rows.thresholds
-        return ParticipationThresholds(th.u_values[0], th.u_bar_values[0])
 
     @cached_property
     def rows(self) -> GameRows:
@@ -188,36 +178,21 @@ class GameRows:
 
 
 @dataclass(frozen=True)
-class EquilibriumOutcome:
-    """Solved prices, fractions, participant count, and profits."""
-
-    scheme: str  # NUPS | UPS | WATERFILL
-    prices: PriceVector
-    fractions: FractionVector
-    n_participants: int
-    report: ProfitReport
-
-
-@dataclass(frozen=True)
 class RowOutcomes:
-    """NUPS or UPS equilibria of every row of a GameRows, with their profits.
+    """Solved outcomes of R markets, one per row, with their profits.
 
-    solve_rows has checked every row: its u participants are the
-    retailers with a posted price and the ones with a positive fraction.
+    scheme is NUPS, UPS or WATERFILL.  Under NUPS and UPS, solve_rows has
+    checked every row: its u participants are the retailers with a
+    posted price and the ones with a positive fraction.  WATERFILL posts
+    no prices: every price is 0, and u is the vbar retailers the
+    allocation fills.
     """
 
     scheme: str
     n_participants: np.ndarray  # (R,): u of each row
     prices: np.ndarray  # (R, V): the posted prices, 0 past u
     fractions: np.ndarray  # (R, V): every row passed check_fraction_rows
-    report: ProfitReport  # profit_rows of every row
-
-    def outcome(self, i: int) -> EquilibriumOutcome:
-        """Row i as an EquilibriumOutcome."""
-        u = int(self.n_participants[i])
-        prices = PriceVector.of_checked_row(self.prices[i, :u], self.prices.shape[1])
-        fractions = FractionVector.of_checked_row(self.fractions[i])
-        return EquilibriumOutcome(self.scheme, prices, fractions, u, self.report.row(i))
+    report: ProfitReport  # profit_report of every row
 
 
 def best_response_fraction(
@@ -488,7 +463,7 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
             f"inconsistent outcome: participants={u[r]}, "
             f"posted prices={u[r]}, positive fractions={positive[r]}"
         )
-    report = profit_rows(fractions, prices, gammas, econ, constants)
+    report = profit_report(fractions, prices, gammas, econ, constants)
     if len(schemes) == 1:
         return RowOutcomes(scheme, u, prices, fractions, report)
     n_rows = rows.shape[0]
@@ -501,38 +476,42 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
     return tuple(outcomes)
 
 
-def nups_solve(instance: GameInstance) -> EquilibriumOutcome:
+def nups_solve(instance: GameInstance) -> RowOutcomes:
     """Equilibrium under per-retailer pricing (solve_rows, scheme NUPS)."""
-    return solve_rows("NUPS", instance.rows).outcome(0)
+    return solve_rows("NUPS", instance.rows)
 
 
-def ups_solve(instance: GameInstance) -> EquilibriumOutcome:
+def ups_solve(instance: GameInstance) -> RowOutcomes:
     """Equilibrium under a single shared price (solve_rows, scheme UPS)."""
-    return solve_rows("UPS", instance.rows).outcome(0)
+    return solve_rows("UPS", instance.rows)
 
 
-def waterfill_solve(instance: GameInstance) -> EquilibriumOutcome:
+def waterfill_solve(instance: GameInstance) -> RowOutcomes:
     """Sum-profit maximizer over the fractions (water-filling structure).
 
     tau_v = (sqrt(q_v)/eta - Lambda) / Theta for the vbar retailers
     whose Ubar_v lies below Q (the UPS bracket count), 0 for the rest;
     the water level eta = sum_{v<=vbar} sqrt(q_v) / (vbar Lambda + Theta)
     makes them fill the SBS budget exactly.  In exact arithmetic
-    sqrt(q_v)/eta > Lambda holds exactly when Ubar_v < Q.
+    sqrt(q_v)/eta > Lambda holds exactly when Ubar_v < Q.  The one-row
+    RowOutcomes posts no prices (every price is 0): rent is a pure
+    transfer.  No pricing closed form is used, so s^ld may differ from
+    s^bh here.
     """
     q = np.asarray(instance.pops.q, dtype=float)
     theta = instance.constants.theta
     lam_big = instance.constants.lambda_big
     sqrt_q = np.sqrt(q)
-    v_bar = int(_bracket_count(instance.thresholds.u_bar_values, instance.storage))
-    eta = sqrt_q[:v_bar].sum() / (v_bar * lam_big + theta)
-    fractions = np.zeros(q.size)
-    fractions[:v_bar] = (sqrt_q[:v_bar] / eta - lam_big) / theta
-    tau = FractionVector(np.minimum(fractions, 1.0))
-    # no prices are posted in the global scheme: rent is a pure transfer
-    prices = PriceVector(np.zeros(q.size))
-    report = profit_report(tau, prices, instance.pops, instance.econ, instance.constants)
-    return EquilibriumOutcome("WATERFILL", prices, tau, v_bar, report)
+    v_bar = _bracket_count(instance.rows.thresholds.u_bar_values, instance.storage)
+    k = int(v_bar[0])
+    eta = sqrt_q[:k].sum() / (k * lam_big + theta)
+    fractions = np.zeros((1, q.size))
+    fractions[0, :k] = (sqrt_q[:k] / eta - lam_big) / theta
+    fractions = np.minimum(fractions, 1.0)
+    check_fraction_rows(fractions)
+    prices = np.zeros(fractions.shape)
+    report = profit_report(fractions, prices, instance.gammas(), instance.econ, instance.constants)
+    return RowOutcomes("WATERFILL", v_bar, prices, fractions, report)
 
 
 @dataclass(frozen=True)
@@ -571,16 +550,17 @@ def _frank_wolfe_gap(grad: np.ndarray, tau: np.ndarray) -> tuple[float, int]:
 
 
 def verify_equilibrium(
-    outcome: EquilibriumOutcome,
+    outcome: RowOutcomes,
     rows: GameRows,
     i: int = 0,
     rel_tol: float = 1e-6,
 ) -> VerificationRecord:
-    """Certify both equilibrium conditions, or water-filling's optimality.
+    """Certify row i's equilibrium conditions, or water-filling's optimality.
 
-    The market is row i of rows: its Gamma row, the economics and the
-    coverage constants at that row's Lambda.  No solver closed form is
-    used.
+    The candidate is row i of outcome: its u posted prices, its fractions
+    and its profit totals.  The market is row i of rows: its Gamma row,
+    the economics and the coverage constants at that row's Lambda.  No
+    solver closed form is used.
 
     Follower side (NUPS/UPS): a posted retailer's profit
     Gamma s^ld t / (Theta t + Lambda) - lambda s_v t is concave in t, so
@@ -615,9 +595,9 @@ def verify_equilibrium(
     theta, lam_big = constants.theta, constants.lambda_big
     s_ld, s_bh = econ.local_surcharge, econ.backhaul_cost
     gammas = rows.gammas[i]
-    tau = outcome.fractions.fractions
-    price = outcome.prices.prices
-    u = price.size
+    tau = outcome.fractions[i]
+    u = int(outcome.n_participants[i])
+    price = outcome.prices[i, :u]
     # the one condition under which the NUPS leader's objective is concave
     if outcome.scheme == "NUPS" and not (2 * s_ld + s_bh) * lam_big >= theta * (s_ld - s_bh):
         raise VerificationFailure(
@@ -652,17 +632,17 @@ def verify_equilibrium(
     shortfall = 0.0
     if outcome.scheme == "NUPS":
         grad = gammas * (marginal_hit * (s_ld * (lam_big - theta * tau) / x + s_bh))
-        condition, label, total = "leader", "provider profit", outcome.report.nsp_total
+        condition, label, total = "leader", "provider profit", outcome.report.nsp_total[i]
         # the rent each posted fraction would fetch at the price that buys it,
         # less the rent paid: positive only where a price sits below that one
         shortfall = np.maximum(t * (surcharge * marginal_hit[:u] - rent), 0.0).sum()
     elif outcome.scheme == "UPS":
         grad = gammas * s_bh * marginal_hit
         condition, label = "leader", "back-haul saving"
-        total = outcome.report.nsp_backhaul_saving
+        total = outcome.report.nsp_backhaul_saving[i]
     else:
         grad = gammas * (s_bh + s_ld) * marginal_hit
-        condition, label, total = "sum-profit", "sum profit", outcome.report.global_total
+        condition, label, total = "sum-profit", "sum profit", outcome.report.global_total[i]
     gap, j = _frank_wolfe_gap(grad, tau)
     gap = (gap + shortfall) / max(abs(total), 1e-9)
     if not gap <= rel_tol:  # a NaN gap certifies nothing

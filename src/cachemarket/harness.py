@@ -17,10 +17,11 @@ import numpy as np
 
 from .catalog import CatalogConfig, VrConfig, build_popularity, zipf_rows
 from .coverage import hit_probability, make_constants
-from .economics import EconomicConfig, PriceVector, gamma_vector
+from .economics import EconomicConfig, gamma_vector
 from .equilibrium import (
     GameInstance,
     GameRows,
+    RowOutcomes,
     VerificationFailure,
     nups_solve,
     participation_threshold_rows,
@@ -208,9 +209,16 @@ def format_rows(header: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _price_cells(prices: PriceVector) -> list:
-    """One CSV cell per retailer: the posted prices, then EXCLUDED."""
-    return prices.prices.tolist() + [EXCLUDED] * (len(prices) - prices.n_posted())
+def _price_cells(outcome: RowOutcomes) -> list:
+    """One CSV cell per retailer of the one-row outcome: the posted prices, then EXCLUDED.
+
+    Water-filling posts no prices; each of its cells is 0.
+    """
+    cells = outcome.prices[0].tolist()
+    if outcome.scheme != "WATERFILL":
+        u = int(outcome.n_participants[0])
+        cells[u:] = [EXCLUDED] * (len(cells) - u)
+    return cells
 
 
 def _storage(q_req: float, n_files: int) -> float:
@@ -438,7 +446,7 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, values: list, verify: bool) -> 
         if verify:
             for i in range(rows.shape[0]):
                 for outcomes in solved:
-                    verify_equilibrium(outcomes.outcome(i), rows, i)
+                    verify_equilibrium(outcomes, rows, i)
         nups, ups = solved
         cells = [
             nups.n_participants,
@@ -512,18 +520,18 @@ PER_VR_HEADER = [
 def run_per_vr(cfg: ExperimentConfig, verify: bool = False) -> list[tuple]:
     """Per-retailer prices and fractions under both pricing schemes."""
     instance = make_instance(cfg)
-    nups = solve_rows("NUPS", instance.rows).outcome(0)
-    ups = solve_rows("UPS", instance.rows).outcome(0)
+    nups = solve_rows("NUPS", instance.rows)
+    ups = solve_rows("UPS", instance.rows)
     if verify:
         verify_equilibrium(nups, instance.rows)
         verify_equilibrium(ups, instance.rows)
     return list(
         zip(
             range(1, cfg.n_vrs + 1),
-            _price_cells(nups.prices),
-            _price_cells(ups.prices),
-            nups.fractions.fractions.tolist(),
-            ups.fractions.fractions.tolist(),
+            _price_cells(nups),
+            _price_cells(ups),
+            nups.fractions[0].tolist(),
+            ups.fractions[0].tolist(),
         )
     )
 
@@ -556,26 +564,16 @@ def run_solve(
     rows = list(
         zip(
             range(1, cfg.n_vrs + 1),
-            _price_cells(outcome.prices),
-            outcome.fractions.fractions.tolist(),
-            rep.vr_surcharge.tolist(),
-            rep.vr_rent.tolist(),
-            rep.vr_profits.tolist(),
+            _price_cells(outcome),
+            outcome.fractions[0].tolist(),
+            rep.vr_surcharge[0].tolist(),
+            rep.vr_rent[0].tolist(),
+            rep.vr_profits[0].tolist(),
         )
     )
-    summary = [
-        "scheme,participants,s_rt,s_bh,s_nsp,s_glb",
-        ",".join(
-            [
-                outcome.scheme,
-                str(outcome.n_participants),
-                _fmt(rep.nsp_leasing),
-                _fmt(rep.nsp_backhaul_saving),
-                _fmt(rep.nsp_total),
-                _fmt(rep.global_total),
-            ]
-        ),
-    ]
+    totals = [rep.nsp_leasing, rep.nsp_backhaul_saving, rep.nsp_total, rep.global_total]
+    cells = [outcome.scheme, _fmt(outcome.n_participants[0])] + [_fmt(t[0]) for t in totals]
+    summary = ["scheme,participants,s_rt,s_bh,s_nsp,s_glb", ",".join(cells)]
     return rows, summary
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cachemarket.economics import PriceVector, gamma_vector, profit_rows
+from cachemarket.economics import gamma_vector, profit_report
 from cachemarket.equilibrium import GameInstance, GameRows
 
 
@@ -49,22 +49,23 @@ def posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
     return np.where(posted, scales * roots if nups else scales, 0.0), posted
 
 
-def nups_prices_for_u(u: int, instance: GameInstance) -> PriceVector:
+def nups_prices_for_u(u: int, instance: GameInstance) -> np.ndarray:
     """Per-retailer prices keeping exactly the u most popular retailers.
 
     s_i = Lambda s^bh (sum_{j<=u} Gamma_j^(1/3))^2 Gamma_i^(1/3)
-          / (lambda (u Lambda + Theta)^2)   for i <= u; the rest are priced out.
+          / (lambda (u Lambda + Theta)^2)   for i <= u; the rest are priced
+    out, at 0.  One price per retailer.
     """
     if not 1 <= u <= instance.n_vrs:
         raise ValueError(f"u must lie in 1..{instance.n_vrs}, got {u}")
     prices, _ = posted_prices("NUPS", instance.rows, np.array([u]))
-    return PriceVector(prices[0, :u], instance.n_vrs)
+    return prices[0]
 
 
 def backhaul_saving(tau, pops, cfg, constants) -> float:
     """Back-haul cost avoided per unit area: sum_v Gamma_v Pr(tau_v) s^bh."""
-    gammas = gamma_vector(pops.q, cfg)
-    report = profit_rows(tau.fractions, np.zeros(len(tau)), gammas, cfg, constants)
+    tau = np.asarray(tau, dtype=float)
+    report = profit_report(tau, np.zeros(tau.shape), gamma_vector(pops.q, cfg), cfg, constants)
     return float(report.nsp_backhaul_saving)
 
 
@@ -77,5 +78,5 @@ def vr_profit(tau_v: float, s_v: float, gamma_v: float, cfg, constants) -> float
         raise ValueError(f"tau_v must lie in [0, 1], got {tau_v}")
     if s_v < 0:
         raise ValueError(f"s_v must be >= 0, got {s_v}")
-    report = profit_rows(np.array([tau_v]), np.array([s_v]), gamma_v, cfg, constants)
+    report = profit_report(np.array([tau_v]), np.array([s_v]), gamma_v, cfg, constants)
     return float(report.vr_profits[0])

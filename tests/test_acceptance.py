@@ -84,11 +84,11 @@ def test_criterion_3_nups_prices_beat_a_brute_force_grid(capsys):
     cfg = ExperimentConfig(n_vrs=3, gamma=0.5, storage=500)
     instance = make_instance(cfg)
     outcome = nups_solve(instance)
-    base = outcome.report.nsp_total
+    base = outcome.report.nsp_total[0]
     gammas = instance.gammas()
     con = instance.constants
     econ = instance.econ
-    star = [p for p in outcome.prices.prices]
+    star = list(outcome.prices[0, : outcome.n_participants[0]])
     factors = np.linspace(0.6, 1.4, 17)
     best_rival = -np.inf
     for combo in itertools.product(factors, repeat=3):
@@ -129,7 +129,7 @@ def test_criterion_4_shared_price_equals_waterfilling(capsys):
         wf = waterfill_solve(instance)
         diff = max(
             abs(a - b)
-            for a, b in zip(ups.fractions.fractions, wf.fractions.fractions)
+            for a, b in zip(ups.fractions[0], wf.fractions[0])
         )
         worst = max(worst, diff)
     ok = worst <= 1e-9
@@ -147,8 +147,8 @@ def test_criterion_5_sum_profit_identity(capsys):
             waterfill_solve(instance),
         ):
             rep = outcome.report
-            rel = abs(rep.global_total - 2.0 * rep.nsp_backhaul_saving) / max(
-                abs(rep.global_total), 1e-300
+            rel = abs(rep.global_total[0] - 2.0 * rep.nsp_backhaul_saving[0]) / max(
+                abs(rep.global_total[0]), 1e-300
             )
             worst = max(worst, rel)
     ok = worst <= 1e-12
@@ -159,14 +159,15 @@ def test_criterion_5_sum_profit_identity(capsys):
 def test_criterion_6_participation_thresholds(capsys):
     """Threshold ordering and the bracket boundary drive the participant count."""
     cfg = ExperimentConfig()
-    th = make_instance(cfg).thresholds
-    increasing = all(b > a for a, b in zip(th.u_values, th.u_values[1:]))
+    th = make_instance(cfg).rows.thresholds
+    u_values, u_bar_values = th.u_values[0], th.u_bar_values[0]
+    increasing = all(b > a for a, b in zip(u_values, u_values[1:]))
     dominated = all(
-        ub >= u - 1e-12 for u, ub in zip(th.u_values, th.u_bar_values)
+        ub >= u - 1e-12 for u, ub in zip(u_values, u_bar_values)
     )
-    q_min = float(th.u_values[-1])
-    above = nups_solve(make_instance(cfg, storage=q_min + 1e-6)).n_participants
-    below = nups_solve(make_instance(cfg, storage=q_min - 1e-6)).n_participants
+    q_min = float(u_values[-1])
+    above = nups_solve(make_instance(cfg, storage=q_min + 1e-6)).n_participants[0]
+    below = nups_solve(make_instance(cfg, storage=q_min - 1e-6)).n_participants[0]
     ok = increasing and dominated and above == 15 and below == 14
     announce(capsys, 6,
         ok,

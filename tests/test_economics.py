@@ -11,9 +11,7 @@ from cachemarket.catalog import CatalogConfig, VrConfig, build_popularity
 from cachemarket.coverage import hit_probability, make_constants
 from cachemarket.economics import (
     EconomicConfig,
-    FractionVector,
-    InconsistentExclusion,
-    PriceVector,
+    check_fraction_rows,
     gamma_vector,
     profit_report,
 )
@@ -42,14 +40,19 @@ def make_scenario(n_vrs=2, gamma=0.6, n_files=100, storage=20, **econ_overrides)
     return pops, econ, constants
 
 
+def report_of(fractions, prices, pops, econ, constants):
+    """profit_report of one operating point; retailers past len(prices) are priced out."""
+    tau = np.array(fractions, dtype=float)
+    posted = np.zeros(tau.size)
+    posted[: len(prices)] = prices
+    return profit_report(tau, posted, gamma_vector(pops.q, econ), econ, constants)
+
+
 def leasing_income(fractions, prices, sbs_intensity, n_vrs=None):
     """The NSP's leasing income: the rent sum of a profit report."""
     n_vrs = n_vrs or len(prices)
     pops, econ, constants = make_scenario(n_vrs=n_vrs, sbs_intensity=sbs_intensity)
-    report = profit_report(
-        FractionVector(fractions), PriceVector(prices, n_vrs), pops, econ, constants
-    )
-    return report.nsp_leasing
+    return report_of(fractions, prices, pops, econ, constants).nsp_leasing
 
 
 def test_leasing_income_cases():
@@ -63,17 +66,12 @@ def test_excluded_price_contributes_nothing():
     assert leasing_income((0.5, 0.0), (2.0,), 10.0, n_vrs=2) == 10.0
 
 
-def test_inconsistent_exclusion():
-    with pytest.raises(InconsistentExclusion):
-        leasing_income((0.5, 0.1), (2.0,), 10.0, n_vrs=2)
-
-
 def test_backhaul_saving_zero_and_full():
     pops, econ, constants = make_scenario(n_vrs=1, gamma=0.5, n_files=10, storage=10)
-    assert backhaul_saving(FractionVector((0.0,)), pops, econ, constants) == 0.0
+    assert backhaul_saving((0.0,), pops, econ, constants) == 0.0
     # Gamma_1 = zeta * K = 500 and F = 1
     expected = 500.0 * (1.0 / (1.0 + A_REF))
-    assert backhaul_saving(FractionVector((1.0,)), pops, econ, constants) == (
+    assert backhaul_saving((1.0,), pops, econ, constants) == (
         pytest.approx(expected, rel=1e-9)
     )
 
@@ -86,7 +84,7 @@ def backhaul_saving_double_sum(tau, pops, cfg, constants):
     """
     total = 0.0
     for p_f in pops.p:
-        for q_v, t in zip(pops.q, tau.fractions):
+        for q_v, t in zip(pops.q, tau):
             total += (
                 p_f
                 * q_v
@@ -101,7 +99,7 @@ def backhaul_saving_double_sum(tau, pops, cfg, constants):
 def test_double_sum_matches_collapsed_sum():
     pops, econ, constants = make_scenario(n_vrs=4, gamma=0.7)
     rng = np.random.default_rng(9)
-    tau = FractionVector(tuple(rng.dirichlet(np.ones(4)) * 0.9))
+    tau = rng.dirichlet(np.ones(4)) * 0.9
     assert backhaul_saving(tau, pops, econ, constants) == pytest.approx(
         backhaul_saving_double_sum(tau, pops, econ, constants), rel=1e-9
     )
@@ -139,9 +137,9 @@ def test_vr_profit_concave_in_fraction():
 def test_profit_report_identities():
     pops, econ, constants = make_scenario(n_vrs=3, gamma=0.5)
     rng = np.random.default_rng(4)
-    tau = FractionVector(tuple(rng.dirichlet(np.ones(3)) * 0.95))
-    prices = PriceVector(tuple(rng.uniform(0.1, 3.0, size=3)))
-    rep = profit_report(tau, prices, pops, econ, constants)
+    tau = rng.dirichlet(np.ones(3)) * 0.95
+    prices = rng.uniform(0.1, 3.0, size=3)
+    rep = report_of(tau, prices, pops, econ, constants)
     assert rep.nsp_total == pytest.approx(
         rep.nsp_leasing + rep.nsp_backhaul_saving, rel=1e-12
     )
@@ -170,12 +168,12 @@ def test_totals_are_left_to_right_folds():
     # Each vector below is one where np.sum and math.fsum both differ.
     pops, econ, constants = make_scenario(n_vrs=64, gamma=0.3)
     rng = np.random.default_rng(0)
-    tau = FractionVector(rng.dirichlet(np.ones(64)) * 0.99)
-    prices = PriceVector(rng.uniform(0.1, 3.0, size=64))
-    rep = profit_report(tau, prices, pops, econ, constants)
+    tau = rng.dirichlet(np.ones(64)) * 0.99
+    prices = rng.uniform(0.1, 3.0, size=64)
+    rep = report_of(tau, prices, pops, econ, constants)
     savings = (
         gamma_vector(pops.q, econ)
-        * hit_probability(tau.fractions, constants)
+        * hit_probability(tau, constants)
         * econ.backhaul_cost
     )
     for terms in (rep.vr_rent, savings, rep.vr_profits):
@@ -188,9 +186,7 @@ def test_totals_are_left_to_right_folds():
 
 def test_all_zero_report():
     pops, econ, constants = make_scenario(n_vrs=2)
-    rep = profit_report(
-        FractionVector((0.0, 0.0)), PriceVector((1.0, 1.0)), pops, econ, constants
-    )
+    rep = report_of((0.0, 0.0), (1.0, 1.0), pops, econ, constants)
     assert rep.nsp_total == 0.0
     assert rep.global_total == 0.0
     assert rep.vr_profits.tolist() == [0.0, 0.0]
@@ -198,16 +194,14 @@ def test_all_zero_report():
 
 def test_global_identity_needs_matched_surcharge():
     pops, econ, constants = make_scenario(n_vrs=2, local_surcharge=2.0)
-    tau = FractionVector((0.4, 0.3))
-    prices = PriceVector((1.0, 1.0))
-    rep = profit_report(tau, prices, pops, econ, constants)
+    rep = report_of((0.4, 0.3), (1.0, 1.0), pops, econ, constants)
     assert rep.global_total != pytest.approx(2.0 * rep.nsp_backhaul_saving, rel=1e-6)
 
 
 @pytest.mark.parametrize("field", ["mu_intensity", "requests_per_mu", "backhaul_cost"])
 def test_saving_linear_in_each_scale(field):
     pops, econ, constants = make_scenario(n_vrs=3)
-    tau = FractionVector((0.3, 0.3, 0.3))
+    tau = (0.3, 0.3, 0.3)
     base = backhaul_saving(tau, pops, econ, constants)
     doubled = make_econ(
         local_surcharge=econ.local_surcharge,
@@ -218,17 +212,15 @@ def test_saving_linear_in_each_scale(field):
     )
 
 
-def test_empty_fraction_vector():
-    assert len(FractionVector(())) == 0
+def test_empty_fraction_rows():
+    check_fraction_rows(np.zeros((1, 0)))
 
 
-def test_fraction_vector_budget():
-    with pytest.raises(ValueError):
-        FractionVector((0.7, 0.5))
-    with pytest.raises(ValueError):
-        FractionVector((1.2,))
-    with pytest.raises(ValueError):
-        PriceVector((-1.0,))
+def test_fraction_rows_budget():
+    with pytest.raises(ValueError, match="fractions sum to 1.2, exceeding the SBS budget"):
+        check_fraction_rows(np.array([[0.7, 0.5]]))
+    with pytest.raises(ValueError, match=r"fraction 1 must lie in \[0, 1\], got 1.2"):
+        check_fraction_rows(np.array([[1.2]]))
 
 
 def test_gamma_vector_units():

@@ -8,15 +8,11 @@ import pytest
 from price_oracle import nups_prices_for_u
 from scipy import optimize
 from test_sweep_rows import _market
+from test_verifier import with_fractions, with_prices
 from waterfill_oracle import waterfill_fractions
 
 from cachemarket import economics, equilibrium
-from cachemarket.economics import (
-    FractionVector,
-    PriceVector,
-    check_fraction_rows,
-    profit_report,
-)
+from cachemarket.economics import check_fraction_rows
 from cachemarket.equilibrium import (
     GameInstance,
     VerificationFailure,
@@ -98,17 +94,23 @@ class TestGameInstance:
             replace(default_instance, storage=100.0)
 
 
+def thresholds(instance):
+    """The market's U_v and Ubar_v: the one row of instance.rows.thresholds."""
+    th = instance.rows.thresholds
+    return th.u_values[0], th.u_bar_values[0]
+
+
 class TestParticipationThresholds:
     def test_first_thresholds_are_zero(self, default_instance):
-        th = default_instance.thresholds
-        assert th.u_values[0] == 0.0
-        assert th.u_bar_values[0] == 0.0
+        u_values, u_bar_values = thresholds(default_instance)
+        assert u_values[0] == 0.0
+        assert u_bar_values[0] == 0.0
 
     def test_uniform_preference_collapses(self):
         inst = small_instance(n_vrs=8, gamma=0.0)
-        th = inst.thresholds
-        np.testing.assert_allclose(th.u_values, 0.0, atol=1e-12)
-        np.testing.assert_allclose(th.u_bar_values, 0.0, atol=1e-12)
+        u_values, u_bar_values = thresholds(inst)
+        np.testing.assert_allclose(u_values, 0.0, atol=1e-12)
+        np.testing.assert_allclose(u_bar_values, 0.0, atol=1e-12)
 
     def test_strictly_increasing(self):
         rng = np.random.default_rng(17)
@@ -116,16 +118,16 @@ class TestParticipationThresholds:
             n_vrs = int(rng.integers(2, 51))
             gamma = float(rng.uniform(0.02, 1.0))
             inst = small_instance(n_vrs=n_vrs, gamma=gamma)
-            th = inst.thresholds
-            assert all(b > a for a, b in zip(th.u_values, th.u_values[1:]))
+            u_values, _ = thresholds(inst)
+            assert all(b > a for a, b in zip(u_values, u_values[1:]))
 
     def test_shared_price_needs_more_storage(self, default_instance):
-        th = default_instance.thresholds
+        u_values, u_bar_values = thresholds(default_instance)
         assert all(
-            ub >= u - 1e-12 for u, ub in zip(th.u_values, th.u_bar_values)
+            ub >= u - 1e-12 for u, ub in zip(u_values, u_bar_values)
         )
         assert all(
-            ub > u for u, ub in zip(th.u_values[1:], th.u_bar_values[1:])
+            ub > u for u, ub in zip(u_values[1:], u_bar_values[1:])
         )
 
 
@@ -150,7 +152,7 @@ class TestNupsPrices:
     def test_full_participation_closed_form(self, default_instance):
         prices = nups_prices_for_u(15, default_instance)
         np.testing.assert_allclose(
-            prices.prices, reference_full_prices(default_instance), rtol=1e-12
+            prices, reference_full_prices(default_instance), rtol=1e-12
         )
 
     def test_single_vr_algebra(self):
@@ -162,7 +164,7 @@ class TestNupsPrices:
             lam_big * inst.econ.backhaul_cost * g
             / (inst.econ.sbs_intensity * (lam_big + theta) ** 2)
         )
-        assert nups_prices_for_u(1, inst).prices[0] == pytest.approx(
+        assert nups_prices_for_u(1, inst)[0] == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -173,36 +175,36 @@ class TestNupsPrices:
             best_response_fraction(
                 p, g, default_instance.econ, default_instance.constants
             )
-            for p, g in zip(prices.prices, default_instance.gammas())
+            for p, g in zip(prices[:u], default_instance.gammas())
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_excluded_suffix(self, default_instance):
         prices = nups_prices_for_u(6, default_instance)
         # retailers 1..6 get a price, the other 9 are priced out
-        assert (prices.n_posted(), len(prices)) == (6, 15)
-        assert (prices.prices > 0).all()
+        assert (np.count_nonzero(prices), prices.size) == (6, 15)
+        assert (prices[:6] > 0).all()
 
 
 class TestNupsSolve:
     def test_single_vr(self):
         inst = small_instance(n_vrs=1)
         outcome = nups_solve(inst)
-        assert outcome.n_participants == 1
-        assert outcome.prices.prices == nups_prices_for_u(1, inst).prices
+        assert outcome.n_participants[0] == 1
+        assert outcome.prices[0] == nups_prices_for_u(1, inst)
 
     def test_symmetric_preferences(self):
         inst = small_instance(n_vrs=5, gamma=0.0)
         outcome = nups_solve(inst)
-        assert outcome.n_participants == 5
-        assert max(outcome.prices.prices) == pytest.approx(
-            min(outcome.prices.prices), rel=1e-12
+        assert outcome.n_participants[0] == 5
+        assert max(outcome.prices[0]) == pytest.approx(
+            min(outcome.prices[0]), rel=1e-12
         )
-        np.testing.assert_allclose(outcome.fractions.fractions, 0.2, atol=1e-9)
+        np.testing.assert_allclose(outcome.fractions[0], 0.2, atol=1e-9)
 
     def test_default_instance_keeps_all(self, default_instance):
         outcome = nups_solve(default_instance)
-        assert outcome.n_participants == 15
+        assert outcome.n_participants[0] == 15
         # leader profit matches the closed form for the chosen count
         gammas = default_instance.gammas()
         lam_big = default_instance.constants.lambda_big
@@ -211,11 +213,11 @@ class TestNupsSolve:
         closed = (
             gammas.sum() - lam_big**2 * csum**3 / (15 * lam_big + theta) ** 2
         ) / theta
-        assert outcome.report.nsp_total == pytest.approx(closed, rel=1e-9)
+        assert outcome.report.nsp_total[0] == pytest.approx(closed, rel=1e-9)
 
     def test_price_ordering(self, default_instance):
         outcome = nups_solve(default_instance)
-        posted = outcome.prices.prices.tolist()
+        posted = outcome.prices[0, : outcome.n_participants[0]].tolist()
         assert all(a >= b - 1e-12 for a, b in zip(posted, posted[1:]))
 
     def test_participants_form_popularity_prefix(self):
@@ -227,15 +229,16 @@ class TestNupsSolve:
                 storage=int(rng.integers(10, 501)),
             )
             outcome = nups_solve(inst)
-            u = outcome.n_participants
-            assert all(f > 0 for f in outcome.fractions.fractions[:u])
-            assert all(f == 0 for f in outcome.fractions.fractions[u:])
-            assert sum(outcome.fractions.fractions) == pytest.approx(1.0, abs=1e-9)
+            u = outcome.n_participants[0]
+            tau = outcome.fractions[0]
+            assert all(f > 0 for f in tau[:u])
+            assert all(f == 0 for f in tau[u:])
+            assert sum(tau) == pytest.approx(1.0, abs=1e-9)
 
     def test_oversized_storage_behaves_like_full(self, default_instance):
         full = nups_solve(default_instance)
         oversized = nups_solve(make_instance(ExperimentConfig(), storage=10_000))
-        assert np.array_equal(oversized.prices.prices, full.prices.prices)
+        assert np.array_equal(oversized.prices, full.prices)
 
     def test_requires_matched_surcharge(self):
         inst = small_instance(n_vrs=2, s_ld=2.0)
@@ -246,38 +249,38 @@ class TestNupsSolve:
 class TestUpsSolve:
     def test_single_vr_coincides_with_nups(self):
         inst = small_instance(n_vrs=1)
-        assert ups_solve(inst).prices.prices == pytest.approx(
-            nups_solve(inst).prices.prices
+        assert ups_solve(inst).prices[0] == pytest.approx(
+            nups_solve(inst).prices[0]
         )
 
     def test_symmetric_preferences_coincide(self):
         inst = small_instance(n_vrs=5, gamma=0.0)
         ups = ups_solve(inst)
         nups = nups_solve(inst)
-        np.testing.assert_allclose(ups.prices.prices, nups.prices.prices, rtol=1e-12)
+        np.testing.assert_allclose(ups.prices, nups.prices, rtol=1e-12)
 
     def test_shared_price(self, default_instance):
         outcome = ups_solve(default_instance)
-        posted = outcome.prices.prices.tolist()
+        posted = outcome.prices[0, : outcome.n_participants[0]].tolist()
         assert len(set(posted)) == 1
 
     def test_fractions_equal_waterfilling(self, default_instance):
         ups = ups_solve(default_instance)
         wf = waterfill_solve(default_instance)
         np.testing.assert_allclose(
-            ups.fractions.fractions, wf.fractions.fractions, atol=1e-9
+            ups.fractions, wf.fractions, atol=1e-9
         )
 
 
 class TestWaterfill:
     def test_single_vr_takes_everything(self):
         inst = small_instance(n_vrs=1)
-        assert waterfill_solve(inst).fractions.fractions == (1.0,)
+        assert waterfill_solve(inst).fractions[0].tolist() == [1.0]
 
     def test_symmetric_split(self):
         inst = small_instance(n_vrs=4, gamma=0.0)
         np.testing.assert_allclose(
-            waterfill_solve(inst).fractions.fractions, 0.25, atol=1e-12
+            waterfill_solve(inst).fractions, 0.25, atol=1e-12
         )
 
     def test_against_constrained_optimizer(self):
@@ -304,9 +307,9 @@ class TestWaterfill:
         )
         wf = waterfill_solve(inst)
         np.testing.assert_allclose(
-            wf.fractions.fractions, result.x, atol=1e-6
+            wf.fractions[0], result.x, atol=1e-6
         )
-        assert sum(wf.fractions.fractions) == pytest.approx(1.0, abs=1e-9)
+        assert sum(wf.fractions[0]) == pytest.approx(1.0, abs=1e-9)
 
 
 # Q - Ubar_v: on the edge, within the bracket tolerance, and clear of it
@@ -317,7 +320,7 @@ EDGE_OFFSETS = (-1e-9, -1e-12, 0.0, 1e-12, 1e-9)
 def test_waterfill_count_is_the_ups_bracket_count(seed):
     # the seeds are fixed: a failure is a finding, not a reason to re-seed
     cfg = _market(np.random.default_rng([seed, 15]))
-    u_bar = make_instance(cfg).thresholds.u_bar_values
+    _, u_bar = thresholds(make_instance(cfg))
     storages = [(float(cfg.storage), True)] + [
         (edge + d, abs(d) == 1e-9)
         for edge in u_bar[1:5].tolist()
@@ -327,11 +330,12 @@ def test_waterfill_count_is_the_ups_bracket_count(seed):
     for storage, clear in storages:
         instance = make_instance(cfg, storage=storage)
         outcome = waterfill_solve(instance)
-        assert outcome.n_participants == ups_solve(instance).n_participants, storage
+        v_bar = outcome.n_participants[0]
+        assert v_bar == ups_solve(instance).n_participants[0], storage
         if clear:
-            v_bar, fractions = waterfill_fractions(instance)
-            assert outcome.n_participants == v_bar, storage
-            assert np.array_equal(outcome.fractions.fractions, fractions), storage
+            want, fractions = waterfill_fractions(instance)
+            assert v_bar == want, storage
+            assert np.array_equal(outcome.fractions[0], fractions), storage
 
 
 class TestSchemeComparisons:
@@ -345,29 +349,29 @@ class TestSchemeComparisons:
             )
             nups = nups_solve(inst)
             ups = ups_solve(inst)
-            assert nups.report.nsp_total >= ups.report.nsp_total - 1e-9
+            assert nups.report.nsp_total[0] >= ups.report.nsp_total[0] - 1e-9
             assert (
-                ups.report.nsp_backhaul_saving
-                >= nups.report.nsp_backhaul_saving - 1e-9
+                ups.report.nsp_backhaul_saving[0]
+                >= nups.report.nsp_backhaul_saving[0] - 1e-9
             )
 
     def test_leader_profit_rises_with_preference_skew(self):
         profits = []
         for gamma in np.arange(0.1, 1.05, 0.1):
             inst = small_instance(n_vrs=15, gamma=float(gamma))
-            profits.append(nups_solve(inst).report.nsp_total)
+            profits.append(nups_solve(inst).report.nsp_total[0])
         assert all(b >= a - 1e-9 for a, b in zip(profits, profits[1:]))
 
     def test_full_participation_bracket(self, default_instance):
-        q_min = float(default_instance.thresholds.u_values[-1])
+        q_min = float(thresholds(default_instance)[0][-1])
         above = make_instance(ExperimentConfig(), storage=q_min + 1e-6)
         outcome = nups_solve(above)
-        assert outcome.n_participants == 15
+        assert outcome.n_participants[0] == 15
         np.testing.assert_allclose(
-            outcome.prices.prices, reference_full_prices(above), rtol=1e-12
+            outcome.prices[0], reference_full_prices(above), rtol=1e-12
         )
         below = nups_solve(make_instance(ExperimentConfig(), storage=q_min - 1e-6))
-        assert below.n_participants == 14
+        assert below.n_participants[0] == 14
 
 
 class TestVerification:
@@ -381,36 +385,23 @@ class TestVerification:
 
     def test_corrupted_price_fails_leader_check(self, default_instance):
         outcome = nups_solve(default_instance)
-        prices = list(outcome.prices.prices)
+        prices = outcome.prices[0, : outcome.n_participants[0]].tolist()
         prices[0] *= 1.1
-        corrupted_prices = PriceVector(tuple(prices), len(outcome.prices))
-        fractions = FractionVector(
-            tuple(
-                best_response_fraction(
-                    p, g, default_instance.econ, default_instance.constants
-                )
-                for p, g in zip(corrupted_prices.prices, default_instance.gammas())
-            )
-        )
-        report = profit_report(
-            fractions,
-            corrupted_prices,
-            default_instance.pops,
-            default_instance.econ,
-            default_instance.constants,
-        )
-        corrupted = replace(
-            outcome, prices=corrupted_prices, fractions=fractions, report=report
-        )
+        fractions = [
+            best_response_fraction(p, g, default_instance.econ, default_instance.constants)
+            for p, g in zip(prices, default_instance.gammas())
+        ]
+        corrupted = with_fractions(with_prices(outcome, prices), default_instance, fractions)
         with pytest.raises(VerificationFailure, match="leader"):
             verify_equilibrium(corrupted, default_instance.rows)
 
     def test_corrupted_fraction_fails_follower_check(self, default_instance):
         outcome = nups_solve(default_instance)
-        fractions = list(outcome.fractions.fractions)
-        fractions[0] += 0.05  # keep the budget feasible by shrinking another
-        fractions[1] -= 0.05
-        corrupted = replace(outcome, fractions=FractionVector(tuple(fractions)))
+        fractions = outcome.fractions.copy()
+        fractions[0, 0] += 0.05  # keep the budget feasible by shrinking another
+        fractions[0, 1] -= 0.05
+        check_fraction_rows(fractions)
+        corrupted = replace(outcome, fractions=fractions)
         with pytest.raises(VerificationFailure, match="follower"):
             verify_equilibrium(corrupted, default_instance.rows)
 
@@ -424,18 +415,21 @@ def test_large_market_outcome(solve, gamma):
     # 1.1e-11 of the sum.
     instance = make_instance(ExperimentConfig(n_vrs=100_000, gamma=gamma))
     outcome = solve(instance)
-    u = outcome.n_participants
-    tau = outcome.fractions.fractions
-    assert outcome.prices.n_posted() == u
+    u = outcome.n_participants[0]
+    tau = outcome.fractions[0]
+    prices = outcome.prices[0]
+    assert (prices[:u] > 0).all() and (prices[u:] == 0).all()
     assert (tau[:u] > 0).all() and (tau[u:] == 0).all()
     assert tau.sum() <= 1.0 + 1e-9
     rep = outcome.report
-    assert rep.global_total == pytest.approx(2.0 * rep.nsp_backhaul_saving, rel=1.2e-11)
+    assert rep.global_total[0] == pytest.approx(
+        2.0 * rep.nsp_backhaul_saving[0], rel=1.2e-11
+    )
 
 
-@pytest.mark.parametrize("solve", [nups_solve, ups_solve])
+@pytest.mark.parametrize("solve", [nups_solve, ups_solve, waterfill_solve])
 def test_solved_fractions_are_checked_once(monkeypatch, default_instance, solve):
-    # solve_rows checks the row; the FractionVector built from it does not again
+    # each solver checks its one row of fractions, once
     shapes = []
 
     def counting(fractions):
@@ -444,8 +438,5 @@ def test_solved_fractions_are_checked_once(monkeypatch, default_instance, solve)
 
     monkeypatch.setattr(economics, "check_fraction_rows", counting)
     monkeypatch.setattr(equilibrium, "check_fraction_rows", counting)
-    tau = solve(default_instance).fractions.fractions
+    solve(default_instance)
     assert shapes == [(1, default_instance.n_vrs)]
-    assert not tau.flags.writeable
-    FractionVector(tau)  # built anywhere else, a vector is still checked
-    assert shapes == [(1, default_instance.n_vrs)] * 2

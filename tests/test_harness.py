@@ -287,16 +287,24 @@ class TestCli:
         assert err.startswith("numerical failure: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("scheme", ["nups", "ups"])
+    @pytest.mark.parametrize("scheme", ["nups", "ups", "waterfill"])
     def test_idle_budget_exit_code(self, capsys, scheme):
         # Lambda / Theta = 1.03e10: the best response cancels, and the lone
         # retailer takes 0.999998092651 of the budget instead of 1.  The
         # leader could use the rest, so the certificate rejects the outcome.
-        argv = ["solve", "--scheme", scheme, "--alpha", "2.1", "--delta", "2e4", "--V", "1"]
-        assert cli.main(argv) == 2
-        label = {"nups": "provider profit", "ups": "back-haul saving"}[scheme]
+        # Water-filling cancels the same way in (Lambda + Theta - Lambda) /
+        # Theta: at Lambda / Theta = 2.3e10 its lone fraction is
+        # 0.999997256407, where NUPS and UPS solve.
+        idle = ["--alpha", "2.1", "--delta", "2e4", "--V", "1"]
+        lone = ["--alpha", "2.3", "--delta", "3000", "--V", "1", "--Q", "1"]
+        market, condition, gap, label = {
+            "nups": (idle, "leader", "1.907e-06", "provider profit"),
+            "ups": (idle, "leader", "1.907e-06", "back-haul saving"),
+            "waterfill": (lone, "sum-profit", "2.744e-06", "sum profit"),
+        }[scheme]
+        assert cli.main(["solve", "--scheme", scheme, *market]) == 2
         assert capsys.readouterr().err == (
-            "verification failure: leader condition violated: Frank-Wolfe gap 1.907e-06 "
+            f"verification failure: {condition} condition violated: Frank-Wolfe gap {gap} "
             f"(relative); retailer 1 has the largest marginal {label}\n"
         )
 

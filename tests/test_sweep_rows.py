@@ -11,7 +11,14 @@ from price_oracle import posted_prices
 
 from cachemarket import cli, equilibrium, harness
 from cachemarket.economics import ProfitReport, profit_report
-from cachemarket.equilibrium import VerificationFailure, nups_solve, solve_rows, ups_solve
+from cachemarket.equilibrium import (
+    RowOutcomes,
+    VerificationFailure,
+    nups_solve,
+    solve_rows,
+    ups_solve,
+    verify_equilibrium,
+)
 from cachemarket.harness import (
     ConfigError,
     ExperimentConfig,
@@ -34,18 +41,19 @@ def point_rows(cfg, kind, values):
             nups, ups = nups_solve(instance), ups_solve(instance)
         except (ValueError, ArithmeticError, VerificationFailure) as exc:
             return rows, exc
-        th = instance.thresholds
-        front = (float(th.u_values[-1]), float(th.u_bar_values[-1])) if kind == "gamma" else ()
+        th = instance.rows.thresholds
+        last = (float(th.u_values[0, -1]), float(th.u_bar_values[0, -1]))
+        front = last if kind == "gamma" else ()
         rows.append(
             (
                 value,
                 *front,
-                nups.n_participants,
-                ups.n_participants,
-                nups.report.nsp_total,
-                ups.report.nsp_total,
-                nups.report.global_total,
-                ups.report.global_total,
+                nups.n_participants[0],
+                ups.n_participants[0],
+                nups.report.nsp_total[0],
+                ups.report.nsp_total[0],
+                nups.report.global_total[0],
+                ups.report.global_total[0],
             )
         )
     return rows, None
@@ -78,9 +86,9 @@ def _market(rng):
 def test_storage_sweep_equals_point_solves(seed):
     rng = np.random.default_rng([seed, 7])
     cfg = _market(rng)
-    th = make_instance(cfg).thresholds
+    th = make_instance(cfg).rows.thresholds
     # non-integer Q, Q > N, and Q on and around the first few bracket edges
-    edges = [float(x) for x in np.concatenate([th.u_values[1:4], th.u_bar_values[1:4]])]
+    edges = [float(x) for x in np.concatenate([th.u_values[0, 1:4], th.u_bar_values[0, 1:4]])]
     values = sorted(
         {q for q in rng.uniform(1.0, 1.3 * cfg.n_files, 12).tolist()}
         | {q + d for q in edges if q + 1e-12 >= 1.0 for d in (-1e-12, 0.0, 1e-12)}
@@ -142,10 +150,22 @@ def test_solve_fails_like_per_vr(capsys, scheme):
     assert capsys.readouterr().err == f"config error: {error}\n"
 
 
+def row_of(outcomes, i):
+    """Row i of outcomes as a one-row RowOutcomes."""
+    part = slice(i, i + 1)
+    return RowOutcomes(
+        outcomes.scheme,
+        outcomes.n_participants[part],
+        outcomes.prices[part],
+        outcomes.fractions[part],
+        outcomes.report.rows(part),
+    )
+
+
 def assert_report_is_profit_report(outcome, instance):
-    """outcome.report holds, bit for bit, what profit_report computes from it."""
+    """A one-row outcome's report holds, bit for bit, what profit_report computes from it."""
     expected = profit_report(
-        outcome.fractions, outcome.prices, instance.pops, instance.econ, instance.constants
+        outcome.fractions, outcome.prices, instance.gammas(), instance.econ, instance.constants
     )
     for field in dataclasses.fields(ProfitReport):
         got, want = getattr(outcome.report, field.name), getattr(expected, field.name)
@@ -181,7 +201,7 @@ def test_row_reports_equal_profit_report(market):
             outcomes = solve_rows(scheme, block)
             for i, value in enumerate(values):
                 instance = make_instance(cfg, **{kind: value})
-                assert_report_is_profit_report(outcomes.outcome(i), instance)
+                assert_report_is_profit_report(row_of(outcomes, i), instance)
 
 
 def _cli_bytes(tmp_path, argv, name):
@@ -326,7 +346,36 @@ def test_block_row_verifies_like_its_own_market(monkeypatch, kind, cfg, values):
         own = make_instance(cfg, **{kind: values[k // 2]}).rows
         assert rows.gammas[i].tobytes() == own.gammas[0].tobytes()
         assert rows.constants.lambda_big[i, 0] == own.constants.lambda_big[0, 0]
-        assert real(outcome, own) == record
+        assert real(row_of(outcome, i), own) == record
+
+
+@pytest.mark.parametrize(
+    "kind, values",
+    [("storage", sweep_values(10, 500, 10)), ("gamma", sweep_values(0.1, 2.5, 0.1))],
+    ids=["storage", "gamma"],
+)
+def test_verification_reads_row_i_of_the_outcomes(kind, values):
+    # verifying row i of a block's outcomes gives the record of the
+    # one-point block of point i; a fraction corrupted in row k fails
+    # that row alone
+    cfg = ExperimentConfig()
+    first = make_instance(cfg, **{kind: values[0]})
+    block = harness._block_rows(first, kind, values)
+    k = len(values) // 2
+    for outcomes in solve_rows(("NUPS", "UPS"), block):
+        for i, value in enumerate(values):
+            point = harness._block_rows(first, kind, [value])
+            own = verify_equilibrium(solve_rows(outcomes.scheme, point), point)
+            assert verify_equilibrium(outcomes, block, i) == own, value
+        fractions = outcomes.fractions.copy()
+        fractions[k, 0] *= 0.5
+        corrupted = dataclasses.replace(outcomes, fractions=fractions)
+        for i in range(len(values)):
+            if i == k:
+                with pytest.raises(VerificationFailure, match="^follower condition violated: "):
+                    verify_equilibrium(corrupted, block, i)
+            else:
+                verify_equilibrium(corrupted, block, i)
 
 
 def test_bad_point_past_the_first_is_a_config_error():

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cachemarket.economics import FractionVector, PriceVector, profit_report
+from cachemarket.economics import check_fraction_rows, profit_report
 from cachemarket.equilibrium import (
     VerificationFailure,
     best_response_fraction,
@@ -74,7 +74,7 @@ def assert_certificate_bounds_oracle(outcome, instance, rel_tol=1e-6):
         assert failure.startswith(FAILURES[outcome.scheme])
         return None, oracle
     assert oracle_failure is None
-    posted = 0 if outcome.scheme == "WATERFILL" else outcome.prices.n_posted()
+    posted = 0 if outcome.scheme == "WATERFILL" else outcome.n_participants[0]
     assert (record.follower_checks, record.leader_checks) == (posted, instance.n_vrs)
     # json.dumps rejects numpy ints
     assert type(record.follower_checks) is type(record.leader_checks) is int
@@ -91,17 +91,28 @@ def assert_certificate_bounds_oracle(outcome, instance, rel_tol=1e-6):
 
 
 def with_fractions(outcome, instance, tau):
-    """The outcome at other fractions, prices unchanged."""
-    fractions = FractionVector(tuple(tau))
+    """The one-row outcome at other (feasible) fractions, prices unchanged."""
+    fractions = np.array([tau], dtype=float)
+    check_fraction_rows(fractions)
     report = profit_report(
-        fractions, outcome.prices, instance.pops, instance.econ, instance.constants
+        fractions, outcome.prices, instance.gammas(), instance.econ, instance.constants
     )
     return replace(outcome, fractions=fractions, report=report)
 
 
+def with_prices(outcome, prices):
+    """The one-row outcome with prices posted to the first len(prices) retailers.
+
+    The fractions and the report are unchanged; with_fractions updates them.
+    """
+    row = np.zeros(outcome.prices.shape)
+    row[0, : len(prices)] = prices
+    return replace(outcome, prices=row, n_participants=np.array([len(prices)]))
+
+
 def shifted(outcome, instance, source, dest, amount):
     """The outcome with amount of the budget moved from source to dest."""
-    tau = list(outcome.fractions.fractions)
+    tau = outcome.fractions[0].copy()
     tau[source] -= amount
     tau[dest] += amount
     return with_fractions(outcome, instance, tau)
@@ -112,7 +123,7 @@ def repriced(outcome, instance, retailer, factor):
 
     None when the best responses leave the SBS budget.
     """
-    prices = outcome.prices.prices.tolist()
+    prices = outcome.prices[0, : outcome.n_participants[0]].tolist()
     prices[retailer] *= factor
     tau = [
         best_response_fraction(p, g, instance.econ, instance.constants)
@@ -121,12 +132,7 @@ def repriced(outcome, instance, retailer, factor):
     tau += [0.0] * (instance.n_vrs - len(prices))  # the priced-out retailers
     if sum(tau) > 1.0:
         return None
-    fractions = FractionVector(tuple(tau))
-    prices = PriceVector(tuple(prices), instance.n_vrs)
-    report = profit_report(
-        fractions, prices, instance.pops, instance.econ, instance.constants
-    )
-    return replace(outcome, prices=prices, fractions=fractions, report=report)
+    return with_fractions(with_prices(outcome, prices), instance, tau)
 
 
 @pytest.mark.parametrize("scheme", sorted(SOLVERS))
@@ -146,9 +152,9 @@ def test_lone_retailer_above_one_skips_lower_prices():
     cfg = ExperimentConfig(n_vrs=3, alpha=4.0, delta=1.0, storage=10)
     instance = make_instance(cfg)
     outcome = nups_solve(instance)
-    assert outcome.n_participants == 1
+    assert outcome.n_participants[0] == 1
     tau0 = best_response_fraction(
-        outcome.prices.prices[0], instance.gammas()[0], instance.econ, instance.constants
+        outcome.prices[0, 0], instance.gammas()[0], instance.econ, instance.constants
     )
     assert tau0 > 1.0
     record, oracle = assert_certificate_bounds_oracle(outcome, instance)
@@ -173,11 +179,7 @@ def test_retailer_above_one_makes_the_other_rows_infeasible():
     )
     tau0 = [best_response_fraction(p, g, econ, con) for p, g in zip(prices, gammas)]
     assert tau0[0] > 1.0 and 0.0 < tau0[1] and sum(tau0) < 1.0 + 1e-9
-    outcome = with_fractions(
-        replace(nups_solve(instance), prices=PriceVector(prices), n_participants=2),
-        instance,
-        (1.0, tau0[1]),
-    )
+    outcome = with_fractions(with_prices(nups_solve(instance), prices), instance, (1.0, tau0[1]))
     record, oracle = assert_certificate_bounds_oracle(outcome, instance, math.inf)
     assert oracle.leader_checks == 5  # retailer 1's factors above 1
     assert (record.follower_checks, record.leader_checks) == (2, 2)
@@ -191,11 +193,11 @@ def test_underpriced_retailer_at_one_fails_the_leader_check():
     # rent.  The bound adds the rent below the price that buys each fraction.
     instance = make_instance(ExperimentConfig(n_vrs=3, alpha=4.0, delta=1.0, storage=10))
     outcome = nups_solve(instance)
-    prices = PriceVector(outcome.prices.prices * 0.8, instance.n_vrs)
-    under = with_fractions(replace(outcome, prices=prices), instance, outcome.fractions.fractions)
-    assert under.fractions.fractions.tolist() == [1.0, 0.0, 0.0]
+    under = replace(outcome, prices=outcome.prices * 0.8)
+    under = with_fractions(under, instance, outcome.fractions[0])
+    assert under.fractions[0].tolist() == [1.0, 0.0, 0.0]
     record = verify_equilibrium(under, instance.rows, rel_tol=math.inf)
-    forgone = 0.25 * under.report.nsp_leasing / under.report.nsp_total
+    forgone = 0.25 * under.report.nsp_leasing[0] / under.report.nsp_total[0]
     assert record.leader_max_gain == pytest.approx(forgone, rel=1e-9)
     with pytest.raises(VerificationFailure, match="leader condition violated"):
         verify_equilibrium(under, instance.rows)
@@ -215,11 +217,8 @@ def test_gap_covers_priced_out_retailers():
     )
     tau0 = best_response_fraction(price, gamma, econ, con)
     assert tau0 == pytest.approx(1.0, abs=1e-12)
-    lone = with_fractions(
-        replace(nups_solve(instance), prices=PriceVector((price,), 2), n_participants=1),
-        instance,
-        (min(tau0, 1.0), 0.0),
-    )
+    lone = with_prices(nups_solve(instance), (price,))
+    lone = with_fractions(lone, instance, (min(tau0, 1.0), 0.0))
     assert loop_verify_equilibrium(lone, instance).leader_checks > 0
     with pytest.raises(VerificationFailure, match="retailer 2 has the largest"):
         verify_equilibrium(lone, instance.rows)
@@ -232,12 +231,12 @@ def test_follower_violation_names_the_first_candidate_in_declared_order():
     # maximizer, its best response.
     instance = make_instance(ExperimentConfig())
     outcome = nups_solve(instance)
-    tau = list(outcome.fractions.fractions)
+    tau = outcome.fractions[0].copy()
     tau[2] *= 0.3
     perturbed = with_fractions(outcome, instance, tau)
     with pytest.raises(VerificationFailure, match=r"retailer 3 .* to 0\.0297723$"):
         loop_verify_equilibrium(perturbed, instance)
-    best = re.escape(f"{outcome.fractions.fractions[2]:.6g}")
+    best = re.escape(f"{outcome.fractions[0, 2]:.6g}")
     with pytest.raises(VerificationFailure, match=rf"retailer 3 .* to {best}$"):
         verify_equilibrium(perturbed, instance.rows)
     assert assert_certificate_bounds_oracle(perturbed, instance)[0] is None
@@ -248,10 +247,10 @@ def test_follower_gain_is_relative_to_the_retailers_profit():
     # profit well below 1; retailer 3 at 0.3 of its best response
     instance = make_instance(ExperimentConfig(s_bh=1e-4))
     outcome = nups_solve(instance)
-    tau = outcome.fractions.fractions.copy()
+    tau = outcome.fractions[0].copy()
     tau[2] *= 0.3
     perturbed = with_fractions(outcome, instance, tau)
-    profit, best = perturbed.report.vr_profits[2], outcome.report.vr_profits[2]
+    profit, best = perturbed.report.vr_profits[0, 2], outcome.report.vr_profits[0, 2]
     assert 0.0 < profit < best < 1e-2
     record = verify_equilibrium(perturbed, instance.rows, rel_tol=math.inf)
     assert record.follower_max_gain == pytest.approx((best - profit) / profit, rel=1e-9)
@@ -262,21 +261,17 @@ def test_follower_checks_count_tied_candidates_once():
     # maximizer per posted retailer
     instance = make_instance(ExperimentConfig())
     outcome = nups_solve(instance)
-    assert outcome.n_participants == 15
+    assert outcome.n_participants[0] == 15
     # retailer 3 at tau = 0: its 11 factor candidates are all 0
-    tau = list(outcome.fractions.fractions)
+    tau = outcome.fractions[0].copy()
     tau[2] = 0.0
     idle = with_fractions(outcome, instance, tau)
     # retailer 5 priced so high that its best response is 0, as is 0.0 tau
-    prices = outcome.prices.prices.copy()
-    prices[4] *= 1e3
+    prices = outcome.prices.copy()
+    prices[0, 4] *= 1e3
     econ, con = instance.econ, instance.constants
-    assert best_response_fraction(prices[4], instance.gammas()[4], econ, con) == 0.0
-    priced_out = with_fractions(
-        replace(outcome, prices=PriceVector(prices, instance.n_vrs)),
-        instance,
-        outcome.fractions.fractions,
-    )
+    assert best_response_fraction(prices[0, 4], instance.gammas()[4], econ, con) == 0.0
+    priced_out = with_fractions(replace(outcome, prices=prices), instance, outcome.fractions[0])
     records = [
         assert_certificate_bounds_oracle(tied, instance, math.inf)
         for tied in (idle, priced_out)
@@ -309,14 +304,14 @@ def test_gap_sees_a_cut_when_every_marginal_is_negative():
     price = gamma * econ.local_surcharge * lam / (econ.sbs_intensity * (theta + lam) ** 2)
     tau0 = best_response_fraction(price, gamma, econ, con)
     lone = with_fractions(
-        replace(nups_solve(make_instance(ExperimentConfig(n_vrs=1))), prices=PriceVector((price,))),
+        with_prices(nups_solve(make_instance(ExperimentConfig(n_vrs=1))), (price,)),
         instance,
         (min(tau0, 1.0),),
     )
     t = np.linspace(0.0, 1.0, 10_001)
     x = theta * t + lam
     profit = gamma * (econ.local_surcharge * lam * t / x**2 + econ.backhaul_cost * t / x)
-    gain = (profit.max() - profit[-1]) / lone.report.nsp_total
+    gain = (profit.max() - profit[-1]) / lone.report.nsp_total[0]
     record = verify_equilibrium(lone, instance.rows, rel_tol=math.inf)
     assert 1e-6 < gain <= record.leader_max_gain
     with pytest.raises(VerificationFailure, match="leader condition violated"):
@@ -361,7 +356,7 @@ def test_waterfill_partial_moves():
     # per retailer
     instance = make_instance(ExperimentConfig(n_vrs=6, gamma=0.5625, storage=100))
     outcome = waterfill_solve(instance)
-    tau = np.array(outcome.fractions.fractions)
+    tau = outcome.fractions[0]
     assert ((tau > 0) & (tau < 1e-4)).any()
     record, oracle = assert_certificate_bounds_oracle(outcome, instance)
     assert record.leader_checks == tau.size
@@ -381,7 +376,7 @@ def test_waterfill_lone_source_has_no_transfer_to_itself():
     con = instance.constants
     weight = instance.gammas()[0] * (instance.econ.backhaul_cost + instance.econ.local_surcharge)
     marginal = weight * con.lambda_big / (con.theta * 1e-3 + con.lambda_big) ** 2
-    expected = marginal * (1.0 - 1e-3) / lone.report.global_total
+    expected = marginal * (1.0 - 1e-3) / lone.report.global_total[0]
     assert record.leader_max_gain == pytest.approx(expected, rel=1e-12)
     # at the default tolerance the oracle passes and the gap rejects
     assert loop_verify_equilibrium(lone, instance).leader_checks == 3
@@ -399,7 +394,8 @@ def test_waterfill_transfer_caps_destination_at_one():
     record, oracle = assert_certificate_bounds_oracle(edge, instance, math.inf)
     assert oracle.leader_checks == 6
     filled = with_fractions(edge, instance, (1.0, 5e-10))
-    gain = (filled.report.global_total - edge.report.global_total) / edge.report.global_total
+    base = edge.report.global_total[0]
+    gain = (filled.report.global_total[0] - base) / base
     assert oracle.leader_max_gain < gain <= record.leader_max_gain
 
 
@@ -408,10 +404,10 @@ def test_waterfill_gap_rejects_unused_budget():
     # outcomes that leave budget unused; the gap rejects them
     instance = make_instance(ExperimentConfig())
     idle = with_fractions(waterfill_solve(instance), instance, np.zeros(instance.n_vrs))
-    assert idle.report.global_total == 0.0
+    assert idle.report.global_total[0] == 0.0
     lone = make_instance(ExperimentConfig(n_vrs=1))
     half = with_fractions(waterfill_solve(lone), lone, (0.5,))
-    assert waterfill_solve(lone).report.global_total > half.report.global_total
+    assert waterfill_solve(lone).report.global_total[0] > half.report.global_total[0]
     for outcome, market in ((idle, instance), (half, lone)):
         assert loop_verify_equilibrium(outcome, market).leader_checks == 0
         with pytest.raises(VerificationFailure, match="sum-profit condition violated"):
@@ -425,7 +421,7 @@ def test_verifies_a_large_market(scheme, gamma):
     instance = make_instance(ExperimentConfig(n_vrs=100_000, gamma=gamma))
     outcome = SOLVERS[scheme](instance)
     record = verify_equilibrium(outcome, instance.rows)
-    posted = 0 if scheme == "waterfill" else outcome.n_participants
+    posted = 0 if scheme == "waterfill" else outcome.n_participants[0]
     assert (record.follower_checks, record.leader_checks) == (posted, 100_000)
     assert 0.0 <= record.leader_max_gain <= 1e-6
     if scheme != "waterfill":
@@ -451,19 +447,19 @@ def test_corrupted_outcomes_match_loop_oracle():
     corrupted = []
     for instance in seeded_markets(40, seed=6063):
         outcome = waterfill_solve(instance)
-        source = int(rng.choice(np.flatnonzero(outcome.fractions.fractions > 0)))
-        amount = outcome.fractions.fractions[source] * rng.uniform(0.0, 1.0)
+        source = int(rng.choice(np.flatnonzero(outcome.fractions[0] > 0)))
+        amount = outcome.fractions[0, source] * rng.uniform(0.0, 1.0)
         dest = int(rng.integers(instance.n_vrs))
         if dest != source:
             corrupted.append((shifted(outcome, instance, source, dest, amount), instance))
         for solve in (nups_solve, ups_solve):
             outcome = solve(instance)
-            retailer = int(rng.integers(outcome.n_participants))
+            retailer = int(rng.integers(outcome.n_participants[0]))
             for factor in (rng.uniform(0.8, 1.25), 1.0 + rng.choice((-1e-3, 1e-3))):
                 scaled = repriced(outcome, instance, retailer, factor)
                 if scaled is not None:
                     corrupted.append((scaled, instance))
-            tau = outcome.fractions.fractions.copy()
+            tau = outcome.fractions[0].copy()
             tau[retailer] *= rng.uniform(0.0, 1.0)
             corrupted.append((with_fractions(outcome, instance, tau), instance))
     rejected = {"oracle": 0, "certificate": 0}
@@ -486,15 +482,15 @@ def test_small_moves_are_rejected_whenever_the_oracle_rejects():
         if instance.n_vrs == 1:
             continue
         outcome = waterfill_solve(instance)
-        source = int(rng.choice(np.flatnonzero(outcome.fractions.fractions > 0)))
+        source = int(rng.choice(np.flatnonzero(outcome.fractions[0] > 0)))
         dest = int(rng.choice(np.delete(np.arange(instance.n_vrs), source)))
         moves = []
         for move in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2):
-            amount = min(move, outcome.fractions.fractions[source])
+            amount = min(move, outcome.fractions[0, source])
             moves.append(shifted(outcome, instance, source, dest, amount))
         for solve in (nups_solve, ups_solve):
             outcome = solve(instance)
-            retailer = int(rng.integers(outcome.n_participants))
+            retailer = int(rng.integers(outcome.n_participants[0]))
             for move in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2):
                 for factor in (1.0 - move, 1.0 + move):
                     scaled = repriced(outcome, instance, retailer, factor)

@@ -115,6 +115,13 @@ EDGE = [
     # the water-filling count at large V, with few and with all retailers in
     ["solve", "--scheme", "waterfill", "--V", "20000", "--gamma", "0.5", "--no-verify"],
     ["solve", "--scheme", "waterfill", "--V", "20000", "--gamma", "0", "--no-verify"],
+    # water-filling outside the pricing domain (s_ld != s_bh), where the Zipf
+    # weights underflow (every price cell 0, none EXCLUDED), with one
+    # retailer, and its lone fraction left short of the budget (exit 2)
+    ["solve", "--scheme", "waterfill", "--s-ld", "2"],
+    ["solve", "--scheme", "waterfill", "--V", "5000", "--gamma", "300"],
+    ["solve", "--scheme", "waterfill", "--V", "1"],
+    ["solve", "--scheme", "waterfill", "--alpha", "2.3", "--delta", "3000", "--V", "1", "--Q", "1"],
     # sweep blocks with 79 distinct NUPS participant counts in 100 rows,
     # with 40 in 101 rows, and three blocks of up to 21 points
     ["sweep-storage", "--V", "120", "--gamma", "0.2", "--start", "1", "--stop", "500", "--step", "5"],

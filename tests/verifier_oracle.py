@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 
-from cachemarket.economics import (
-    FractionVector,
-    PriceVector,
-    profit_report,
-)
+import numpy as np
+
+from cachemarket.economics import profit_report
 from cachemarket.equilibrium import (
-    EquilibriumOutcome,
     GameInstance,
+    RowOutcomes,
     VerificationFailure,
     VerificationRecord,
     best_response_fraction,
@@ -52,11 +50,11 @@ def _vr_profit_at(
 
 
 def loop_verify_equilibrium(
-    outcome: EquilibriumOutcome,
+    outcome: RowOutcomes,
     instance: GameInstance,
     rel_tol: float = 1e-6,
 ) -> VerificationRecord:
-    """Check both equilibrium conditions by perturbation.
+    """Check both equilibrium conditions of a one-row outcome by perturbation.
 
     Follower side: moving any retailer's fraction off its posted value
     (prices fixed) must not raise that retailer's profit.  Leader side:
@@ -70,12 +68,11 @@ def loop_verify_equilibrium(
     if outcome.scheme == "WATERFILL":
         return _loop_verify_waterfill(outcome, instance, rel_tol)
     gammas = instance.gammas()
+    posted = outcome.prices[0, : outcome.n_participants[0]].tolist()
     follower_gain = -math.inf
     follower_checks = 0
     # prices are posted to a prefix of the retailers; zip stops at its end
-    for v, (price, tau_v) in enumerate(
-        zip(outcome.prices.prices.tolist(), outcome.fractions.fractions.tolist())
-    ):
+    for v, (price, tau_v) in enumerate(zip(posted, outcome.fractions[0].tolist())):
         base = _vr_profit_at(tau_v, price, gammas[v], instance)
         scale = max(abs(base), 1e-9)
         # the declared order, each distinct candidate once
@@ -101,17 +98,16 @@ def loop_verify_equilibrium(
     # provider's total profit; check the objective each scheme claims.
     if outcome.scheme == "UPS":
         objective = lambda rep: rep.nsp_backhaul_saving  # noqa: E731
-        base_value = outcome.report.nsp_backhaul_saving
+        base_value = outcome.report.nsp_backhaul_saving[0]
         label = "back-haul saving"
     else:
         objective = lambda rep: rep.nsp_total  # noqa: E731
-        base_value = outcome.report.nsp_total
+        base_value = outcome.report.nsp_total[0]
         label = "provider profit"
     profit_scale = max(abs(base_value), 1e-9)
     leader_gain = -math.inf
     leader_checks = 0
-    posted = outcome.prices.prices.tolist()
-    excluded = [0.0] * (len(outcome.prices) - len(posted))
+    excluded = [0.0] * (instance.n_vrs - len(posted))
     for i, price in enumerate(posted):
         for factor in _LEADER_FACTORS:
             trial = list(posted)
@@ -128,9 +124,9 @@ def loop_verify_equilibrium(
             if not feasible or sum(fractions) > 1.0 + 1e-9:
                 continue  # outside the leader's feasible set
             report = profit_report(
-                FractionVector(fractions=tuple(fractions)),
-                PriceVector(prices=tuple(trial), n_vrs=len(outcome.prices)),
-                instance.pops,
+                np.array(fractions),
+                np.array(trial + excluded),
+                gammas,
                 instance.econ,
                 instance.constants,
             )
@@ -151,14 +147,14 @@ def loop_verify_equilibrium(
 
 
 def _loop_verify_waterfill(
-    outcome: EquilibriumOutcome,
+    outcome: RowOutcomes,
     instance: GameInstance,
     rel_tol: float,
 ) -> VerificationRecord:
     """Pairwise mass transfers on the simplex must not raise the sum profit."""
-    base = outcome.report.global_total
+    base = outcome.report.global_total[0]
     scale = max(abs(base), 1e-9)
-    fractions = outcome.fractions.fractions.tolist()
+    fractions = outcome.fractions[0].tolist()
     n = len(fractions)
     max_gain = -math.inf
     checks = 0
@@ -174,9 +170,9 @@ def _loop_verify_waterfill(
                 trial[i] -= move
                 trial[j] = min(trial[j] + move, 1.0)
                 report = profit_report(
-                    FractionVector(fractions=tuple(trial)),
-                    outcome.prices,
-                    instance.pops,
+                    np.array(trial),
+                    outcome.prices[0],
+                    instance.gammas(),
                     instance.econ,
                     instance.constants,
                 )
