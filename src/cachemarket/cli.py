@@ -93,8 +93,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         try:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            with open(out_path, "wb") as fh:
+                fh.write(text.encode())
         except OSError as exc:
             raise ConfigError(f"cannot write output {out_path}: {exc}")
     else:

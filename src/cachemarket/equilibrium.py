@@ -152,29 +152,31 @@ class GameRows:
     def pricing_products(self) -> dict[str, np.ndarray]:
         """Bounds, over u <= V, on products the NUPS/UPS closed forms form.
 
-        One value per row.  S_k = sum_v Gamma_v^(1/k); Gamma_1 is the
-        largest Gamma.  Each must stay below half the float range (room
-        for the verifier's doubled prices).
+        One value per row.  Each must stay below half the float range
+        (room for the verifier's doubled prices).  Only _require_pricing_domain's
+        per-row pass forms them, for a block its bounds do not accept.
         """
-        lam = self.constants.lambda_big[:, 0]
-        s = self.econ.backhaul_cost
-        g1 = self.distinct_gammas[:, 0]
-        s3 = self.roots["NUPS"].sum(axis=1)
-        s2 = self.roots["UPS"].sum(axis=1)
-        n_vrs = self.gammas.shape[1]
         # an overflow, or lambda Theta^2 underflowing to 0, shows as inf or
         # nan in the bound, which fails its check
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            numerator = lam * s * np.maximum(s3 * s3 * np.maximum(g1 ** (1 / 3), 1.0), s2 * s2)
-            return {
-                "Gamma_1 * Lambda * s_bh": g1 * lam * s,
-                "Lambda^2 * s_bh * S_3^3": lam * lam * s * s3 * s3 * s3,
-                "V * Lambda^2 * s_bh * S_2^2": n_vrs * lam * lam * s * s2 * s2,
-                "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2)": numerator,
-                "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2)": (
-                    numerator / (self.econ.sbs_intensity * self.constants.theta**2)
-                ),
-            }
+            sums = [self.roots[name].sum(axis=1) for name in ("NUPS", "UPS")]
+            lam, g1 = self.constants.lambda_big[:, 0], self.distinct_gammas[:, 0]
+            return _pricing_formulas(self, lam, g1, *sums, np.maximum)
+
+
+def _pricing_formulas(rows: GameRows, lam, g1, s3, s2, maximum) -> dict:
+    """The pricing products by name, from arrays (np.maximum) or floats (max)."""
+    s = rows.econ.backhaul_cost
+    numerator = lam * s * maximum(s3 * s3 * maximum(g1 ** (1 / 3), 1.0), s2 * s2)
+    return {
+        "Gamma_1 * Lambda * s_bh": g1 * lam * s,
+        "Lambda^2 * s_bh * S_3^3": lam * lam * s * s3 * s3 * s3,
+        "V * Lambda^2 * s_bh * S_2^2": rows.shape[1] * lam * lam * s * s2 * s2,
+        "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2)": numerator,
+        "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2)": (
+            numerator / (rows.econ.sbs_intensity * rows.constants.theta**2)
+        ),
+    }
 
 
 @dataclass(frozen=True)
@@ -236,12 +238,15 @@ def participation_threshold_rows(
     if not scale <= sys.float_info.max:
         raise ValueError(f"N * C / Theta = {scale:.3g} overflows a float")
     v_idx = np.arange(1, q.shape[1] + 1, dtype=float)
-    roots = np.stack((np.cbrt(q), np.sqrt(q)))
+    roots = np.empty((2, *q.shape))
+    np.cbrt(q, out=roots[0])
+    np.sqrt(q, out=roots[1])
     # cumulative sums of (q_j / q_v)^(1/3) and ^(1/2) for each v
-    ratios = np.divide(
-        np.cumsum(roots, axis=-1), roots, out=np.full(roots.shape, np.inf), where=roots > 0
-    )
-    u_values, u_bar_values = scale * (ratios - v_idx)
+    ratios = np.full(roots.shape, np.inf)
+    np.divide(np.cumsum(roots, axis=-1), roots, out=ratios, where=roots > 0)
+    ratios -= v_idx
+    ratios *= scale
+    u_values, u_bar_values = ratios
     return ParticipationThresholds(u_values=u_values, u_bar_values=u_bar_values)
 
 
@@ -263,12 +268,45 @@ def _require_pricing_domain(rows: GameRows) -> None:
             f"the back-haul cost, got s_ld={econ.local_surcharge}, "
             f"s_bh={econ.backhaul_cost}"
         )
+    # Each product at the block's largest Lambda, Gamma_1, S_3 and S_2 bounds
+    # it on every row, up to the ulps by which Python's pow of Gamma_1^(1/3)
+    # may differ from numpy's: the 1e-9 margin covers them.  A NaN bound, or
+    # lambda Theta^2 = 0 (Python's division refuses it), leaves it to the rows.
+    sums = [rows.roots[name].sum(axis=1) for name in ("NUPS", "UPS")]
+    extremes = [rows.constants.lambda_big, rows.distinct_gammas[:, 0], *sums]
+    try:
+        bounds = _pricing_formulas(rows, *(float(x.max()) for x in extremes), max)
+        if all(bound <= sys.float_info.max / 2 * (1 - 1e-9) for bound in bounds.values()):
+            return
+    except ZeroDivisionError:
+        pass
     products = rows.pricing_products
     bad = ~(np.array(list(products.values())) <= sys.float_info.max / 2)
     if bad.any():
         k, r = np.unravel_index(np.argmax(bad), bad.shape)  # first product, first row
         name = list(products)[k]
         raise ValueError(f"{name} = {products[name][r]:.3g} overflows a float")
+
+
+def _require_normal_floors(floors: dict, u: np.ndarray) -> None:
+    """Name the first floor product that is 0 on a row, else the first subnormal one."""
+    # fmin skips NaNs, so this is "some product is 0 or subnormal"
+    if not np.fmin.reduce(np.fmin(*floors.values())) < sys.float_info.min:
+        return
+    for name, values in floors.items():
+        if not values.all():
+            r = int(np.argmin(values != 0))
+            raise ValueError(f"{name} underflows to 0 at u = {u[r]}")
+    # a subnormal product has lost digits: the best responses built on it
+    # can break the budget or vanish although a price is posted
+    for name, values in floors.items():
+        subnormal = values < sys.float_info.min
+        if subnormal.any():
+            r = int(np.argmax(subnormal))
+            raise ValueError(
+                f"{name} = {values[r]:.3g} at u = {u[r]} is below the smallest "
+                f"normal float, {sys.float_info.min:.3g}"
+            )
 
 
 def _root_sums(roots: np.ndarray, u: np.ndarray) -> list:
@@ -425,20 +463,7 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
         "Gamma_u * Lambda * s_ld": gamma_u * constants.lambda_big[:, 0] * econ.local_surcharge,
         "Theta^2 * lambda * s_u": constants.theta**2 * econ.sbs_intensity * s_u,
     }
-    for name, values in floors.items():
-        if not values.all():
-            r = int(np.argmin(values != 0))
-            raise ValueError(f"{name} underflows to 0 at u = {u[r]}")
-    # a subnormal product has lost digits: the best responses built on it
-    # can break the budget or vanish although a price is posted
-    for name, values in floors.items():
-        subnormal = values < sys.float_info.min
-        if subnormal.any():
-            r = int(np.argmax(subnormal))
-            raise ValueError(
-                f"{name} = {values[r]:.3g} at u = {u[r]} is below the smallest "
-                f"normal float, {sys.float_info.min:.3g}"
-            )
+    _require_normal_floors(floors, u)
     # past u a row repeats its last posted price, which keeps those entries finite
     responses = best_response_fraction(
         np.where(posted, prices, s_u[:, None]), gammas, econ, constants

@@ -194,17 +194,16 @@ def _row_format(types: tuple) -> str | None:
 def format_rows(header: list[str], rows: list[tuple]) -> str:
     """Render rows to CSV text with stable numeric formatting (_fmt per cell).
 
-    Rows of numbers and EXCLUDED are formatted by one %-format string
-    per distinct row of cell types; a row holding any other type goes
-    cell by cell through _fmt.
+    Rows of numbers and EXCLUDED are formatted by a %-format string of
+    their cell types, built again where they differ from the row before;
+    a row holding any other type goes cell by cell through _fmt.
     """
     lines = [",".join(header)]
-    formats = {}
+    last = form = None
     for row in rows:
         types = tuple(map(type, row))
-        if types not in formats:
-            formats[types] = _row_format(types)
-        form = formats[types]
+        if types != last:
+            last, form = types, _row_format(types)
         lines.append(",".join(map(_fmt, row)) if form is None else form % tuple(row))
     return "\n".join(lines) + "\n"
 

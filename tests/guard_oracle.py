@@ -1,0 +1,72 @@
+"""The overflow and underflow guards of the NUPS/UPS solver, row by row.
+
+``require_pricing_domain`` forms the five pricing products on every row
+of a block and names the first product, then the first row, above half
+the float range.  ``require_normal_floors`` names the first
+best-response floor product that is 0 on some row, else the first that
+is subnormal.  ``cachemarket.equilibrium`` decides most blocks with one
+test on their extremes; it must raise exactly when these do, with the
+same message.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+
+from cachemarket.equilibrium import GameRows
+
+
+def pricing_products(rows: GameRows) -> dict[str, np.ndarray]:
+    """The five products the NUPS/UPS closed forms form, one value per row."""
+    lam = rows.constants.lambda_big[:, 0]
+    s = rows.econ.backhaul_cost
+    g1 = rows.gammas[:, 0]
+    s3 = np.cbrt(rows.gammas).sum(axis=1)
+    s2 = np.sqrt(rows.gammas).sum(axis=1)
+    n_vrs = rows.gammas.shape[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        numerator = lam * s * np.maximum(s3 * s3 * np.maximum(g1 ** (1 / 3), 1.0), s2 * s2)
+        return {
+            "Gamma_1 * Lambda * s_bh": g1 * lam * s,
+            "Lambda^2 * s_bh * S_3^3": lam * lam * s * s3 * s3 * s3,
+            "V * Lambda^2 * s_bh * S_2^2": n_vrs * lam * lam * s * s2 * s2,
+            "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2)": numerator,
+            "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2)": (
+                numerator / (rows.econ.sbs_intensity * rows.constants.theta**2)
+            ),
+        }
+
+
+def require_pricing_domain(rows: GameRows) -> None:
+    """s^ld = s^bh, and every row's products within half the float range."""
+    econ = rows.econ
+    if abs(econ.local_surcharge - econ.backhaul_cost) > 1e-12 * econ.backhaul_cost:
+        raise ValueError(
+            "the pricing closed forms require the local surcharge to equal "
+            f"the back-haul cost, got s_ld={econ.local_surcharge}, "
+            f"s_bh={econ.backhaul_cost}"
+        )
+    products = pricing_products(rows)
+    bad = ~(np.array(list(products.values())) <= sys.float_info.max / 2)
+    if bad.any():
+        k, r = np.unravel_index(np.argmax(bad), bad.shape)  # first product, first row
+        name = list(products)[k]
+        raise ValueError(f"{name} = {products[name][r]:.3g} overflows a float")
+
+
+def require_normal_floors(floors: dict, u: np.ndarray) -> None:
+    """The first product that is 0 on some row, else the first subnormal one."""
+    for name, values in floors.items():
+        if not values.all():
+            r = int(np.argmin(values != 0))
+            raise ValueError(f"{name} underflows to 0 at u = {u[r]}")
+    for name, values in floors.items():
+        subnormal = values < sys.float_info.min
+        if subnormal.any():
+            r = int(np.argmax(subnormal))
+            raise ValueError(
+                f"{name} = {values[r]:.3g} at u = {u[r]} is below the smallest "
+                f"normal float, {sys.float_info.min:.3g}"
+            )

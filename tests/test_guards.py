@@ -1,0 +1,164 @@
+"""The solver's overflow and underflow guards decide like their per-row form.
+
+_require_pricing_domain accepts most blocks with one bound per product
+at the block's extremes and forms every row's products only to decide
+the rest; _require_normal_floors runs its per-product loops only when
+the smallest floor product is 0 or subnormal.  guard_oracle holds both
+checks in their per-row form.
+"""
+
+import dataclasses
+import math
+import sys
+
+import numpy as np
+from guard_oracle import pricing_products, require_normal_floors, require_pricing_domain
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_sweep_rows import row_of
+
+from cachemarket import equilibrium
+from cachemarket.coverage import CoverageConstants
+from cachemarket.economics import EconomicConfig, ProfitReport
+from cachemarket.equilibrium import (
+    GameRows,
+    participation_threshold_rows,
+    solve_rows,
+)
+
+HALF = sys.float_info.max / 2
+TINY = sys.float_info.min
+
+
+def game_rows(gammas, lams, s_bh=1.0, intensity=1.0, theta=1.0) -> GameRows:
+    """A block of markets given by Gamma (R, V) and Lambda (R,), at Q = 1.
+
+    zeta K = 1, s^ld = s^bh and C = 1; storage 1 keeps the first retailer
+    of each row (its thresholds are 0).  Thresholds past the first may
+    overflow to inf: the pricing guard does not read them.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    econ = EconomicConfig(
+        backhaul_cost=s_bh,
+        local_surcharge=s_bh,
+        requests_per_mu=1.0,
+        mu_intensity=1.0,
+        sbs_intensity=intensity,
+    )
+    base = CoverageConstants(c=1.0, theta=theta, lambda_big=1.0)
+    with np.errstate(over="ignore"):
+        thresholds = participation_threshold_rows(gammas, 1, base)
+    return GameRows(
+        gammas=gammas,
+        thresholds=thresholds,
+        storage=np.ones((gammas.shape[0], 1)),
+        econ=econ,
+        constants=base.with_lambda_big(np.array(lams, dtype=float)[:, None]),
+    )
+
+
+def raised(check, *args):
+    """(type, message) of the error check raises, None if it returns."""
+    try:
+        check(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _powers_of_ten(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def pricing_blocks(draw):
+    """Blocks of 1-3 markets with Gamma, Lambda, lambda, Theta and s_bh log-uniform.
+
+    Every product is linear in s_bh, so in most draws s_bh is rescaled
+    to put one product's largest row within 3e-9 of half the float range,
+    on either side of it.  A Gamma row may be shared by every row, as in
+    a storage sweep.
+    """
+    n_rows, n_vrs = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    shared = draw(st.booleans())
+    wide = _powers_of_ten(-307.0, 308.0)
+    gammas = np.array([[draw(wide) for _ in range(n_vrs)] for _ in range(1 if shared else n_rows)])
+    gammas = np.broadcast_to(gammas, (n_rows, n_vrs))
+    lams = [draw(wide) for _ in range(n_rows)]
+    market = dict(
+        gammas=gammas,
+        lams=lams,
+        s_bh=draw(_powers_of_ten(-307.0, 307.9)),
+        intensity=draw(wide),
+        theta=draw(_powers_of_ten(-200.0, 150.0)),
+    )
+    rows = game_rows(**market)
+    snap = draw(st.sampled_from([None, 0, 1, 2, 3, 4]))
+    if snap is not None:
+        largest = max(list(pricing_products(rows).values())[snap].tolist())
+        offset = draw(st.floats(-3e-9, 3e-9))
+        s_bh = market["s_bh"] * (HALF * (1 + offset) / largest) if largest > 0 else 0.0
+        if 0 < s_bh <= HALF:
+            rows = game_rows(**{**market, "s_bh": s_bh})
+    return rows
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(rows=pricing_blocks())
+def test_pricing_guard_decides_like_every_row(rows):
+    assert raised(equilibrium._require_pricing_domain, rows) == raised(
+        require_pricing_domain, rows
+    )
+
+
+_FLOOR_VALUES = [
+    0.0,
+    5e-324,
+    1e-310,
+    math.nextafter(TINY, 0.0),
+    TINY,
+    math.nextafter(TINY, 1.0),
+    1.0,
+    1e300,
+    math.nan,
+]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(n_rows=st.integers(1, 4), data=st.data())
+def test_floor_guard_decides_like_every_row(n_rows, data):
+    def column():
+        return data.draw(st.lists(st.sampled_from(_FLOOR_VALUES), min_size=n_rows, max_size=n_rows))
+
+    floors = {
+        "Gamma_u * Lambda * s_ld": np.array(column()),
+        "Theta^2 * lambda * s_u": np.array(column()),
+    }
+    u = np.array(data.draw(st.lists(st.integers(1, 9), min_size=n_rows, max_size=n_rows)))
+    assert raised(equilibrium._require_normal_floors, floors, u) == raised(
+        require_normal_floors, floors, u
+    )
+
+
+def test_a_tripped_bound_is_no_error():
+    """A block whose bounds overflow, though no row's products do, is solved.
+
+    Row 0 holds the larger Lambda, row 1 the larger Gamma_1: taken
+    together, Gamma_1 Lambda s_bh is 1e308, above half the float range,
+    while every product of each row stays below it.
+    """
+    gammas, lams = [[1e305], [1e307]], [10.0, 1.0]
+    rows = game_rows(gammas, lams)
+    assert max(map(max, gammas)) * max(lams) > HALF
+    for name, values in rows.pricing_products.items():
+        assert (values <= HALF).all(), name
+    pair = solve_rows(("NUPS", "UPS"), rows)
+    for r in range(2):
+        alone = solve_rows(("NUPS", "UPS"), game_rows(gammas[r : r + 1], lams[r : r + 1]))
+        for got, want in zip(pair, alone):
+            got = row_of(got, r)
+            for field in ("n_participants", "prices", "fractions"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            for field in dataclasses.fields(ProfitReport):
+                name = field.name
+                assert np.array_equal(getattr(got.report, name), getattr(want.report, name)), name

@@ -50,6 +50,13 @@ CANCELLING = [
 ]  # fmt: skip
 CANCEL_GAMMA = ["--gamma", "0.18531846939972652"]
 UNDERFLOW = ["--s-bh", "4.51602e-171", "--K", "6.30277e-170", "--lambda", "1.56591e-63"]
+# Markets whose smaller floor product is Gamma_u * Lambda * s_ld (FLOOR_U)
+# or Theta^2 * lambda * s_u (FLOOR_S); both products scale with K.
+FLOOR_U = ["solve", "--s-bh", "1e-164", "--lambda", "1", "--V", "20", "--gamma", "1"]
+FLOOR_S = [
+    "solve", "--scheme", "ups", "--V", "17", "--Q", "17", "--s-bh", "1.15734e-146",
+    "--lambda", "0.105123", "--delta", "0.22613121306098913",
+]  # fmt: skip
 EDGE = [
     ["sweep-storage", *SUBNORMAL, "--gamma", "1", "--start", "10", "--stop", "500", "--step", "10"],
     ["sweep-gamma", *SUBNORMAL, "--Q", "20", "--start", "0.05", "--stop", "2.5", "--step", "0.05"],
@@ -67,6 +74,26 @@ EDGE = [
     ["sweep-storage", "--K", "1e300", "--zeta", "1e300"],
     ["sweep-storage", *UNDERFLOW, "--V", "99"],
     ["per-vr", *UNDERFLOW, "--V", "99"],
+    # each pricing product just inside half the float range (within the
+    # bounds' 1e-9 margin, so the rows decide) and one ulp of s_bh past it
+    ["solve", "--Q", "1", "--s-bh", "1.468095369440308e+304"],
+    ["solve", "--Q", "1", "--s-bh", "1.468095370174356e+304"],
+    ["solve", "--gamma", "0", "--s-bh", "3.238122598380131e+304"],
+    ["solve", "--gamma", "0", "--s-bh", "3.2381225999991927e+304"],
+    ["sweep-gamma", "--s-bh", "3.238122598380131e+304", "--start", "0", "--stop", "0.5", "--step", "0.25"],
+    ["sweep-gamma", "--s-bh", "3.2381225999991927e+304", "--start", "0", "--stop", "0.5", "--step", "0.25"],
+    ["solve", "--s-bh", "3.378493108141811e+304"],
+    ["solve", "--s-bh", "3.378493109831058e+304"],
+    ["solve", "--V", "1000", "--gamma", "1", "--delta", "4e-7", "--s-bh", "6.094886706436163e+304"],
+    ["solve", "--V", "1000", "--gamma", "1", "--delta", "4e-7", "--s-bh", "6.094886709483607e+304"],
+    ["solve", "--gamma", "0", "--lambda", "1e-6", "--s-bh", "5.5499318472482185e+298"],
+    ["solve", "--gamma", "0", "--lambda", "1e-6", "--s-bh", "5.549931850023185e+298"],
+    # each best-response floor product at the smallest normal float, then
+    # one ulp of K below it
+    [*FLOOR_U, "--K", "1.4269617077629532e-143"],
+    [*FLOOR_U, "--K", "1.426961707762953e-143"],
+    [*FLOOR_S, "--K", "2.8242286258941863e-161"],
+    [*FLOOR_S, "--K", "2.824228625894186e-161"],
     # Q < 1
     ["per-vr", "--Q", "0"],
     ["sweep-storage", "--start", "0.5", "--stop", "5", "--step", "0.5"],
