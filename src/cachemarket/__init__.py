@@ -19,7 +19,7 @@ from .catalog import (
 from .coverage import CoverageConstants, hit_probability, make_constants
 from .economics import EconomicConfig, ProfitReport, gamma_vector, profit_report
 from .equilibrium import (
-    GameInstance,
+    GameRows,
     ParticipationThresholds,
     RowOutcomes,
     VerificationFailure,

@@ -12,7 +12,6 @@ __all__ = [
     "CatalogConfig",
     "VrConfig",
     "PopularityVectors",
-    "zipf_vector",
     "zipf_rows",
     "file_popularity",
     "group_popularity",
@@ -81,28 +80,27 @@ class PopularityVectors:
     q: np.ndarray
 
 
-def zipf_vector(n: int, exponent: float) -> np.ndarray:
-    """Normalized Zipf weights 1/k^exponent, k = 1..n, most popular first."""
-    weights = np.arange(1, n + 1, dtype=float) ** -exponent
-    return weights / weights.sum()
-
-
 def zipf_rows(n: int, exponents) -> np.ndarray:
-    """zipf_vector(n, e) for each exponent e >= 0, one row each, bit for bit."""
+    """Normalized Zipf weights 1/k^e, k = 1..n, most popular first, one row per e >= 0.
+
+    Each row is bit for bit ranks ** -e / (ranks ** -e).sum(), its
+    weights formed on their own.
+    """
     ranks = np.arange(1, n + 1, dtype=float)
     exponents = np.asarray(exponents, dtype=float)
     weights = ranks ** -exponents[:, None]
     # ndarray ** a scalar power of -1 or 0 takes a shortcut (ranks ** -1.0 is
     # 1 / ranks) that the broadcast column skips; rows with e = 1 or 0 take it
     # too.  Its other shortcut powers (0.5, 1, 2) would need e < 0.
-    for i in np.flatnonzero((exponents == 1) | (exponents == 0)).tolist():
-        weights[i] = ranks ** -float(exponents[i])
+    for i, exponent in enumerate(exponents.tolist()):
+        if exponent == 1 or exponent == 0:
+            weights[i] = ranks ** -exponent
     return weights / weights.sum(axis=1, keepdims=True)
 
 
 def file_popularity(config: CatalogConfig) -> np.ndarray:
     """t_n = (1/n^beta) / sum_j 1/j^beta."""
-    return zipf_vector(config.n_files, config.file_exponent)
+    return zipf_rows(config.n_files, [config.file_exponent])[0]
 
 
 def group_popularity(t: np.ndarray, storage: int) -> np.ndarray:
@@ -121,7 +119,7 @@ def group_popularity(t: np.ndarray, storage: int) -> np.ndarray:
 
 def vr_preference(config: VrConfig) -> np.ndarray:
     """q_v = (1/v^gamma) / sum_j 1/j^gamma."""
-    return zipf_vector(config.n_vrs, config.vr_exponent)
+    return zipf_rows(config.n_vrs, [config.vr_exponent])[0]
 
 
 def build_popularity(catalog: CatalogConfig, vrs: VrConfig) -> PopularityVectors:

@@ -22,7 +22,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import PopularityVectors
 from .coverage import CoverageConstants
 from .economics import (
     EconomicConfig,
@@ -34,7 +33,6 @@ from .economics import (
 )
 
 __all__ = [
-    "GameInstance",
     "GameRows",
     "RowOutcomes",
     "ParticipationThresholds",
@@ -59,48 +57,6 @@ class VerificationFailure(AssertionError):
 
 
 @dataclass(frozen=True)
-class GameInstance:
-    """Everything the solvers need for one market scenario.
-
-    Gamma and the participation thresholds are computed once, here.
-    """
-
-    pops: PopularityVectors
-    econ: EconomicConfig
-    constants: CoverageConstants
-    n_files: int
-    storage: float  # Q in [1, N]: sets Lambda = C N / Q and the brackets alike
-
-    def __post_init__(self) -> None:
-        expected = self.constants.c * self.n_files / self.storage
-        if abs(expected - self.constants.lambda_big) > 1e-9 * max(expected, 1.0):
-            raise ValueError("coverage constants disagree with the storage")
-        gammas = gamma_vector(self.pops.q, self.econ)
-        gammas.flags.writeable = False
-        object.__setattr__(self, "_gammas", gammas)
-
-    @property
-    def n_vrs(self) -> int:
-        return len(self.pops.q)
-
-    def gammas(self) -> np.ndarray:
-        """Demand densities Gamma_v = q_v zeta K (read-only)."""
-        return self._gammas
-
-    @cached_property
-    def rows(self) -> GameRows:
-        """This market as the one row of a GameRows."""
-        q = np.asarray(self.pops.q, dtype=float)
-        return GameRows(
-            gammas=self._gammas[None, :],
-            thresholds=participation_threshold_rows(q[None, :], self.n_files, self.constants),
-            storage=np.array([[self.storage]], dtype=float),
-            econ=self.econ,
-            constants=self.constants.with_lambda_big(np.array([[self.constants.lambda_big]])),
-        )
-
-
-@dataclass(frozen=True)
 class ParticipationThresholds:
     """Minimum-storage thresholds U_v (per-VR pricing) and Ubar_v (shared price)."""
 
@@ -110,33 +66,48 @@ class ParticipationThresholds:
 
 @dataclass(frozen=True)
 class GameRows:
-    """R markets solved together, one per row: the batch form of GameInstance.
+    """R markets solved together, one per row; make_instance builds one row.
 
-    The rows share V, (delta, alpha) and the economics; a sweep varies Q
-    (so Lambda and the brackets) or gamma (so Gamma and the thresholds).
-    gammas is (R, V), possibly one row broadcast to all (np.broadcast_to);
-    the threshold arrays broadcast against it; storage and
-    constants.lambda_big are (R, 1) columns.
+    The rows share V, N, (delta, alpha) and the economics; a sweep varies Q
+    (so Lambda and the brackets) or gamma (so q, Gamma and the thresholds).
+    q is the (R, V) retailer preferences, possibly one row broadcast to all
+    (np.broadcast_to); storage and constants.lambda_big are (R, 1)
+    columns.  Gamma and the thresholds are derived from q's distinct rows.
     """
 
-    gammas: np.ndarray
-    thresholds: ParticipationThresholds
+    q: np.ndarray
+    n_files: int
     storage: np.ndarray
     econ: EconomicConfig
     constants: CoverageConstants
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.gammas.shape
+        return self.q.shape
 
     @property
+    def _distinct_q(self) -> np.ndarray:
+        return self.q[:1] if self.q.strides[0] == 0 else self.q
+
+    @cached_property
     def distinct_gammas(self) -> np.ndarray:
-        """gammas, or its first row when one row is broadcast to every row.
+        """Gamma_v = q_v zeta K of q, or of its first row when that row is broadcast.
 
         Roots, row sums and prefix sums taken on it broadcast back to
         every row bit for bit: each is computed along a row.
         """
-        return self.gammas[:1] if self.gammas.strides[0] == 0 else self.gammas
+        return gamma_vector(self._distinct_q, self.econ)
+
+    @cached_property
+    def gammas(self) -> np.ndarray:
+        """The (R, V) demand densities: distinct_gammas, broadcast to every row."""
+        gammas = self.distinct_gammas
+        return gammas if gammas.shape == self.shape else np.broadcast_to(gammas, self.shape)
+
+    @cached_property
+    def thresholds(self) -> ParticipationThresholds:
+        """U_v and Ubar_v of q's distinct rows; they broadcast against gammas."""
+        return participation_threshold_rows(self._distinct_q, self.n_files, self.constants)
 
     @cached_property
     def roots(self) -> dict[str, np.ndarray]:
@@ -165,12 +136,15 @@ class GameRows:
 
 
 def _pricing_formulas(rows: GameRows, lam, g1, s3, s2, maximum) -> dict:
-    """The pricing products by name, from arrays (np.maximum) or floats (max)."""
+    """The pricing products by name, from arrays (np.maximum) or floats (max).
+
+    The other products the closed forms form are bounded by these:
+    Gamma_1 Lambda s_bh by the numerator (S_3 >= Gamma_1^(1/3)) and
+    Lambda^2 s_bh S_3^3 by V Lambda^2 s_bh S_2^2 (power means).
+    """
     s = rows.econ.backhaul_cost
     numerator = lam * s * maximum(s3 * s3 * maximum(g1 ** (1 / 3), 1.0), s2 * s2)
     return {
-        "Gamma_1 * Lambda * s_bh": g1 * lam * s,
-        "Lambda^2 * s_bh * S_3^3": lam * lam * s * s3 * s3 * s3,
         "V * Lambda^2 * s_bh * S_2^2": rows.shape[1] * lam * lam * s * s2 * s2,
         "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2)": numerator,
         "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2)": (
@@ -421,10 +395,11 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
     message the scheme of that row) rather than the first scheme's error.
     """
     schemes = (scheme,) if isinstance(scheme, str) else tuple(scheme)
+    thresholds = rows.thresholds  # an overflowing N C / Theta raises before the pricing checks
     _require_pricing_domain(rows)
     t_max, widths = [], []
     for name in schemes:
-        brackets = rows.thresholds.u_values if name == "NUPS" else rows.thresholds.u_bar_values
+        brackets = thresholds.u_values if name == "NUPS" else thresholds.u_bar_values
         counts = _bracket_count(brackets, rows.storage)
         if not counts.all():
             raise ValueError("no retailer lies below the first participation threshold")
@@ -501,18 +476,18 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
     return tuple(outcomes)
 
 
-def nups_solve(instance: GameInstance) -> RowOutcomes:
+def nups_solve(rows: GameRows) -> RowOutcomes:
     """Equilibrium under per-retailer pricing (solve_rows, scheme NUPS)."""
-    return solve_rows("NUPS", instance.rows)
+    return solve_rows("NUPS", rows)
 
 
-def ups_solve(instance: GameInstance) -> RowOutcomes:
+def ups_solve(rows: GameRows) -> RowOutcomes:
     """Equilibrium under a single shared price (solve_rows, scheme UPS)."""
-    return solve_rows("UPS", instance.rows)
+    return solve_rows("UPS", rows)
 
 
-def waterfill_solve(instance: GameInstance) -> RowOutcomes:
-    """Sum-profit maximizer over the fractions (water-filling structure).
+def waterfill_solve(rows: GameRows) -> RowOutcomes:
+    """Sum-profit maximizer over the fractions of row 0 (water-filling structure).
 
     tau_v = (sqrt(q_v)/eta - Lambda) / Theta for the vbar retailers
     whose Ubar_v lies below Q (the UPS bracket count), 0 for the rest;
@@ -523,19 +498,19 @@ def waterfill_solve(instance: GameInstance) -> RowOutcomes:
     transfer.  No pricing closed form is used, so s^ld may differ from
     s^bh here.
     """
-    q = np.asarray(instance.pops.q, dtype=float)
-    theta = instance.constants.theta
-    lam_big = instance.constants.lambda_big
-    sqrt_q = np.sqrt(q)
-    v_bar = _bracket_count(instance.rows.thresholds.u_bar_values, instance.storage)
+    v_bar = _bracket_count(rows.thresholds.u_bar_values[:1], rows.storage[:1])
+    theta = rows.constants.theta
+    lam_big = float(rows.constants.lambda_big[0, 0])
+    sqrt_q = np.sqrt(rows.q[0])
     k = int(v_bar[0])
     eta = sqrt_q[:k].sum() / (k * lam_big + theta)
-    fractions = np.zeros((1, q.size))
+    fractions = np.zeros((1, sqrt_q.size))
     fractions[0, :k] = (sqrt_q[:k] / eta - lam_big) / theta
     fractions = np.minimum(fractions, 1.0)
     check_fraction_rows(fractions)
     prices = np.zeros(fractions.shape)
-    report = profit_report(fractions, prices, instance.gammas(), instance.econ, instance.constants)
+    constants = rows.constants.with_lambda_big(lam_big)
+    report = profit_report(fractions, prices, rows.gammas[:1], rows.econ, constants)
     return RowOutcomes("WATERFILL", v_bar, prices, fractions, report)
 
 

@@ -17,14 +17,12 @@ import numpy as np
 
 from .catalog import CatalogConfig, VrConfig, build_popularity, zipf_rows
 from .coverage import hit_probability, make_constants
-from .economics import EconomicConfig, gamma_vector
+from .economics import EconomicConfig
 from .equilibrium import (
-    GameInstance,
     GameRows,
     RowOutcomes,
     VerificationFailure,
     nups_solve,
-    participation_threshold_rows,
     solve_rows,
     ups_solve,
     verify_equilibrium,
@@ -232,8 +230,8 @@ def make_instance(
     cfg: ExperimentConfig,
     gamma: float | None = None,
     storage: float | None = None,
-) -> GameInstance:
-    """Build a consistent game instance from an experiment config."""
+) -> GameRows:
+    """Build the config's market, as the one row of a GameRows."""
     if cfg.n_files < 1:
         raise ConfigError(f"file count N (--N, n_files) must be >= 1, got {cfg.n_files}")
     q_eff = _storage(cfg.storage if storage is None else storage, cfg.n_files)
@@ -248,8 +246,12 @@ def make_instance(
         sbs_intensity=cfg.sbs_intensity,
     )
     constants = make_constants(cfg.delta, cfg.alpha, catalog.f_groups)
-    return GameInstance(
-        pops=pops, econ=econ, constants=constants, n_files=cfg.n_files, storage=q_eff
+    return GameRows(
+        q=pops.q[None, :],
+        n_files=cfg.n_files,
+        storage=np.array([[q_eff]], dtype=float),
+        econ=econ,
+        constants=constants.with_lambda_big(np.array([[constants.lambda_big]])),
     )
 
 
@@ -390,36 +392,33 @@ SWEEP_GAMMA_HEADER = [
 _SWEEP_BLOCK = 1 << 16
 
 
-def _block_rows(first: GameInstance, kind: str, values: list) -> GameRows:
-    """first's market at every point of a sweep block, one row per point.
+def _block_rows(first: GameRows, kind: str, values: list) -> GameRows:
+    """The one-row market first at every point of a sweep block, one row per point.
 
     kind is "storage" or "gamma": the parameter that varies along the
-    rows.  The first bad point raises what make_instance raises for it.
+    rows.  A storage block keeps first's q as one broadcast row.  The
+    first bad point raises what make_instance raises for it.
     """
-    n_points = len(values)
+    n_points, n_vrs = len(values), first.shape[1]
     if kind == "storage":
         storage = np.minimum(np.array(values, dtype=float), first.n_files)
         bad = ~(storage >= 1)
         if bad.any():
             _storage(values[int(np.argmax(bad))], first.n_files)  # raises
-        gammas = np.broadcast_to(first.gammas(), (n_points, first.n_vrs))
-        thresholds = first.rows.thresholds
+        q = np.broadcast_to(first.q, (n_points, n_vrs))
         lam_big = first.constants.c * (first.n_files / storage)
     else:
         exponents = np.array(values, dtype=float)
         bad = ~(np.isfinite(exponents) & (exponents >= 0))
         if bad.any():
-            VrConfig(n_vrs=first.n_vrs, vr_exponent=values[int(np.argmax(bad))])  # raises
-        q = zipf_rows(first.n_vrs, exponents)
-        gammas = gamma_vector(q, first.econ)
-        thresholds = participation_threshold_rows(q, first.n_files, first.constants)
-        storage = np.full(n_points, first.storage, dtype=float)
-        lam_big = np.full(n_points, first.constants.lambda_big)
-    return GameRows(
-        gammas=gammas,
-        thresholds=thresholds,
+            VrConfig(n_vrs=n_vrs, vr_exponent=values[int(np.argmax(bad))])  # raises
+        q = zipf_rows(n_vrs, exponents)
+        storage = np.full(n_points, first.storage[0, 0])
+        lam_big = np.full(n_points, first.constants.lambda_big[0, 0])
+    return replace(
+        first,
+        q=q,
         storage=storage[:, None],
-        econ=first.econ,
         constants=first.constants.with_lambda_big(lam_big[:, None]),
     )
 
@@ -460,7 +459,7 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, values: list, verify: bool) -> 
         for column, cell in zip(columns, cells):
             column += cell.tolist()
 
-    size = max(1, _SWEEP_BLOCK // first.n_vrs)
+    size = max(1, _SWEEP_BLOCK // first.shape[1])
     for lo in range(0, len(values), size):
         block = values[lo : lo + size]
         try:
@@ -518,12 +517,12 @@ PER_VR_HEADER = [
 
 def run_per_vr(cfg: ExperimentConfig, verify: bool = False) -> list[tuple]:
     """Per-retailer prices and fractions under both pricing schemes."""
-    instance = make_instance(cfg)
-    nups = solve_rows("NUPS", instance.rows)
-    ups = solve_rows("UPS", instance.rows)
+    rows = make_instance(cfg)
+    nups = solve_rows("NUPS", rows)
+    ups = solve_rows("UPS", rows)
     if verify:
-        verify_equilibrium(nups, instance.rows)
-        verify_equilibrium(ups, instance.rows)
+        verify_equilibrium(nups, rows)
+        verify_equilibrium(ups, rows)
     return list(
         zip(
             range(1, cfg.n_vrs + 1),
@@ -549,16 +548,16 @@ def run_solve(
     cfg: ExperimentConfig, scheme: str, verify: bool = True
 ) -> tuple[list[tuple], list[str]]:
     """Solve one instance; returns per-retailer rows plus summary lines."""
-    instance = make_instance(cfg)
+    market = make_instance(cfg)
     scheme = scheme.upper()
     if scheme in ("NUPS", "UPS"):
-        outcome = (nups_solve if scheme == "NUPS" else ups_solve)(instance)
+        outcome = (nups_solve if scheme == "NUPS" else ups_solve)(market)
     elif scheme == "WATERFILL":
-        outcome = waterfill_solve(instance)
+        outcome = waterfill_solve(market)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     if verify:
-        verify_equilibrium(outcome, instance.rows)
+        verify_equilibrium(outcome, market)
     rep = outcome.report
     rows = list(
         zip(

@@ -1,6 +1,6 @@
 """The overflow and underflow guards of the NUPS/UPS solver, row by row.
 
-``require_pricing_domain`` forms the five pricing products on every row
+``require_pricing_domain`` forms the three pricing products on every row
 of a block and names the first product, then the first row, above half
 the float range.  ``require_normal_floors`` names the first
 best-response floor product that is 0 on some row, else the first that
@@ -19,7 +19,7 @@ from cachemarket.equilibrium import GameRows
 
 
 def pricing_products(rows: GameRows) -> dict[str, np.ndarray]:
-    """The five products the NUPS/UPS closed forms form, one value per row."""
+    """The three products the pricing guard bounds, one value per row."""
     lam = rows.constants.lambda_big[:, 0]
     s = rows.econ.backhaul_cost
     g1 = rows.gammas[:, 0]
@@ -29,8 +29,6 @@ def pricing_products(rows: GameRows) -> dict[str, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         numerator = lam * s * np.maximum(s3 * s3 * np.maximum(g1 ** (1 / 3), 1.0), s2 * s2)
         return {
-            "Gamma_1 * Lambda * s_bh": g1 * lam * s,
-            "Lambda^2 * s_bh * S_3^3": lam * lam * s * s3 * s3 * s3,
             "V * Lambda^2 * s_bh * S_2^2": n_vrs * lam * lam * s * s2 * s2,
             "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2)": numerator,
             "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2)": (

@@ -7,18 +7,24 @@ row only once per u.  ``posted_prices`` is the loop it replaced: one
 1-D pairwise sum and one scale per row.  Both must give the same
 prices, bit for bit.
 
-``nups_prices_for_u``, ``backhaul_saving`` and ``vr_profit`` are the
-one-market views the tests read: the NUPS prices at a given
-participant count, the provider's back-haul saving, and one retailer's
-profit.
+``nups_prices_for_u``, ``backhaul_saving``, ``vr_profit`` and
+``row_constants`` are the one-market views the tests read: the NUPS
+prices at a given participant count, the provider's back-haul saving,
+one retailer's profit, and one row's coverage constants.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from cachemarket.coverage import CoverageConstants
 from cachemarket.economics import gamma_vector, profit_report
-from cachemarket.equilibrium import GameInstance, GameRows
+from cachemarket.equilibrium import GameRows
+
+
+def row_constants(rows: GameRows, i: int = 0) -> CoverageConstants:
+    """Row i's coverage constants, with its Lambda as a float."""
+    return rows.constants.with_lambda_big(float(rows.constants.lambda_big[i, 0]))
 
 
 def _price_scale(u: int, root_sum: float, lam_big: float, rows: GameRows) -> float:
@@ -49,16 +55,16 @@ def posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
     return np.where(posted, scales * roots if nups else scales, 0.0), posted
 
 
-def nups_prices_for_u(u: int, instance: GameInstance) -> np.ndarray:
+def nups_prices_for_u(u: int, rows: GameRows) -> np.ndarray:
     """Per-retailer prices keeping exactly the u most popular retailers.
 
     s_i = Lambda s^bh (sum_{j<=u} Gamma_j^(1/3))^2 Gamma_i^(1/3)
           / (lambda (u Lambda + Theta)^2)   for i <= u; the rest are priced
-    out, at 0.  One price per retailer.
+    out, at 0.  One price per retailer of row 0.
     """
-    if not 1 <= u <= instance.n_vrs:
-        raise ValueError(f"u must lie in 1..{instance.n_vrs}, got {u}")
-    prices, _ = posted_prices("NUPS", instance.rows, np.array([u]))
+    if not 1 <= u <= rows.shape[1]:
+        raise ValueError(f"u must lie in 1..{rows.shape[1]}, got {u}")
+    prices, _ = posted_prices("NUPS", rows, np.array([u]))
     return prices[0]
 
 

@@ -6,6 +6,7 @@ line directly to the terminal (bypassing capture) before asserting.
 
 import itertools
 import numpy as np
+from price_oracle import row_constants
 
 from cachemarket.coverage import hit_probability
 from cachemarket.equilibrium import (
@@ -82,12 +83,12 @@ def test_criterion_2_hit_probability_invariance(capsys):
 def test_criterion_3_nups_prices_beat_a_brute_force_grid(capsys):
     """No price vector on a 17^3 grid improves the leader's profit by > 0.1%."""
     cfg = ExperimentConfig(n_vrs=3, gamma=0.5, storage=500)
-    instance = make_instance(cfg)
-    outcome = nups_solve(instance)
+    rows = make_instance(cfg)
+    outcome = nups_solve(rows)
     base = outcome.report.nsp_total[0]
-    gammas = instance.gammas()
-    con = instance.constants
-    econ = instance.econ
+    gammas = rows.gammas[0]
+    con = row_constants(rows)
+    econ = rows.econ
     star = list(outcome.prices[0, : outcome.n_participants[0]])
     factors = np.linspace(0.6, 1.4, 17)
     best_rival = -np.inf
@@ -124,9 +125,9 @@ def random_instances(count, seed):
 def test_criterion_4_shared_price_equals_waterfilling(capsys):
     """UPS allocations coincide with direct sum-profit maximization."""
     worst = 0.0
-    for instance in random_instances(100, seed=2024):
-        ups = ups_solve(instance)
-        wf = waterfill_solve(instance)
+    for rows in random_instances(100, seed=2024):
+        ups = ups_solve(rows)
+        wf = waterfill_solve(rows)
         diff = max(
             abs(a - b)
             for a, b in zip(ups.fractions[0], wf.fractions[0])
@@ -140,11 +141,11 @@ def test_criterion_4_shared_price_equals_waterfilling(capsys):
 def test_criterion_5_sum_profit_identity(capsys):
     """With matched tariffs the market-wide profit is exactly twice the saving."""
     worst = 0.0
-    for instance in random_instances(30, seed=77):
+    for rows in random_instances(30, seed=77):
         for outcome in (
-            nups_solve(instance),
-            ups_solve(instance),
-            waterfill_solve(instance),
+            nups_solve(rows),
+            ups_solve(rows),
+            waterfill_solve(rows),
         ):
             rep = outcome.report
             rel = abs(rep.global_total[0] - 2.0 * rep.nsp_backhaul_saving[0]) / max(
@@ -159,7 +160,7 @@ def test_criterion_5_sum_profit_identity(capsys):
 def test_criterion_6_participation_thresholds(capsys):
     """Threshold ordering and the bracket boundary drive the participant count."""
     cfg = ExperimentConfig()
-    th = make_instance(cfg).rows.thresholds
+    th = make_instance(cfg).thresholds
     u_values, u_bar_values = th.u_values[0], th.u_bar_values[0]
     increasing = all(b > a for a, b in zip(u_values, u_values[1:]))
     dominated = all(
@@ -224,19 +225,19 @@ def test_criterion_8_equilibria_survive_perturbation(capsys):
     worst = -np.inf
     checked = 0
     for cfg in scenarios:
-        instance = make_instance(cfg)
+        rows = make_instance(cfg)
         for outcome in (
-            nups_solve(instance),
-            ups_solve(instance),
-            waterfill_solve(instance),
+            nups_solve(rows),
+            ups_solve(rows),
+            waterfill_solve(rows),
         ):
-            record = verify_equilibrium(outcome, instance.rows, rel_tol=1e-6)
+            record = verify_equilibrium(outcome, rows, rel_tol=1e-6)
             worst = max(worst, record.leader_max_gain)
             if outcome.scheme != "WATERFILL":
                 worst = max(worst, record.follower_max_gain)
             checked += 1
-    for instance in random_instances(10, seed=5150):
-        record = verify_equilibrium(nups_solve(instance), instance.rows)
+    for rows in random_instances(10, seed=5150):
+        record = verify_equilibrium(nups_solve(rows), rows)
         worst = max(worst, record.leader_max_gain, record.follower_max_gain)
         checked += 1
     ok = worst <= 1e-6

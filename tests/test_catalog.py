@@ -14,9 +14,14 @@ from cachemarket.catalog import (
     group_popularity,
     vr_preference,
     zipf_rows,
-    zipf_vector,
 )
 from cachemarket.economics import EconomicConfig, gamma_vector
+
+
+def zipf_vector(n: int, exponent: float) -> np.ndarray:
+    """Normalized Zipf weights 1/k^exponent, k = 1..n, formed as one vector."""
+    weights = np.arange(1, n + 1, dtype=float) ** -exponent  # at 1.0, ** divides
+    return weights / weights.sum()
 
 
 def test_single_file():
@@ -83,11 +88,13 @@ def test_zipf_rows_are_the_vector_formula(n):
     # the gamma sweep grid, the shortcut exponents and random ones
     grid = [round(0.05 * i, 12) for i in range(51)]
     exponents = [*grid, 0.5, 1.0, 2.0, 0.8, 1.7, *np.random.default_rng(n).uniform(0, 3, 8)]
-    ranks = np.arange(1, n + 1, dtype=float)
     for row, exponent in zip(zipf_rows(n, exponents), exponents, strict=True):
-        weights = ranks ** -exponent  # at 1.0, ndarray ** divides instead of calling pow
-        assert np.array_equal(row, weights / weights.sum())
         assert np.array_equal(row, zipf_vector(n, exponent))
+    for exponent in (0.0, 0.5, 1.0, exponents[-1]):
+        want = zipf_vector(n, exponent)
+        assert np.array_equal(vr_preference(VrConfig(n_vrs=n, vr_exponent=exponent)), want)
+        catalog = CatalogConfig(n_files=n, storage=1, file_exponent=exponent)
+        assert np.array_equal(file_popularity(catalog), want)
 
 
 def test_zipf_ratio_identity():

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from price_oracle import nups_prices_for_u
+from price_oracle import nups_prices_for_u, row_constants
 from scipy import optimize
 from test_sweep_rows import _market
 from test_verifier import with_fractions, with_prices
@@ -14,7 +14,6 @@ from waterfill_oracle import waterfill_fractions
 from cachemarket import economics, equilibrium
 from cachemarket.economics import check_fraction_rows
 from cachemarket.equilibrium import (
-    GameInstance,
     VerificationFailure,
     best_response_fraction,
     nups_solve,
@@ -40,21 +39,21 @@ def small_instance(n_vrs=3, gamma=0.5, storage=500, n_files=500, **overrides):
 class TestBestResponse:
     def test_opt_out_threshold(self):
         inst = small_instance(n_vrs=1)
-        gamma_v = float(inst.gammas()[0])
+        gamma_v = float(inst.gammas[0, 0])
         threshold = gamma_v * inst.econ.local_surcharge / (
-            inst.constants.lambda_big * inst.econ.sbs_intensity
+            row_constants(inst).lambda_big * inst.econ.sbs_intensity
         )
         assert best_response_fraction(
-            threshold, gamma_v, inst.econ, inst.constants
+            threshold, gamma_v, inst.econ, row_constants(inst)
         ) == pytest.approx(0.0, abs=1e-12)
         assert best_response_fraction(
-            threshold * 2.0, gamma_v, inst.econ, inst.constants
+            threshold * 2.0, gamma_v, inst.econ, row_constants(inst)
         ) == 0.0
 
     def test_matches_grid_search(self):
         # oracle: maximize the concave retailer profit on a fine grid
         inst = small_instance(n_vrs=1, n_files=500, storage=500)
-        con = inst.constants
+        con = row_constants(inst)
         econ = inst.econ
         gamma_v = 500.0
         s_v = 1.0
@@ -84,19 +83,12 @@ class TestBestResponse:
         inst = small_instance(n_vrs=1)
         message = re.escape(f"price must be positive, got {named}") + "$"
         with pytest.raises(ValueError, match=message):
-            best_response_fraction(prices, 500.0, inst.econ, inst.constants)
-
-
-class TestGameInstance:
-    def test_rejects_storage_that_disagrees_with_lambda(self, default_instance):
-        # Lambda = C N / Q was built for Q = 500; Q = 100 would set F = 5
-        with pytest.raises(ValueError, match="disagree with the storage"):
-            replace(default_instance, storage=100.0)
+            best_response_fraction(prices, 500.0, inst.econ, row_constants(inst))
 
 
 def thresholds(instance):
-    """The market's U_v and Ubar_v: the one row of instance.rows.thresholds."""
-    th = instance.rows.thresholds
+    """The market's U_v and Ubar_v: the one row of instance.thresholds."""
+    th = instance.thresholds
     return th.u_values[0], th.u_bar_values[0]
 
 
@@ -133,8 +125,8 @@ class TestParticipationThresholds:
 
 def reference_full_prices(instance):
     """Independent evaluation of the all-participants price closed form."""
-    gammas = instance.gammas()
-    lam_big = instance.constants.lambda_big
+    gammas = instance.gammas[0]
+    lam_big = row_constants(instance).lambda_big
     theta = instance.constants.theta
     v = len(gammas)
     csum = sum(g ** (1 / 3) for g in gammas)
@@ -157,8 +149,8 @@ class TestNupsPrices:
 
     def test_single_vr_algebra(self):
         inst = small_instance(n_vrs=1)
-        g = float(inst.gammas()[0])
-        lam_big = inst.constants.lambda_big
+        g = float(inst.gammas[0, 0])
+        lam_big = row_constants(inst).lambda_big
         theta = inst.constants.theta
         expected = (
             lam_big * inst.econ.backhaul_cost * g
@@ -173,9 +165,9 @@ class TestNupsPrices:
         prices = nups_prices_for_u(u, default_instance)
         total = sum(
             best_response_fraction(
-                p, g, default_instance.econ, default_instance.constants
+                p, g, default_instance.econ, row_constants(default_instance)
             )
-            for p, g in zip(prices[:u], default_instance.gammas())
+            for p, g in zip(prices[:u], default_instance.gammas[0])
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -206,8 +198,8 @@ class TestNupsSolve:
         outcome = nups_solve(default_instance)
         assert outcome.n_participants[0] == 15
         # leader profit matches the closed form for the chosen count
-        gammas = default_instance.gammas()
-        lam_big = default_instance.constants.lambda_big
+        gammas = default_instance.gammas[0]
+        lam_big = row_constants(default_instance).lambda_big
         theta = default_instance.constants.theta
         csum = np.cbrt(gammas).sum()
         closed = (
@@ -288,9 +280,9 @@ class TestWaterfill:
         cfg = ExperimentConfig(n_vrs=3, gamma=0.5, n_files=500, storage=100)
         inst = make_instance(cfg)
         q = np.array([0.5, 0.3, 0.2])
-        inst = replace(inst, pops=replace(inst.pops, q=q))
-        con = inst.constants
-        gammas = inst.gammas()
+        inst = replace(inst, q=q[None, :])
+        con = row_constants(inst)
+        gammas = inst.gammas[0]
 
         def neg_sum_profit(tau):
             return -sum(
@@ -381,19 +373,19 @@ class TestVerification:
             ups_solve(default_instance),
             waterfill_solve(default_instance),
         ):
-            verify_equilibrium(outcome, default_instance.rows)
+            verify_equilibrium(outcome, default_instance)
 
     def test_corrupted_price_fails_leader_check(self, default_instance):
         outcome = nups_solve(default_instance)
         prices = outcome.prices[0, : outcome.n_participants[0]].tolist()
         prices[0] *= 1.1
         fractions = [
-            best_response_fraction(p, g, default_instance.econ, default_instance.constants)
-            for p, g in zip(prices, default_instance.gammas())
+            best_response_fraction(p, g, default_instance.econ, row_constants(default_instance))
+            for p, g in zip(prices, default_instance.gammas[0])
         ]
         corrupted = with_fractions(with_prices(outcome, prices), default_instance, fractions)
         with pytest.raises(VerificationFailure, match="leader"):
-            verify_equilibrium(corrupted, default_instance.rows)
+            verify_equilibrium(corrupted, default_instance)
 
     def test_corrupted_fraction_fails_follower_check(self, default_instance):
         outcome = nups_solve(default_instance)
@@ -403,7 +395,7 @@ class TestVerification:
         check_fraction_rows(fractions)
         corrupted = replace(outcome, fractions=fractions)
         with pytest.raises(VerificationFailure, match="follower"):
-            verify_equilibrium(corrupted, default_instance.rows)
+            verify_equilibrium(corrupted, default_instance)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0])
@@ -439,4 +431,4 @@ def test_solved_fractions_are_checked_once(monkeypatch, default_instance, solve)
     monkeypatch.setattr(economics, "check_fraction_rows", counting)
     monkeypatch.setattr(equilibrium, "check_fraction_rows", counting)
     solve(default_instance)
-    assert shapes == [(1, default_instance.n_vrs)]
+    assert shapes == [(1, default_instance.shape[1])]

@@ -4,7 +4,9 @@ _require_pricing_domain accepts most blocks with one bound per product
 at the block's extremes and forms every row's products only to decide
 the rest; _require_normal_floors runs its per-product loops only when
 the smallest floor product is 0 or subnormal.  guard_oracle holds both
-checks in their per-row form.
+checks in their per-row form.  The pricing guard once also bounded
+Gamma_1 Lambda s_bh and Lambda^2 s_bh S_3^3, which the other three
+bound in exact arithmetic; five_pricing_products keeps all five.
 """
 
 import dataclasses
@@ -13,18 +15,14 @@ import sys
 
 import numpy as np
 from guard_oracle import pricing_products, require_normal_floors, require_pricing_domain
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_sweep_rows import row_of
 
 from cachemarket import equilibrium
 from cachemarket.coverage import CoverageConstants
 from cachemarket.economics import EconomicConfig, ProfitReport
-from cachemarket.equilibrium import (
-    GameRows,
-    participation_threshold_rows,
-    solve_rows,
-)
+from cachemarket.equilibrium import GameRows, solve_rows
 
 HALF = sys.float_info.max / 2
 TINY = sys.float_info.min
@@ -33,11 +31,11 @@ TINY = sys.float_info.min
 def game_rows(gammas, lams, s_bh=1.0, intensity=1.0, theta=1.0) -> GameRows:
     """A block of markets given by Gamma (R, V) and Lambda (R,), at Q = 1.
 
-    zeta K = 1, s^ld = s^bh and C = 1; storage 1 keeps the first retailer
-    of each row (its thresholds are 0).  Thresholds past the first may
-    overflow to inf: the pricing guard does not read them.
+    zeta K = 1, so q is Gamma; N = 1, s^ld = s^bh and C = 1; storage 1
+    keeps the first retailer of each row (its thresholds are 0).
+    Thresholds past the first may overflow to inf: the pricing guard
+    does not read them.
     """
-    gammas = np.asarray(gammas, dtype=float)
     econ = EconomicConfig(
         backhaul_cost=s_bh,
         local_surcharge=s_bh,
@@ -46,15 +44,26 @@ def game_rows(gammas, lams, s_bh=1.0, intensity=1.0, theta=1.0) -> GameRows:
         sbs_intensity=intensity,
     )
     base = CoverageConstants(c=1.0, theta=theta, lambda_big=1.0)
-    with np.errstate(over="ignore"):
-        thresholds = participation_threshold_rows(gammas, 1, base)
     return GameRows(
-        gammas=gammas,
-        thresholds=thresholds,
-        storage=np.ones((gammas.shape[0], 1)),
+        q=np.asarray(gammas, dtype=float),
+        n_files=1,
+        storage=np.ones((len(lams), 1)),
         econ=econ,
         constants=base.with_lambda_big(np.array(lams, dtype=float)[:, None]),
     )
+
+
+def five_pricing_products(rows: GameRows) -> dict[str, np.ndarray]:
+    """guard_oracle's three products after the two they bound, one value per row."""
+    lam = rows.constants.lambda_big[:, 0]
+    s = rows.econ.backhaul_cost
+    s3 = np.cbrt(rows.gammas).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounded = {
+            "Gamma_1 * Lambda * s_bh": rows.gammas[:, 0] * lam * s,
+            "Lambda^2 * s_bh * S_3^3": lam * lam * s * s3 * s3 * s3,
+        }
+    return {**bounded, **pricing_products(rows)}
 
 
 def raised(check, *args):
@@ -95,7 +104,7 @@ def pricing_blocks(draw):
     rows = game_rows(**market)
     snap = draw(st.sampled_from([None, 0, 1, 2, 3, 4]))
     if snap is not None:
-        largest = max(list(pricing_products(rows).values())[snap].tolist())
+        largest = max(list(five_pricing_products(rows).values())[snap].tolist())
         offset = draw(st.floats(-3e-9, 3e-9))
         s_bh = market["s_bh"] * (HALF * (1 + offset) / largest) if largest > 0 else 0.0
         if 0 < s_bh <= HALF:
@@ -105,10 +114,19 @@ def pricing_blocks(draw):
 
 @settings(max_examples=500, derandomize=True, deadline=None, database=None)
 @given(rows=pricing_blocks())
+# a tie: at V = 1 and Lambda = 1 all five products are s_bh Gamma_1 in
+# exact arithmetic; here Gamma_1 Lambda s_bh rounds to one ulp above half
+# the float range, V Lambda^2 s_bh S_2^2 to it and the rest below it
+@example(rows=game_rows([[1.0471285480508996]], [1.0], s_bh=8.583918078675725e307))
 def test_pricing_guard_decides_like_every_row(rows):
-    assert raised(equilibrium._require_pricing_domain, rows) == raised(
-        require_pricing_domain, rows
-    )
+    verdict = raised(equilibrium._require_pricing_domain, rows)
+    assert verdict == raised(require_pricing_domain, rows)
+    five = list(five_pricing_products(rows).values())
+    if (verdict is None) != all((product <= HALF).all() for product in five):
+        # only a dropped product, rounded above its bound, can tell the forms apart
+        assert verdict is None
+        for dropped, bound in zip(five[:2], (five[3], five[2])):
+            assert (dropped <= bound * (1 + 1e-14)).all()
 
 
 _FLOOR_VALUES = [
@@ -144,8 +162,9 @@ def test_a_tripped_bound_is_no_error():
     """A block whose bounds overflow, though no row's products do, is solved.
 
     Row 0 holds the larger Lambda, row 1 the larger Gamma_1: taken
-    together, Gamma_1 Lambda s_bh is 1e308, above half the float range,
-    while every product of each row stays below it.
+    together, Lambda s_bh max(S_3^2 Gamma_1^(1/3), S_2^2) is 1e308 (at
+    V = 1 it is Gamma_1 Lambda s_bh), above half the float range, while
+    every product of each row stays below it.
     """
     gammas, lams = [[1e305], [1e307]], [10.0, 1.0]
     rows = game_rows(gammas, lams)

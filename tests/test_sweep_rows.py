@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from price_oracle import posted_prices
+from price_oracle import posted_prices, row_constants
 
 from cachemarket import cli, equilibrium, harness
 from cachemarket.economics import ProfitReport, profit_report
@@ -41,7 +41,7 @@ def point_rows(cfg, kind, values):
             nups, ups = nups_solve(instance), ups_solve(instance)
         except (ValueError, ArithmeticError, VerificationFailure) as exc:
             return rows, exc
-        th = instance.rows.thresholds
+        th = instance.thresholds
         last = (float(th.u_values[0, -1]), float(th.u_bar_values[0, -1]))
         front = last if kind == "gamma" else ()
         rows.append(
@@ -86,7 +86,7 @@ def _market(rng):
 def test_storage_sweep_equals_point_solves(seed):
     rng = np.random.default_rng([seed, 7])
     cfg = _market(rng)
-    th = make_instance(cfg).rows.thresholds
+    th = make_instance(cfg).thresholds
     # non-integer Q, Q > N, and Q on and around the first few bracket edges
     edges = [float(x) for x in np.concatenate([th.u_values[0, 1:4], th.u_bar_values[0, 1:4]])]
     values = sorted(
@@ -101,7 +101,7 @@ def test_storage_sweep_equals_point_solves(seed):
 def test_gamma_sweep_equals_point_solves(seed):
     rng = np.random.default_rng([seed, 8])
     cfg = _market(rng)
-    # gamma = 1 takes ndarray **'s reciprocal shortcut in zipf_vector
+    # gamma = 1 takes ndarray **'s reciprocal shortcut in zipf_rows
     values = [0.0, 0.5, 1.0, 2.0] + rng.uniform(0.0, 2.5, 12).tolist()
     assert_sweep_matches_points(cfg, "gamma", values)
 
@@ -165,7 +165,7 @@ def row_of(outcomes, i):
 def assert_report_is_profit_report(outcome, instance):
     """A one-row outcome's report holds, bit for bit, what profit_report computes from it."""
     expected = profit_report(
-        outcome.fractions, outcome.prices, instance.gammas(), instance.econ, instance.constants
+        outcome.fractions, outcome.prices, instance.gammas[0], instance.econ, row_constants(instance)
     )
     for field in dataclasses.fields(ProfitReport):
         got, want = getattr(outcome.report, field.name), getattr(expected, field.name)
@@ -343,10 +343,32 @@ def test_block_row_verifies_like_its_own_market(monkeypatch, kind, cfg, values):
     (run_sweep_storage if kind == "storage" else run_sweep_gamma)(cfg, values, verify=True)
     assert len(verified) == 2 * len(values)  # NUPS, then UPS, point by point
     for k, (outcome, rows, i, record) in enumerate(verified):
-        own = make_instance(cfg, **{kind: values[k // 2]}).rows
+        own = make_instance(cfg, **{kind: values[k // 2]})
         assert rows.gammas[i].tobytes() == own.gammas[0].tobytes()
         assert rows.constants.lambda_big[i, 0] == own.constants.lambda_big[0, 0]
         assert real(row_of(outcome, i), own) == record
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", ["storage", "gamma"])
+def test_one_point_block_is_its_market(kind, seed):
+    # q, Gamma, U/Ubar, Q and Lambda of a one-point block are make_instance's, bit for bit
+    rng = np.random.default_rng([seed, 12])
+    cfg = _market(rng)
+    if kind == "storage":  # Q = 1, non-integer Q, Q = N and Q > N
+        values = [1.0, float(rng.uniform(1.0, cfg.n_files)), float(cfg.n_files), cfg.n_files + 0.5]
+    else:  # gamma = 0 and 1 take ndarray **'s shortcuts in zipf_rows
+        values = [0.0, 1.0, float(rng.uniform(0.0, 2.5))]
+    first = make_instance(cfg, **{kind: values[0]})
+    for value in values:
+        got, want = harness._block_rows(first, kind, [value]), make_instance(cfg, **{kind: value})
+        for name in ("q", "gammas", "storage"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (name, value)
+        for name in ("u_values", "u_bar_values"):
+            got_th, want_th = getattr(got.thresholds, name), getattr(want.thresholds, name)
+            assert got_th.tobytes() == want_th.tobytes(), (name, value)
+        assert got.constants.lambda_big.tobytes() == want.constants.lambda_big.tobytes(), value
+        assert got.shape == want.shape == (1, cfg.n_vrs)
 
 
 @pytest.mark.parametrize(
@@ -436,8 +458,14 @@ def test_broadcast_row_equals_its_materialised_copy(n_vrs, gamma):
     first = make_instance(ExperimentConfig(n_vrs=n_vrs, gamma=gamma), storage=values[0])
     rows = harness._block_rows(first, "storage", values)
     # row-major, as a gamma block is (np.array would copy it column-major)
-    copy = dataclasses.replace(rows, gammas=np.ascontiguousarray(rows.gammas))
+    copy = dataclasses.replace(rows, q=np.ascontiguousarray(rows.q))
+    assert rows.q.strides[0] == 0 and copy.q.strides[0] != 0
     assert rows.gammas.strides[0] == 0 and copy.gammas.strides[0] != 0
+    # the block's thresholds are taken on its one q row and broadcast
+    assert rows.thresholds.u_values.shape == rows.thresholds.u_bar_values.shape == (1, n_vrs)
+    for name in ("u_values", "u_bar_values"):
+        want = getattr(copy.thresholds, name)
+        assert np.array_equal(np.broadcast_to(getattr(rows.thresholds, name), want.shape), want)
     for name, value in rows.pricing_products.items():
         assert np.array_equal(value, copy.pricing_products[name]), name
     schemes, widths = ("NUPS", "UPS"), [n_vrs, n_vrs]
@@ -480,7 +508,7 @@ def test_pair_pass_equals_one_scheme_calls(kind, n_vrs):
 
 def test_pair_budget_failure_names_its_scheme():
     # UPS solves this market; NUPS, second in the stack, breaks the budget
-    rows = make_instance(ExperimentConfig(delta=2e4)).rows
+    rows = make_instance(ExperimentConfig(delta=2e4))
     solve_rows("UPS", rows)
     with pytest.raises(ArithmeticError) as one:
         solve_rows("NUPS", rows)

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from price_oracle import row_constants
 
 from cachemarket.economics import check_fraction_rows, profit_report
 from cachemarket.equilibrium import (
@@ -68,14 +69,14 @@ def assert_certificate_bounds_oracle(outcome, instance, rel_tol=1e-6):
     that kind.  Returns the record (None when rejected) and the oracle's
     record (None when rejected).
     """
-    record, failure = verdict(verify_equilibrium, outcome, instance.rows, rel_tol)
+    record, failure = verdict(verify_equilibrium, outcome, instance, rel_tol)
     oracle, oracle_failure = verdict(loop_verify_equilibrium, outcome, instance, rel_tol)
     if failure is not None:
         assert failure.startswith(FAILURES[outcome.scheme])
         return None, oracle
     assert oracle_failure is None
     posted = 0 if outcome.scheme == "WATERFILL" else outcome.n_participants[0]
-    assert (record.follower_checks, record.leader_checks) == (posted, instance.n_vrs)
+    assert (record.follower_checks, record.leader_checks) == (posted, instance.shape[1])
     # json.dumps rejects numpy ints
     assert type(record.follower_checks) is type(record.leader_checks) is int
     assert 0.0 <= record.leader_max_gain <= rel_tol
@@ -95,7 +96,7 @@ def with_fractions(outcome, instance, tau):
     fractions = np.array([tau], dtype=float)
     check_fraction_rows(fractions)
     report = profit_report(
-        fractions, outcome.prices, instance.gammas(), instance.econ, instance.constants
+        fractions, outcome.prices, instance.gammas[0], instance.econ, row_constants(instance)
     )
     return replace(outcome, fractions=fractions, report=report)
 
@@ -126,10 +127,10 @@ def repriced(outcome, instance, retailer, factor):
     prices = outcome.prices[0, : outcome.n_participants[0]].tolist()
     prices[retailer] *= factor
     tau = [
-        best_response_fraction(p, g, instance.econ, instance.constants)
-        for p, g in zip(prices, instance.gammas())
+        best_response_fraction(p, g, instance.econ, row_constants(instance))
+        for p, g in zip(prices, instance.gammas[0])
     ]
-    tau += [0.0] * (instance.n_vrs - len(prices))  # the priced-out retailers
+    tau += [0.0] * (instance.shape[1] - len(prices))  # the priced-out retailers
     if sum(tau) > 1.0:
         return None
     return with_fractions(with_prices(outcome, prices), instance, tau)
@@ -154,7 +155,7 @@ def test_lone_retailer_above_one_skips_lower_prices():
     outcome = nups_solve(instance)
     assert outcome.n_participants[0] == 1
     tau0 = best_response_fraction(
-        outcome.prices[0, 0], instance.gammas()[0], instance.econ, instance.constants
+        outcome.prices[0, 0], instance.gammas[0, 0], instance.econ, row_constants(instance)
     )
     assert tau0 > 1.0
     record, oracle = assert_certificate_bounds_oracle(outcome, instance)
@@ -169,8 +170,8 @@ def test_retailer_above_one_makes_the_other_rows_infeasible():
     # retailer 2 is a check.  The certificate clamps retailer 1's
     # maximizer at 1, and its gap still sees retailer 2's marginal.
     instance = make_instance(ExperimentConfig(n_vrs=2))
-    con, econ = instance.constants, instance.econ
-    gammas = instance.gammas()
+    con, econ = row_constants(instance), instance.econ
+    gammas = instance.gammas[0]
     # invert tau = sqrt(Gamma * scale / s) - shift for the target fractions
     shift = con.lambda_big / con.theta
     scale = con.lambda_big * econ.local_surcharge / (con.theta**2 * econ.sbs_intensity)
@@ -196,11 +197,11 @@ def test_underpriced_retailer_at_one_fails_the_leader_check():
     under = replace(outcome, prices=outcome.prices * 0.8)
     under = with_fractions(under, instance, outcome.fractions[0])
     assert under.fractions[0].tolist() == [1.0, 0.0, 0.0]
-    record = verify_equilibrium(under, instance.rows, rel_tol=math.inf)
+    record = verify_equilibrium(under, instance, rel_tol=math.inf)
     forgone = 0.25 * under.report.nsp_leasing[0] / under.report.nsp_total[0]
     assert record.leader_max_gain == pytest.approx(forgone, rel=1e-9)
     with pytest.raises(VerificationFailure, match="leader condition violated"):
-        verify_equilibrium(under, instance.rows)
+        verify_equilibrium(under, instance)
     assert assert_certificate_bounds_oracle(under, instance) == (None, None)
 
 
@@ -210,8 +211,8 @@ def test_gap_covers_priced_out_retailers():
     # passes, but moving budget to the priced-out retailer 2, whose
     # marginal at 0 is the larger, gains first order
     instance = make_instance(ExperimentConfig(n_vrs=2, gamma=0.0))
-    con, econ = instance.constants, instance.econ
-    gamma = instance.gammas()[0]
+    con, econ = row_constants(instance), instance.econ
+    gamma = instance.gammas[0, 0]
     price = gamma * econ.local_surcharge * con.lambda_big / (
         econ.sbs_intensity * (con.theta + con.lambda_big) ** 2
     )
@@ -221,7 +222,7 @@ def test_gap_covers_priced_out_retailers():
     lone = with_fractions(lone, instance, (min(tau0, 1.0), 0.0))
     assert loop_verify_equilibrium(lone, instance).leader_checks > 0
     with pytest.raises(VerificationFailure, match="retailer 2 has the largest"):
-        verify_equilibrium(lone, instance.rows)
+        verify_equilibrium(lone, instance)
 
 
 def test_follower_violation_names_the_first_candidate_in_declared_order():
@@ -238,7 +239,7 @@ def test_follower_violation_names_the_first_candidate_in_declared_order():
         loop_verify_equilibrium(perturbed, instance)
     best = re.escape(f"{outcome.fractions[0, 2]:.6g}")
     with pytest.raises(VerificationFailure, match=rf"retailer 3 .* to {best}$"):
-        verify_equilibrium(perturbed, instance.rows)
+        verify_equilibrium(perturbed, instance)
     assert assert_certificate_bounds_oracle(perturbed, instance)[0] is None
 
 
@@ -252,7 +253,7 @@ def test_follower_gain_is_relative_to_the_retailers_profit():
     perturbed = with_fractions(outcome, instance, tau)
     profit, best = perturbed.report.vr_profits[0, 2], outcome.report.vr_profits[0, 2]
     assert 0.0 < profit < best < 1e-2
-    record = verify_equilibrium(perturbed, instance.rows, rel_tol=math.inf)
+    record = verify_equilibrium(perturbed, instance, rel_tol=math.inf)
     assert record.follower_max_gain == pytest.approx((best - profit) / profit, rel=1e-9)
 
 
@@ -269,8 +270,8 @@ def test_follower_checks_count_tied_candidates_once():
     # retailer 5 priced so high that its best response is 0, as is 0.0 tau
     prices = outcome.prices.copy()
     prices[0, 4] *= 1e3
-    econ, con = instance.econ, instance.constants
-    assert best_response_fraction(prices[0, 4], instance.gammas()[4], econ, con) == 0.0
+    econ, con = instance.econ, row_constants(instance)
+    assert best_response_fraction(prices[0, 4], instance.gammas[0, 4], econ, con) == 0.0
     priced_out = with_fractions(replace(outcome, prices=prices), instance, outcome.fractions[0])
     records = [
         assert_certificate_bounds_oracle(tied, instance, math.inf)
@@ -285,13 +286,13 @@ def test_nups_gap_requires_a_concave_provider_profit():
     # as a function of the fractions, is convex near tau = 1, so its
     # Frank-Wolfe gap would certify nothing
     skewed = make_instance(ExperimentConfig(s_ld=10.0))
-    con, econ = skewed.constants, skewed.econ
+    con, econ = row_constants(skewed), skewed.econ
     assert (2 * econ.local_surcharge + econ.backhaul_cost) * con.lambda_big < con.theta * (
         econ.local_surcharge - econ.backhaul_cost
     )
     outcome = nups_solve(make_instance(ExperimentConfig()))
     with pytest.raises(VerificationFailure, match="provider profit is not concave"):
-        verify_equilibrium(outcome, skewed.rows, rel_tol=math.inf)
+        verify_equilibrium(outcome, skewed, rel_tol=math.inf)
 
 
 def test_gap_sees_a_cut_when_every_marginal_is_negative():
@@ -299,8 +300,8 @@ def test_gap_sees_a_cut_when_every_marginal_is_negative():
     # concave but falls at tau = 1, so a lone retailer priced to take the
     # whole budget should be priced higher, to take less of it
     instance = make_instance(ExperimentConfig(n_vrs=1, s_bh=0.01, s_ld=1.0, storage=112))
-    con, econ = instance.constants, instance.econ
-    gamma, theta, lam = instance.gammas()[0], con.theta, con.lambda_big
+    con, econ = row_constants(instance), instance.econ
+    gamma, theta, lam = instance.gammas[0, 0], con.theta, con.lambda_big
     price = gamma * econ.local_surcharge * lam / (econ.sbs_intensity * (theta + lam) ** 2)
     tau0 = best_response_fraction(price, gamma, econ, con)
     lone = with_fractions(
@@ -312,10 +313,10 @@ def test_gap_sees_a_cut_when_every_marginal_is_negative():
     x = theta * t + lam
     profit = gamma * (econ.local_surcharge * lam * t / x**2 + econ.backhaul_cost * t / x)
     gain = (profit.max() - profit[-1]) / lone.report.nsp_total[0]
-    record = verify_equilibrium(lone, instance.rows, rel_tol=math.inf)
+    record = verify_equilibrium(lone, instance, rel_tol=math.inf)
     assert 1e-6 < gain <= record.leader_max_gain
     with pytest.raises(VerificationFailure, match="leader condition violated"):
-        verify_equilibrium(lone, instance.rows)
+        verify_equilibrium(lone, instance)
 
 
 def test_concavity_condition_matches_the_second_derivative():
@@ -326,7 +327,7 @@ def test_concavity_condition_matches_the_second_derivative():
     t = np.linspace(0.0, 1.0, 2001)
     seen = set()
     for storage in (20, 100, 500):
-        con = make_instance(ExperimentConfig(storage=storage)).constants
+        con = row_constants(make_instance(ExperimentConfig(storage=storage)))
         theta, lam, s_bh = con.theta, con.lambda_big, 1.0
         for s_ld in (0.2, 1.0, 3.0, 10.0, 40.0):
             x = theta * t + lam
@@ -342,9 +343,9 @@ def test_concavity_condition_matches_the_second_derivative():
 def test_nan_certifies_nothing(scheme):
     # a NaN demand for retailer 2 makes its gain, or the gap, NaN
     instance = make_instance(ExperimentConfig())
-    gammas = instance.gammas().copy()
-    gammas[1] = math.nan
-    rows = replace(instance.rows, gammas=gammas[None, :])
+    q = instance.q.copy()
+    q[0, 1] = math.nan
+    rows = replace(instance, q=q)
     condition = "sum-profit" if scheme == "waterfill" else "follower"
     with pytest.raises(VerificationFailure, match=f"{condition} condition violated"):
         verify_equilibrium(SOLVERS[scheme](instance), rows)
@@ -373,15 +374,15 @@ def test_waterfill_lone_source_has_no_transfer_to_itself():
     lone = with_fractions(waterfill_solve(instance), instance, (1e-3, 0.0))
     record, oracle = assert_certificate_bounds_oracle(lone, instance, math.inf)
     assert oracle.leader_checks == 3 and oracle.leader_max_gain < 0.0
-    con = instance.constants
-    weight = instance.gammas()[0] * (instance.econ.backhaul_cost + instance.econ.local_surcharge)
+    con = row_constants(instance)
+    weight = instance.gammas[0, 0] * (instance.econ.backhaul_cost + instance.econ.local_surcharge)
     marginal = weight * con.lambda_big / (con.theta * 1e-3 + con.lambda_big) ** 2
     expected = marginal * (1.0 - 1e-3) / lone.report.global_total[0]
     assert record.leader_max_gain == pytest.approx(expected, rel=1e-12)
     # at the default tolerance the oracle passes and the gap rejects
     assert loop_verify_equilibrium(lone, instance).leader_checks == 3
     with pytest.raises(VerificationFailure, match="retailer 1 has the largest"):
-        verify_equilibrium(lone, instance.rows)
+        verify_equilibrium(lone, instance)
 
 
 def test_waterfill_transfer_caps_destination_at_one():
@@ -403,7 +404,7 @@ def test_waterfill_gap_rejects_unused_budget():
     # no transfer adds to the fractions' total, so the oracle passes
     # outcomes that leave budget unused; the gap rejects them
     instance = make_instance(ExperimentConfig())
-    idle = with_fractions(waterfill_solve(instance), instance, np.zeros(instance.n_vrs))
+    idle = with_fractions(waterfill_solve(instance), instance, np.zeros(instance.shape[1]))
     assert idle.report.global_total[0] == 0.0
     lone = make_instance(ExperimentConfig(n_vrs=1))
     half = with_fractions(waterfill_solve(lone), lone, (0.5,))
@@ -411,7 +412,7 @@ def test_waterfill_gap_rejects_unused_budget():
     for outcome, market in ((idle, instance), (half, lone)):
         assert loop_verify_equilibrium(outcome, market).leader_checks == 0
         with pytest.raises(VerificationFailure, match="sum-profit condition violated"):
-            verify_equilibrium(outcome, market.rows)
+            verify_equilibrium(outcome, market)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
@@ -420,7 +421,7 @@ def test_verifies_a_large_market(scheme, gamma):
     # every certificate is O(V): 10^5 retailers cost a few array passes
     instance = make_instance(ExperimentConfig(n_vrs=100_000, gamma=gamma))
     outcome = SOLVERS[scheme](instance)
-    record = verify_equilibrium(outcome, instance.rows)
+    record = verify_equilibrium(outcome, instance)
     posted = 0 if scheme == "waterfill" else outcome.n_participants[0]
     assert (record.follower_checks, record.leader_checks) == (posted, 100_000)
     assert 0.0 <= record.leader_max_gain <= 1e-6
@@ -432,7 +433,7 @@ def test_corrupted_waterfill_fails_sum_profit_check():
     instance = make_instance(ExperimentConfig())
     corrupted = shifted(waterfill_solve(instance), instance, 0, -1, 0.05)
     with pytest.raises(VerificationFailure, match="sum-profit"):
-        verify_equilibrium(corrupted, instance.rows)
+        verify_equilibrium(corrupted, instance)
     assert assert_certificate_bounds_oracle(corrupted, instance)[0] is None
 
 
@@ -449,7 +450,7 @@ def test_corrupted_outcomes_match_loop_oracle():
         outcome = waterfill_solve(instance)
         source = int(rng.choice(np.flatnonzero(outcome.fractions[0] > 0)))
         amount = outcome.fractions[0, source] * rng.uniform(0.0, 1.0)
-        dest = int(rng.integers(instance.n_vrs))
+        dest = int(rng.integers(instance.shape[1]))
         if dest != source:
             corrupted.append((shifted(outcome, instance, source, dest, amount), instance))
         for solve in (nups_solve, ups_solve):
@@ -479,11 +480,11 @@ def test_small_moves_are_rejected_whenever_the_oracle_rejects():
     rng = np.random.default_rng(1603)
     rejected = {scheme: {"oracle": 0, "gap": 0} for scheme in SOLVERS}
     for instance in seeded_markets(20, seed=6064):
-        if instance.n_vrs == 1:
+        if instance.shape[1] == 1:
             continue
         outcome = waterfill_solve(instance)
         source = int(rng.choice(np.flatnonzero(outcome.fractions[0] > 0)))
-        dest = int(rng.choice(np.delete(np.arange(instance.n_vrs), source)))
+        dest = int(rng.choice(np.delete(np.arange(instance.shape[1]), source)))
         moves = []
         for move in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2):
             amount = min(move, outcome.fractions[0, source])

@@ -75,7 +75,9 @@ EDGE = [
     ["sweep-storage", *UNDERFLOW, "--V", "99"],
     ["per-vr", *UNDERFLOW, "--V", "99"],
     # each pricing product just inside half the float range (within the
-    # bounds' 1e-9 margin, so the rows decide) and one ulp of s_bh past it
+    # bounds' 1e-9 margin, so the rows decide) and one ulp of s_bh past it;
+    # the first two pairs place Gamma_1 Lambda s_bh and Lambda^2 s_bh S_3^3,
+    # which the guard no longer forms, so a product that bounds them decides
     ["solve", "--Q", "1", "--s-bh", "1.468095369440308e+304"],
     ["solve", "--Q", "1", "--s-bh", "1.468095370174356e+304"],
     ["solve", "--gamma", "0", "--s-bh", "3.238122598380131e+304"],

@@ -20,9 +20,11 @@ import math
 
 import numpy as np
 
+from price_oracle import row_constants
+
 from cachemarket.economics import profit_report
 from cachemarket.equilibrium import (
-    GameInstance,
+    GameRows,
     RowOutcomes,
     VerificationFailure,
     VerificationRecord,
@@ -33,25 +35,23 @@ _FOLLOWER_FACTORS = (0.0, 0.25, 0.5, 0.8, 0.9, 0.99, 1.01, 1.1, 1.25, 1.5, 2.0)
 _LEADER_FACTORS = (0.5, 0.8, 0.9, 0.95, 0.99, 1.01, 1.05, 1.1, 1.25, 2.0)
 
 
-def _vr_profit_at(
-    tau_v: float, s_v: float, gamma_v: float, instance: GameInstance
-) -> float:
-    theta = instance.constants.theta
-    lam_big = instance.constants.lambda_big
+def _vr_profit_at(tau_v: float, s_v: float, gamma_v: float, rows: GameRows) -> float:
+    theta = rows.constants.theta
+    lam_big = float(rows.constants.lambda_big[0, 0])
     surcharge = (
         gamma_v
-        * instance.econ.local_surcharge
+        * rows.econ.local_surcharge
         * tau_v
         / (theta * tau_v + lam_big)
         if tau_v > 0
         else 0.0
     )
-    return surcharge - instance.econ.sbs_intensity * s_v * tau_v
+    return surcharge - rows.econ.sbs_intensity * s_v * tau_v
 
 
 def loop_verify_equilibrium(
     outcome: RowOutcomes,
-    instance: GameInstance,
+    rows: GameRows,
     rel_tol: float = 1e-6,
 ) -> VerificationRecord:
     """Check both equilibrium conditions of a one-row outcome by perturbation.
@@ -66,25 +66,26 @@ def loop_verify_equilibrium(
     VerificationFailure naming the violated condition.
     """
     if outcome.scheme == "WATERFILL":
-        return _loop_verify_waterfill(outcome, instance, rel_tol)
-    gammas = instance.gammas()
+        return _loop_verify_waterfill(outcome, rows, rel_tol)
+    gammas = rows.gammas[0]
+    constants = row_constants(rows)
     posted = outcome.prices[0, : outcome.n_participants[0]].tolist()
     follower_gain = -math.inf
     follower_checks = 0
     # prices are posted to a prefix of the retailers; zip stops at its end
     for v, (price, tau_v) in enumerate(zip(posted, outcome.fractions[0].tolist())):
-        base = _vr_profit_at(tau_v, price, gammas[v], instance)
+        base = _vr_profit_at(tau_v, price, gammas[v], rows)
         scale = max(abs(base), 1e-9)
         # the declared order, each distinct candidate once
         candidates = dict.fromkeys(
             [
                 *(f * tau_v for f in _FOLLOWER_FACTORS),
-                best_response_fraction(price, gammas[v], instance.econ, instance.constants),
+                best_response_fraction(price, gammas[v], rows.econ, constants),
                 tau_v + 0.05,
             ]
         )
         for cand in candidates:
-            gain = (_vr_profit_at(cand, price, gammas[v], instance) - base) / scale
+            gain = (_vr_profit_at(cand, price, gammas[v], rows) - base) / scale
             follower_gain = max(follower_gain, gain)
             follower_checks += 1
             if gain > rel_tol:
@@ -107,7 +108,7 @@ def loop_verify_equilibrium(
     profit_scale = max(abs(base_value), 1e-9)
     leader_gain = -math.inf
     leader_checks = 0
-    excluded = [0.0] * (instance.n_vrs - len(posted))
+    excluded = [0.0] * (rows.shape[1] - len(posted))
     for i, price in enumerate(posted):
         for factor in _LEADER_FACTORS:
             trial = list(posted)
@@ -115,7 +116,7 @@ def loop_verify_equilibrium(
             fractions = []
             feasible = True
             for p, g in zip(trial, gammas):
-                tau = best_response_fraction(p, g, instance.econ, instance.constants)
+                tau = best_response_fraction(p, g, rows.econ, constants)
                 if tau > 1.0:
                     feasible = False
                     break
@@ -127,8 +128,8 @@ def loop_verify_equilibrium(
                 np.array(fractions),
                 np.array(trial + excluded),
                 gammas,
-                instance.econ,
-                instance.constants,
+                rows.econ,
+                constants,
             )
             gain = (objective(report) - base_value) / profit_scale
             leader_gain = max(leader_gain, gain)
@@ -148,10 +149,11 @@ def loop_verify_equilibrium(
 
 def _loop_verify_waterfill(
     outcome: RowOutcomes,
-    instance: GameInstance,
+    rows: GameRows,
     rel_tol: float,
 ) -> VerificationRecord:
     """Pairwise mass transfers on the simplex must not raise the sum profit."""
+    constants = row_constants(rows)
     base = outcome.report.global_total[0]
     scale = max(abs(base), 1e-9)
     fractions = outcome.fractions[0].tolist()
@@ -172,9 +174,9 @@ def _loop_verify_waterfill(
                 report = profit_report(
                     np.array(trial),
                     outcome.prices[0],
-                    instance.gammas(),
-                    instance.econ,
-                    instance.constants,
+                    rows.gammas[0],
+                    rows.econ,
+                    constants,
                 )
                 gain = (report.global_total - base) / scale
                 max_gain = max(max_gain, gain)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from cachemarket.equilibrium import GameInstance
+from cachemarket.equilibrium import GameRows
 
 
-def waterfill_fractions(instance: GameInstance) -> tuple[int, np.ndarray]:
-    """(vbar, fractions) of the water-filling optimum by the top-down search."""
-    q = np.asarray(instance.pops.q, dtype=float)
-    theta = instance.constants.theta
-    lam_big = instance.constants.lambda_big
+def waterfill_fractions(rows: GameRows) -> tuple[int, np.ndarray]:
+    """(vbar, fractions) of row 0's water-filling optimum by the top-down search."""
+    q = rows.q[0]
+    theta = rows.constants.theta
+    lam_big = float(rows.constants.lambda_big[0, 0])
     sqrt_q = np.sqrt(q)
     v_bar = q.size
     while v_bar >= 1:
