@@ -62,6 +62,9 @@ _FLAGS = [
     for key, (field, kind) in _KEY_MAP.items()
     if kind in (int, float)
 ]
+# (flag, its attribute in the parsed namespace, config field)
+_FLAG_ATTRS = [(flag, f"cfg_{dest}", dest) for flag, dest, _ in _FLAGS]
+_SWEEP_FLAGS = [(f"--{name}", name) for name in ("start", "stop", "step")]
 
 
 # verify-coverage reads these config fields from its grids, never from a flag
@@ -71,8 +74,8 @@ _COVERAGE_GRIDS = {"sbs_intensity": "lambda_grid", "storage": "q_grid"}
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     updates = {}
     flags = []
-    for flag, dest, _ in _FLAGS:
-        value = getattr(args, f"cfg_{dest}")
+    for flag, attr, dest in _FLAG_ATTRS:
+        value = getattr(args, attr)
         if value is not None:
             if args.command == "verify-coverage" and dest in _COVERAGE_GRIDS:
                 grid = _COVERAGE_GRIDS[dest]
@@ -81,7 +84,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
                 )
             updates[dest] = value
             flags.append((flag, value))
-    flags += [(f"--{n}", getattr(args, n, None)) for n in ("start", "stop", "step")]
+    flags += [(flag, getattr(args, name, None)) for flag, name in _SWEEP_FLAGS]
     for flag, value in flags:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
@@ -197,7 +200,8 @@ def _read_flags(argv: list[str]) -> argparse.Namespace | None:
     if table is None:
         return None
     defaults, flags = table
-    values = dict(defaults)
+    # parse_args sets command first, then the subcommand's fields in order
+    values = {"command": argv[0], **defaults}
     tokens = iter(argv[1:])
     for token in tokens:
         flag = flags.get(token)
@@ -217,8 +221,9 @@ def _read_flags(argv: list[str]) -> argparse.Namespace | None:
         if choices is not None and value not in choices:
             return None
         values[dest] = value
-    # parse_args sets command first, then the subcommand's fields in order
-    return argparse.Namespace(command=argv[0], **values)
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:

@@ -51,7 +51,7 @@ def make_constants(delta: float, alpha: float, f_groups: float) -> CoverageConst
     if not (math.isfinite(f_groups) and f_groups >= 1):
         raise ValueError(f"f_groups must be finite and >= 1, got {f_groups}")
     c = c_factor(delta, alpha)
-    return CoverageConstants(c=c, theta=theta_factor(delta, alpha), lambda_big=c * f_groups)
+    return CoverageConstants(c=c, theta=theta_factor(delta, alpha, c), lambda_big=c * f_groups)
 
 
 def hit_probability(tau, constants: CoverageConstants):
@@ -60,7 +60,7 @@ def hit_probability(tau, constants: CoverageConstants):
     tau may be a float or an array of fractions, evaluated elementwise.
     """
     t = np.asarray(tau)
-    outside = ~((t >= 0.0) & (t <= 1.0))
-    if outside.any():
+    if not (t.min(initial=0.0) >= 0.0 and t.max(initial=1.0) <= 1.0):  # a NaN fails both
+        outside = ~((t >= 0.0) & (t <= 1.0))
         raise ValueError(f"tau must lie in [0, 1], got {t[outside].flat[0]}")
     return tau / (constants.theta * tau + constants.lambda_big)

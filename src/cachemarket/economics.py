@@ -91,14 +91,14 @@ def check_fraction_rows(fractions: np.ndarray) -> None:
     Feasible: every fraction lies in [0, 1] and the row sums to at most
     1 + 1e-9 (the SBS budget).  The error names the first offending row.
     """
-    inside = (fractions >= 0.0) & (fractions <= 1.0)
-    if not inside.all():
+    # a NaN fails both comparisons
+    if not (fractions.min(initial=0.0) >= 0.0 and fractions.max(initial=1.0) <= 1.0):
+        inside = (fractions >= 0.0) & (fractions <= 1.0)
         r, i = np.unravel_index(np.argmin(inside), inside.shape)
         raise ValueError(f"fraction {i + 1} must lie in [0, 1], got {fractions[r, i]}")
     totals = ordered_sums(fractions)
-    over = totals > 1.0 + 1e-9
-    if over.any():
-        total = float(totals[np.argmax(over)])
+    if totals.max(initial=0.0) > 1.0 + 1e-9:
+        total = float(totals[np.argmax(totals > 1.0 + 1e-9)])
         raise ValueError(f"fractions sum to {total}, exceeding the SBS budget")
 
 
@@ -143,14 +143,17 @@ def profit_report(
     prices holds 0 for a priced-out retailer, which rents nothing.
     gammas broadcasts against tau; so does constants.lambda_big, which
     may be an (R, 1) column.  Every total is a left-to-right fold along
-    the last axis, so a 1-D tau is a single operating point.
+    the last axis, so a 1-D tau is a single operating point; the three
+    per-retailer terms that are summed share one fold.
     """
     hits = hit_probability(tau, constants)
     surcharges = gammas * cfg.local_surcharge * hits
-    rents = tau * cfg.sbs_intensity * prices
-    profits = surcharges - rents
-    nsp_leasing = ordered_sums(rents)
-    nsp_saving = ordered_sums(gammas * hits * cfg.backhaul_cost)
+    # rents, back-haul savings and profits, in that order
+    terms = np.empty((3, *np.broadcast(tau, prices, surcharges).shape))
+    rents = np.multiply(tau * cfg.sbs_intensity, prices, out=terms[0])
+    np.multiply(gammas * hits, cfg.backhaul_cost, out=terms[1])
+    profits = np.subtract(surcharges, rents, out=terms[2])
+    nsp_leasing, nsp_saving, profit_sum = ordered_sums(terms)
     nsp_total = nsp_leasing + nsp_saving
     return ProfitReport(
         nsp_leasing=nsp_leasing,
@@ -159,5 +162,5 @@ def profit_report(
         vr_profits=profits,
         vr_surcharge=surcharges,
         vr_rent=rents,
-        global_total=nsp_total + ordered_sums(profits),
+        global_total=nsp_total + profit_sum,
     )

@@ -51,6 +51,9 @@ __all__ = [
 # the lower storage bracket.
 _BRACKET_TOL = 1e-12
 
+# The root each scheme takes of q and of Gamma
+_ROOTS = {"NUPS": np.cbrt, "UPS": np.sqrt}
+
 
 class VerificationFailure(AssertionError):
     """An equilibrium candidate violates a best-response condition."""
@@ -107,17 +110,33 @@ class GameRows:
     @cached_property
     def thresholds(self) -> ParticipationThresholds:
         """U_v and Ubar_v of q's distinct rows; they broadcast against gammas."""
-        return participation_threshold_rows(self._distinct_q, self.n_files, self.constants)
+        return ParticipationThresholds(self.brackets("NUPS"), self.brackets("UPS"))
 
-    @cached_property
-    def roots(self) -> dict[str, np.ndarray]:
-        """Gamma^(1/3) (NUPS) and Gamma^(1/2) (UPS) of distinct_gammas, by scheme.
+    def _per_scheme(self, name: str, scheme: str, make) -> np.ndarray:
+        """make(scheme), formed on the first call for that scheme and kept."""
+        kept = self.__dict__.setdefault(name, {})
+        if scheme not in kept:
+            kept[scheme] = make(scheme)
+        return kept[scheme]
 
-        The pricing bounds, the surrogates and the posted prices all read
-        them, so each is taken once per GameRows.
+    def q_roots(self, scheme: str) -> np.ndarray:
+        """q^(1/3) (NUPS) or q^(1/2) (UPS) of q's distinct rows."""
+        return self._per_scheme("_q_roots", scheme, lambda k: _ROOTS[k](self._distinct_q))
+
+    def brackets(self, scheme: str) -> np.ndarray:
+        """U_v (NUPS) or Ubar_v (UPS) of q's distinct rows; a solve reads its scheme's."""
+        return self._per_scheme(
+            "_brackets",
+            scheme,
+            lambda k: _thresholds_of(self.q_roots(k), self.n_files, self.constants),
+        )
+
+    def roots(self, scheme: str) -> np.ndarray:
+        """Gamma^(1/3) (NUPS) or Gamma^(1/2) (UPS) of distinct_gammas.
+
+        The surrogates and the posted prices both read them.
         """
-        gammas = self.distinct_gammas
-        return {"NUPS": np.cbrt(gammas), "UPS": np.sqrt(gammas)}
+        return self._per_scheme("_roots", scheme, lambda k: _ROOTS[k](self.distinct_gammas))
 
     @cached_property
     def pricing_products(self) -> dict[str, np.ndarray]:
@@ -130,7 +149,7 @@ class GameRows:
         # an overflow, or lambda Theta^2 underflowing to 0, shows as inf or
         # nan in the bound, which fails its check
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sums = [self.roots[name].sum(axis=1) for name in ("NUPS", "UPS")]
+            sums = [self.roots(name).sum(axis=1) for name in ("NUPS", "UPS")]
             lam, g1 = self.constants.lambda_big[:, 0], self.distinct_gammas[:, 0]
             return _pricing_formulas(self, lam, g1, *sums, np.maximum)
 
@@ -185,9 +204,9 @@ def best_response_fraction(
     The value is deliberately not clamped at 1: a result above 1 flags a
     price vector no leader optimum would post.
     """
-    positive = np.asarray(prices) > 0
-    if not positive.all():
-        bad = np.asarray(prices).flat[np.argmin(positive)]
+    prices_array = np.asarray(prices)
+    if not prices_array.min(initial=math.inf) > 0:  # a NaN fails too
+        bad = prices_array.flat[np.argmin(prices_array > 0)]
         raise ValueError(f"price must be positive, got {bad}")
     theta = constants.theta
     lam_big = constants.lambda_big
@@ -208,20 +227,28 @@ def participation_threshold_rows(
     lies below Q.  A retailer whose weight q_v underflowed to 0 can
     never take part: its thresholds are +inf.
     """
+    return ParticipationThresholds(
+        *(_thresholds_of(_ROOTS[k](q), n_files, constants) for k in _ROOTS)
+    )
+
+
+def _thresholds_of(
+    roots: np.ndarray, n_files: int, constants: CoverageConstants
+) -> np.ndarray:
+    """U_v (roots = q^(1/3)) or Ubar_v (roots = q^(1/2)) of each row of roots.
+
+    One of the two threshold arrays of participation_threshold_rows, bit
+    for bit; an overflowing N C / Theta raises first.
+    """
     scale = n_files * constants.c / constants.theta
     if not scale <= sys.float_info.max:
         raise ValueError(f"N * C / Theta = {scale:.3g} overflows a float")
-    v_idx = np.arange(1, q.shape[1] + 1, dtype=float)
-    roots = np.empty((2, *q.shape))
-    np.cbrt(q, out=roots[0])
-    np.sqrt(q, out=roots[1])
-    # cumulative sums of (q_j / q_v)^(1/3) and ^(1/2) for each v
+    # cumulative sums of (q_j / q_v)^(1/3) or ^(1/2) for each v
     ratios = np.full(roots.shape, np.inf)
-    np.divide(np.cumsum(roots, axis=-1), roots, out=ratios, where=roots > 0)
-    ratios -= v_idx
+    np.divide(np.add.accumulate(roots, axis=-1), roots, out=ratios, where=roots > 0)
+    ratios -= np.arange(1, roots.shape[-1] + 1, dtype=float)
     ratios *= scale
-    u_values, u_bar_values = ratios
-    return ParticipationThresholds(u_values=u_values, u_bar_values=u_bar_values)
+    return ratios
 
 
 def _bracket_count(brackets: np.ndarray, storage) -> np.ndarray:
@@ -242,14 +269,18 @@ def _require_pricing_domain(rows: GameRows) -> None:
             f"the back-haul cost, got s_ld={econ.local_surcharge}, "
             f"s_bh={econ.backhaul_cost}"
         )
-    # Each product at the block's largest Lambda, Gamma_1, S_3 and S_2 bounds
-    # it on every row, up to the ulps by which Python's pow of Gamma_1^(1/3)
-    # may differ from numpy's: the 1e-9 margin covers them.  A NaN bound, or
-    # lambda Theta^2 = 0 (Python's division refuses it), leaves it to the rows.
-    sums = [rows.roots[name].sum(axis=1) for name in ("NUPS", "UPS")]
-    extremes = [rows.constants.lambda_big, rows.distinct_gammas[:, 0], *sums]
+    # Each product at the block's largest Lambda and Gamma_v, with S_3 and S_2
+    # bounded by V Gamma_max^(1/3) and V Gamma_max^(1/2), bounds it on every
+    # row, up to the ulps by which Python's pow may differ from numpy's roots
+    # and sums: the 1e-9 margin covers them.  A NaN bound, or lambda Theta^2
+    # = 0 (Python's division refuses it), leaves it to the rows.
+    n_vrs = rows.shape[1]
+    lam = float(rows.constants.lambda_big.max())
+    g_max = float(rows.distinct_gammas.max())
     try:
-        bounds = _pricing_formulas(rows, *(float(x.max()) for x in extremes), max)
+        bounds = _pricing_formulas(
+            rows, lam, g_max, n_vrs * g_max ** (1 / 3), n_vrs * g_max**0.5, max
+        )
         if all(bound <= sys.float_info.max / 2 * (1 - 1e-9) for bound in bounds.values()):
             return
     except ZeroDivisionError:
@@ -321,25 +352,24 @@ def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
     to 0 raises ValueError naming it.  Returns the prices and the (R, V)
     mask of posted retailers.
     """
-    roots = rows.roots[scheme]
+    roots = rows.roots(scheme)
     s_bh = rows.econ.backhaul_cost
     intensity = rows.econ.sbs_intensity
     theta = rows.constants.theta
-    scales = np.array(
-        [
-            lam * s_bh * root_sum**2 / (intensity * (u_r * lam + theta) ** 2)
-            for u_r, root_sum, lam in zip(
-                u.tolist(), _root_sums(roots, u), rows.constants.lambda_big[:, 0].tolist()
-            )
-        ]
-    )[:, None]
-    if not scales.all():
-        r = int(np.argmin(scales[:, 0] != 0))
+    scales = [
+        lam * s_bh * root_sum**2 / (intensity * (u_r * lam + theta) ** 2)
+        for u_r, root_sum, lam in zip(
+            u.tolist(), _root_sums(roots, u), rows.constants.lambda_big[:, 0].tolist()
+        )
+    ]
+    if 0.0 in scales:
+        r = scales.index(0.0)
         root = "1/3" if scheme == "NUPS" else "1/2"
         raise ValueError(
             f"Lambda * s_bh * (sum_(j<=u) Gamma_j^({root}))^2 / (lambda * (u Lambda + Theta)^2) "
             f"underflows to 0 at u = {u[r]}"
         )
+    scales = np.array(scales)[:, None]
     posted = np.arange(1, rows.shape[1] + 1) <= u[:, None]
     return np.where(posted, scales * roots if scheme == "NUPS" else scales, 0.0), posted
 
@@ -355,14 +385,14 @@ def _surrogates(schemes: tuple, rows: GameRows, widths: list) -> list:
     width = max(widths)
     lam_big = rows.constants.lambda_big
     s_bh = rows.econ.backhaul_cost
-    u = np.arange(1, width + 1)
+    u = np.arange(1.0, width + 1)
     # Lambda^2 as CPython forms it (pow), which numpy's square may round otherwise
     lam_sq = np.array([lam**2 for lam in lam_big[:, 0].tolist()])[:, None]
     denominators = (u * lam_big + rows.constants.theta) ** 2
-    demand = s_bh * np.cumsum(rows.distinct_gammas[:, :width], axis=1)
+    demand = s_bh * np.add.accumulate(rows.distinct_gammas[:, :width], axis=1)
     surrogates = []
     for scheme, w in zip(schemes, widths):
-        root_sums = np.cumsum(rows.roots[scheme][:, :w], axis=1)
+        root_sums = np.add.accumulate(rows.roots(scheme)[:, :w], axis=1)
         if scheme == "NUPS":
             lead = lam_sq * s_bh * root_sums**3
         else:
@@ -395,38 +425,42 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
     message the scheme of that row) rather than the first scheme's error.
     """
     schemes = (scheme,) if isinstance(scheme, str) else tuple(scheme)
-    thresholds = rows.thresholds  # an overflowing N C / Theta raises before the pricing checks
+    # an overflowing N C / Theta raises before the pricing checks
+    brackets = [rows.brackets(name) for name in schemes]
     _require_pricing_domain(rows)
     t_max, widths = [], []
-    for name in schemes:
-        brackets = thresholds.u_values if name == "NUPS" else thresholds.u_bar_values
-        counts = _bracket_count(brackets, rows.storage)
-        if not counts.all():
+    for name, bracket in zip(schemes, brackets):
+        counts = _bracket_count(bracket, rows.storage)
+        fewest, most = int(counts.min()), int(counts.max())
+        if not fewest:
             raise ValueError("no retailer lies below the first participation threshold")
-        t_max.append(counts)
+        # rows with fewer brackets than the widest mask the columns past theirs
+        t_max.append(counts if fewest < most else None)
         # no column past the widest bracket: a lone row forms what it always formed
-        widths.append(int(counts.max()))
+        widths.append(most)
     heads = []
     for name, counts, surrogates in zip(schemes, t_max, _surrogates(schemes, rows, widths)):
-        surrogates[np.arange(1, surrogates.shape[1] + 1) > counts[:, None]] = np.inf
+        if counts is not None:
+            surrogates[np.arange(1, surrogates.shape[1] + 1) > counts[:, None]] = np.inf
         u = 1 + surrogates.argmin(axis=1)  # argmin takes the smallest u on ties
-        heads.append((u, rows.gammas[np.arange(u.size), u - 1], *_posted_prices(name, rows, u)))
+        prices, posted = _posted_prices(name, rows, u)
+        # Gamma, and so the price, falls along a row: s_u is the smallest posted price
+        at_u = (np.arange(u.size), u - 1)
+        heads.append((u, rows.gammas[at_u], prices[at_u], prices, posted))
     # Past the heads, one pass over the schemes' rows stacked in order.
     # Gamma stays one broadcast row when the rows share it.
     gammas, constants = rows.distinct_gammas, rows.constants
     if len(schemes) == 1:
-        u, gamma_u, prices, posted = heads[0]
+        u, gamma_u, s_u, prices, posted = heads[0]
     else:
-        u, gamma_u, prices, posted = map(np.concatenate, zip(*heads))
+        u, gamma_u, s_u, prices, posted = map(np.concatenate, zip(*heads))
         if gammas.shape[0] > 1:
             gammas = np.concatenate([gammas] * len(schemes))
         constants = constants.with_lambda_big(
             np.concatenate([constants.lambda_big] * len(schemes))
         )
     econ = rows.econ
-    # Gamma, and so the price, falls along a row: s_u is the smallest posted price
-    s_u = prices[np.arange(u.size), u - 1]
-    if not (s_u > 0).all():
+    if not s_u.min() > 0:  # a NaN fails too
         r = int(np.argmin(s_u > 0))
         raise ValueError(f"price must be positive, got {prices[r, : u[r]].min()}")
     # The best responses' numerator and denominator at retailer u of each
@@ -445,9 +479,8 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
     )
     responses = np.where(posted, responses, 0.0)
     totals = ordered_sums(responses)
-    over = totals > 1.0 + 1e-9
-    if over.any():
-        r = int(np.argmax(over))
+    if np.fmax.reduce(totals) > 1.0 + 1e-9:  # fmax skips NaNs, as the comparison does
+        r = int(np.argmax(totals > 1.0 + 1e-9))
         raise ArithmeticError(
             f"{schemes[r // rows.shape[0]]} best responses sum to {float(totals[r])}; "
             "the posted prices are broken"
@@ -456,9 +489,8 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
     check_fraction_rows(fractions)
     # prices past u are 0 and s_u > 0, so each row posts exactly u prices
     positive = (fractions > 0).sum(axis=1)
-    bad = positive != u
-    if bad.any():
-        r = int(np.argmax(bad))
+    if positive.tolist() != u.tolist():
+        r = int(np.argmax(positive != u))
         raise VerificationFailure(
             f"inconsistent outcome: participants={u[r]}, "
             f"posted prices={u[r]}, positive fractions={positive[r]}"
@@ -498,10 +530,10 @@ def waterfill_solve(rows: GameRows) -> RowOutcomes:
     transfer.  No pricing closed form is used, so s^ld may differ from
     s^bh here.
     """
-    v_bar = _bracket_count(rows.thresholds.u_bar_values[:1], rows.storage[:1])
+    v_bar = _bracket_count(rows.brackets("UPS")[:1], rows.storage[:1])
     theta = rows.constants.theta
     lam_big = float(rows.constants.lambda_big[0, 0])
-    sqrt_q = np.sqrt(rows.q[0])
+    sqrt_q = rows.q_roots("UPS")[0]  # the roots Ubar_v was formed from
     k = int(v_bar[0])
     eta = sqrt_q[:k].sum() / (k * lam_big + theta)
     fractions = np.zeros((1, sqrt_q.size))
@@ -543,7 +575,7 @@ def _frank_wolfe_gap(grad: np.ndarray, tau: np.ndarray) -> tuple[float, int]:
     the non-negative terms (top - g_v) tau_v and top (B - sum tau), with
     top = max(g_j, 0).
     """
-    j = int(np.argmax(grad))
+    j = int(grad.argmax())
     top = max(grad[j], 0.0)
     total = tau.sum()
     return (top - grad) @ tau + top * (max(1.0, total) - total), j
@@ -605,33 +637,32 @@ def verify_equilibrium(
             f"fractions, (2 s_ld + s_bh) Lambda < Theta (s_ld - s_bh) at s_ld={s_ld}, "
             f"s_bh={s_bh}"
         )
+    # x = Theta t + Lambda, the hit probability's denominator at each fraction
+    theta_tau = theta * tau
+    x = theta_tau + lam_big
     follower_gain, follower_checks = math.nan, 0
     if outcome.scheme != "WATERFILL":
         gamma, t = gammas[:u], tau[:u]
         best = np.minimum(best_response_fraction(price, gamma, econ, constants), 1.0)
         surcharge = gamma * s_ld
         rent = econ.sbs_intensity * price
-
-        def vr_profits(t):
-            return surcharge * t / (theta * t + lam_big) - rent * t
-
-        base = vr_profits(t)
-        gains = (vr_profits(best) - base) / np.maximum(np.abs(base), 1e-9)
-        violated = ~(gains <= rel_tol)  # a NaN gain certifies nothing
-        if violated.any():
-            v = int(np.argmax(violated))
+        base = surcharge * t / x[:u] - rent * t
+        moved = surcharge * best / (theta * best + lam_big) - rent * best
+        gains = (moved - base) / np.maximum(np.abs(base), 1e-9)
+        follower_gain = gains.max(initial=-math.inf)
+        if not follower_gain <= rel_tol:  # a NaN gain certifies nothing
+            v = int(np.argmax(~(gains <= rel_tol)))
             raise VerificationFailure(
                 f"follower condition violated: retailer {v + 1} gains "
                 f"{gains[v]:.3e} (relative) by moving tau from {t[v]:.6g} to {best[v]:.6g}"
             )
-        follower_gain, follower_checks = float(gains.max(initial=-math.inf)), u
+        follower_gain, follower_checks = float(follower_gain), u
 
     # Lambda / x^2 first: it is at most 1 / Lambda, while Gamma Lambda may overflow
-    x = theta * tau + lam_big
     marginal_hit = lam_big / x**2
     shortfall = 0.0
     if outcome.scheme == "NUPS":
-        grad = gammas * (marginal_hit * (s_ld * (lam_big - theta * tau) / x + s_bh))
+        grad = gammas * (marginal_hit * (s_ld * (lam_big - theta_tau) / x + s_bh))
         condition, label, total = "leader", "provider profit", outcome.report.nsp_total[i]
         # the rent each posted fraction would fetch at the price that buys it,
         # less the rent paid: positive only where a price sits below that one

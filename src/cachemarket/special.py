@@ -69,8 +69,8 @@ def hyp2f1_unit_a(alpha: float, delta: float) -> float:
 
 def a_factor(delta: float, alpha: float) -> float:
     """A(delta, alpha) = 2 delta / (alpha - 2) * 2F1(1, 1-2/a; 2-2/a; -delta)."""
-    _check_domain(alpha, delta)
-    return 2.0 * delta / (alpha - 2.0) * hyp2f1_unit_a(alpha, delta)
+    hyp = hyp2f1_unit_a(alpha, delta)  # checks the domain first
+    return 2.0 * delta / (alpha - 2.0) * hyp
 
 
 def c_factor(delta: float, alpha: float) -> float:
@@ -86,11 +86,15 @@ def c_factor(delta: float, alpha: float) -> float:
     return two_over_alpha * delta**two_over_alpha * (math.pi / math.sin(math.pi * x))
 
 
-def theta_factor(delta: float, alpha: float) -> float:
-    """Theta(delta, alpha) = A - C + 1, which is positive."""
+def theta_factor(delta: float, alpha: float, c: float | None = None) -> float:
+    """Theta(delta, alpha) = A - C + 1, which is positive.
+
+    c is c_factor(delta, alpha) when the caller has it already; only
+    delta <= 2 reads C.
+    """
     _check_domain(alpha, delta)
     if delta <= _SERIES_SPLIT:
-        return a_factor(delta, alpha) - c_factor(delta, alpha) + 1.0
+        return a_factor(delta, alpha) - (c_factor(delta, alpha) if c is None else c) + 1.0
     two_over_alpha = 2.0 / alpha
     # sum_k (-1)^(k+1) delta^-k / (k + 2/alpha); |term| halves at least
     # every step, and the sum is at least half its first term

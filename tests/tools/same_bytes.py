@@ -141,6 +141,14 @@ EDGE = [
     ["solve", "--scheme", "ups", "--alpha", "2.1", "--delta", "2e4", "--V", "1"],
     # the posted-price scale underflows to 0 (a config error)
     ["solve", "--s-bh", "1e-300", "--lambda", "1e300"],
+    # markets still broken or inexact: best responses that break the budget
+    # (exit 4), Theta rounding to 0 (exit 1), and a profit cell that
+    # cancellation leaves off in its 12th digit (exit 0)
+    ["solve", "--delta", "2e4"],
+    ["solve", "--alpha", "2.000000000001", "--delta", "2.1"],
+    ["solve", "--alpha", "2.00000000000001", "--delta", "2"],
+    ["solve", "--alpha", "2.00000000000001", "--delta", "1"],
+    ["solve", "--delta", "1e3"],
     # the water-filling count at large V, with few and with all retailers in
     ["solve", "--scheme", "waterfill", "--V", "20000", "--gamma", "0.5", "--no-verify"],
     ["solve", "--scheme", "waterfill", "--V", "20000", "--gamma", "0", "--no-verify"],
