@@ -88,6 +88,11 @@ def test_domain_errors():
         hit_probability(-0.1, con)
     with pytest.raises(ValueError):
         hit_probability(1.1, con)
+    # the first fraction outside [0, 1] is named, a NaN included
+    with pytest.raises(ValueError, match=r"^tau must lie in \[0, 1\], got nan$"):
+        hit_probability([0.2, math.nan, 1.5], con)
+    with pytest.raises(ValueError, match=r"^tau must lie in \[0, 1\], got -0.5$"):
+        hit_probability(np.array([[0.2, 1.0], [-0.5, 2.0]]), con)
     with pytest.raises(ValueError):
         make_constants(0.01, 4.0, 0.5)
     for theta in (0.0, -0.5):

@@ -13,6 +13,7 @@ from cachemarket.economics import (
     EconomicConfig,
     check_fraction_rows,
     gamma_vector,
+    ordered_sums,
     profit_report,
 )
 
@@ -221,6 +222,40 @@ def test_fraction_rows_budget():
         check_fraction_rows(np.array([[0.7, 0.5]]))
     with pytest.raises(ValueError, match=r"fraction 1 must lie in \[0, 1\], got 1.2"):
         check_fraction_rows(np.array([[1.2]]))
+    # the first offending row is named, a NaN included
+    with pytest.raises(ValueError, match=r"^fraction 2 must lie in \[0, 1\], got nan$"):
+        check_fraction_rows(np.array([[0.2, 0.3], [0.5, math.nan]]))
+    with pytest.raises(ValueError, match=r"^fractions sum to 1.2, exceeding the SBS budget$"):
+        check_fraction_rows(np.array([[0.5, 0.4], [0.7, 0.5], [0.9, 0.9]]))
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_vrs, shared",
+    [(3, 15, False), (4, 7, True), (1, 1, False), (2, 0, False), (2, 0, True)],
+    ids=["rows", "broadcast-gamma", "one", "zero-width", "zero-width-broadcast"],
+)
+def test_folded_totals_are_separate_sums(n_rows, n_vrs, shared):
+    """profit_report folds its three sums in one pass, bit for bit as three ordered_sums."""
+    rng = np.random.default_rng(2028 + 10 * n_rows + n_vrs)
+    econ = make_econ(local_surcharge=1.7, sbs_intensity=3.3)
+    tau = rng.dirichlet(np.ones(n_vrs + 1), n_rows)[:, :n_vrs]
+    prices = np.where(rng.random(tau.shape) < 0.8, rng.uniform(0.1, 5.0, tau.shape), 0.0)
+    gammas = rng.uniform(1.0, 500.0, (1 if shared else n_rows, n_vrs))
+    constants = make_constants(0.3, 3.5, 4.0)
+    constants = constants.with_lambda_big(rng.uniform(0.1, 2.0, (n_rows, 1)))
+    report = profit_report(tau, prices, gammas, econ, constants)
+
+    hits = hit_probability(tau, constants)
+    rents = tau * econ.sbs_intensity * prices
+    profits = gammas * econ.local_surcharge * hits - rents
+    leasing, saving = ordered_sums(rents), ordered_sums(gammas * hits * econ.backhaul_cost)
+    assert np.array_equal(report.nsp_leasing, leasing)
+    assert np.array_equal(report.nsp_backhaul_saving, saving)
+    assert np.array_equal(report.nsp_total, leasing + saving)
+    assert np.array_equal(report.global_total, leasing + saving + ordered_sums(profits))
+    assert np.array_equal(report.vr_rent, rents)
+    assert np.array_equal(report.vr_profits, profits)
+    assert report.nsp_total.shape == (n_rows,) and report.vr_profits.shape == (n_rows, n_vrs)
 
 
 def test_gamma_vector_units():

@@ -11,7 +11,9 @@ bound in exact arithmetic; five_pricing_products keeps all five.
 
 import dataclasses
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 from guard_oracle import pricing_products, require_normal_floors, require_pricing_domain
@@ -127,6 +129,56 @@ def test_pricing_guard_decides_like_every_row(rows):
         assert verdict is None
         for dropped, bound in zip(five[:2], (five[3], five[2])):
             assert (dropped <= bound * (1 + 1e-14)).all()
+
+
+def drawn_blocks() -> list[str]:
+    """Each block a derandomized pricing_blocks() test draws, in order, as text.
+
+    Hypothesis also draws the literals of every local module loaded at the
+    time (its constant pool), so these depend on what the run imported;
+    the root conftest.py imports every local module before collection.
+    """
+    drawn = []
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(rows=pricing_blocks())
+    def record(rows):
+        lams = rows.constants.lambda_big[:, 0].tolist()
+        econ, theta = rows.econ, rows.constants.theta
+        drawn.append(repr((rows.q.tolist(), lams, econ.backhaul_cost, econ.sbs_intensity, theta)))
+
+    record()
+    return drawn
+
+
+# Collects tests/test_guards.py as `pytest tests/test_guards.py` does, then
+# prints drawn_blocks() in that process, one line each.
+_DRAWN_ALONE = """
+import sys
+import pytest
+
+class Draw:
+    def pytest_collection_finish(self, session):
+        for line in sys.modules["test_guards"].drawn_blocks():
+            print("DRAWN", line)
+
+pytest.main(["-q", "--collect-only", "-p", "no:cacheprovider", sys.argv[1]], plugins=[Draw()])
+"""
+
+
+def test_draws_do_not_depend_on_the_invocation():
+    """This run draws the blocks that `pytest tests/test_guards.py` alone draws."""
+    alone = subprocess.run(
+        [sys.executable, "-c", _DRAWN_ALONE, __file__],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).resolve().parents[1],
+        check=True,
+    )
+    prefix = "DRAWN "
+    lines = [line[len(prefix) :] for line in alone.stdout.splitlines() if line.startswith(prefix)]
+    assert len(lines) == 60
+    assert lines == drawn_blocks()
 
 
 _FLOOR_VALUES = [

@@ -271,6 +271,20 @@ class TestCli:
             assert cli.main(argv) == 2
             assert capsys.readouterr().err == f"verification failure: {message}\n"
 
+    def test_nan_best_response_exit_code(self, capsys, monkeypatch):
+        # a NaN best response passes the budget check (its sum is NaN) and
+        # is named by the fraction check, as the first fraction outside [0, 1]
+        real = equilibrium.best_response_fraction
+
+        def third_response_nan(*args):
+            responses = real(*args)
+            responses[..., 2] = math.nan
+            return responses
+
+        monkeypatch.setattr(equilibrium, "best_response_fraction", third_response_nan)
+        assert cli.main(["solve", "--scheme", "ups"]) == 1
+        assert capsys.readouterr().err == "config error: fraction 3 must lie in [0, 1], got nan\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

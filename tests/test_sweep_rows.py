@@ -451,6 +451,39 @@ def test_posted_prices_equal_the_row_loop(kind, spread, long_rows, data):
         assert np.array_equal(posted, want_posted)
 
 
+def two_root_thresholds(q, n_files, constants):
+    """U_v and Ubar_v of each row of q in one (2, R, V) pass, cbrt and sqrt stacked."""
+    roots = np.stack([np.cbrt(q), np.sqrt(q)])
+    ratios = np.full(roots.shape, np.inf)
+    np.divide(np.cumsum(roots, axis=-1), roots, out=ratios, where=roots > 0)
+    return (ratios - np.arange(1, q.shape[1] + 1)) * (n_files * constants.c / constants.theta)
+
+
+@pytest.mark.parametrize(
+    "kind, n_vrs, values",
+    [
+        ("storage", 15, sweep_values(1, 500, 5)),
+        ("gamma", 120, sweep_values(0, 2.5, 0.1)),
+        # Zipf weights past the first retailers underflow to 0: +inf thresholds
+        ("gamma", 1000, [150.0, 200.0]),
+    ],
+)
+def test_scheme_brackets_are_the_threshold_rows(kind, n_vrs, values):
+    """Each solve forms its own scheme's brackets: the rows of participation_threshold_rows."""
+    rows = harness._block_rows(make_instance(ExperimentConfig(n_vrs=n_vrs)), kind, values)
+    q = np.ascontiguousarray(rows.q)
+    want = equilibrium.participation_threshold_rows(q, rows.n_files, rows.constants)
+    stacked = two_root_thresholds(q, rows.n_files, rows.constants)
+    for k, (scheme, name) in enumerate([("NUPS", "u_values"), ("UPS", "u_bar_values")]):
+        got = rows.brackets(scheme)
+        assert got.shape == ((1, n_vrs) if kind == "storage" else rows.shape)
+        assert np.array_equal(np.broadcast_to(got, rows.shape), getattr(want, name))
+        assert np.array_equal(np.broadcast_to(got, rows.shape), stacked[k])
+        assert getattr(rows.thresholds, name) is got
+    if kind == "gamma" and n_vrs == 1000:
+        assert np.isinf(stacked[:, :, -1]).all()
+
+
 @pytest.mark.parametrize("n_vrs, gamma", [(1, 0.8), (15, 0.8), (120, 0.2)])
 def test_broadcast_row_equals_its_materialised_copy(n_vrs, gamma):
     """A storage block's roots and sums, taken on its one Gamma row, equal every row's."""
