@@ -143,17 +143,14 @@ def profit_report(
     prices holds 0 for a priced-out retailer, which rents nothing.
     gammas broadcasts against tau; so does constants.lambda_big, which
     may be an (R, 1) column.  Every total is a left-to-right fold along
-    the last axis, so a 1-D tau is a single operating point; the three
-    per-retailer terms that are summed share one fold.
+    the last axis, so a 1-D tau is a single operating point.
     """
     hits = hit_probability(tau, constants)
     surcharges = gammas * cfg.local_surcharge * hits
-    # rents, back-haul savings and profits, in that order
-    terms = np.empty((3, *np.broadcast(tau, prices, surcharges).shape))
-    rents = np.multiply(tau * cfg.sbs_intensity, prices, out=terms[0])
-    np.multiply(gammas * hits, cfg.backhaul_cost, out=terms[1])
-    profits = np.subtract(surcharges, rents, out=terms[2])
-    nsp_leasing, nsp_saving, profit_sum = ordered_sums(terms)
+    rents = tau * cfg.sbs_intensity * prices
+    profits = surcharges - rents
+    nsp_leasing = ordered_sums(rents)
+    nsp_saving = ordered_sums(gammas * hits * cfg.backhaul_cost)
     nsp_total = nsp_leasing + nsp_saving
     return ProfitReport(
         nsp_leasing=nsp_leasing,
@@ -162,5 +159,5 @@ def profit_report(
         vr_profits=profits,
         vr_surcharge=surcharges,
         vr_rent=rents,
-        global_total=nsp_total + profit_sum,
+        global_total=nsp_total + ordered_sums(profits),
     )

@@ -649,14 +649,14 @@ def verify_equilibrium(
         base = surcharge * t / x[:u] - rent * t
         moved = surcharge * best / (theta * best + lam_big) - rent * best
         gains = (moved - base) / np.maximum(np.abs(base), 1e-9)
-        follower_gain = gains.max(initial=-math.inf)
-        if not follower_gain <= rel_tol:  # a NaN gain certifies nothing
+        top_gain = gains.max(initial=-math.inf)
+        if not top_gain <= rel_tol:  # a NaN gain certifies nothing
             v = int(np.argmax(~(gains <= rel_tol)))
             raise VerificationFailure(
                 f"follower condition violated: retailer {v + 1} gains "
                 f"{gains[v]:.3e} (relative) by moving tau from {t[v]:.6g} to {best[v]:.6g}"
             )
-        follower_gain, follower_checks = float(follower_gain), u
+        follower_gain, follower_checks = float(top_gain), u
 
     # Lambda / x^2 first: it is at most 1 / Lambda, while Gamma Lambda may overflow
     marginal_hit = lam_big / x**2

@@ -234,8 +234,8 @@ def test_fraction_rows_budget():
     [(3, 15, False), (4, 7, True), (1, 1, False), (2, 0, False), (2, 0, True)],
     ids=["rows", "broadcast-gamma", "one", "zero-width", "zero-width-broadcast"],
 )
-def test_folded_totals_are_separate_sums(n_rows, n_vrs, shared):
-    """profit_report folds its three sums in one pass, bit for bit as three ordered_sums."""
+def test_report_totals_are_ordered_sums(n_rows, n_vrs, shared):
+    """Each profit_report total is the ordered_sums of its per-retailer terms, bit for bit."""
     rng = np.random.default_rng(2028 + 10 * n_rows + n_vrs)
     econ = make_econ(local_surcharge=1.7, sbs_intensity=3.3)
     tau = rng.dirichlet(np.ones(n_vrs + 1), n_rows)[:, :n_vrs]
