@@ -119,16 +119,12 @@ class GameRows:
             kept[scheme] = make(scheme)
         return kept[scheme]
 
-    def q_roots(self, scheme: str) -> np.ndarray:
-        """q^(1/3) (NUPS) or q^(1/2) (UPS) of q's distinct rows."""
-        return self._per_scheme("_q_roots", scheme, lambda k: _ROOTS[k](self._distinct_q))
-
     def brackets(self, scheme: str) -> np.ndarray:
         """U_v (NUPS) or Ubar_v (UPS) of q's distinct rows; a solve reads its scheme's."""
         return self._per_scheme(
             "_brackets",
             scheme,
-            lambda k: _thresholds_of(self.q_roots(k), self.n_files, self.constants),
+            lambda k: _thresholds_of(_ROOTS[k](self._distinct_q), self.n_files, self.constants),
         )
 
     def roots(self, scheme: str) -> np.ndarray:
@@ -533,7 +529,7 @@ def waterfill_solve(rows: GameRows) -> RowOutcomes:
     v_bar = _bracket_count(rows.brackets("UPS")[:1], rows.storage[:1])
     theta = rows.constants.theta
     lam_big = float(rows.constants.lambda_big[0, 0])
-    sqrt_q = rows.q_roots("UPS")[0]  # the roots Ubar_v was formed from
+    sqrt_q = np.sqrt(rows.q[0])
     k = int(v_bar[0])
     eta = sqrt_q[:k].sum() / (k * lam_big + theta)
     fractions = np.zeros((1, sqrt_q.size))
