@@ -20,7 +20,6 @@ from .coverage import CoverageConstants, hit_probability, make_constants
 from .economics import EconomicConfig, ProfitReport, gamma_vector, profit_report
 from .equilibrium import (
     GameRows,
-    ParticipationThresholds,
     RowOutcomes,
     VerificationFailure,
     best_response_fraction,

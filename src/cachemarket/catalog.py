@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,13 +72,24 @@ class VrConfig:
 class PopularityVectors:
     """Normalized popularity vectors t (files), p (groups), q (retailers).
 
-    p is None when N/Q is not an integer; the closed forms only need the
-    real-valued group count N/Q, but exact grouping is undefined.
+    t (N long) and p (N/Q long) are formed on first read: the closed
+    forms only need q and the real-valued group count N/Q.  p is None
+    when N/Q is not an integer, where exact grouping is undefined.
     """
 
-    t: np.ndarray
-    p: np.ndarray | None
+    catalog: CatalogConfig
     q: np.ndarray
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return file_popularity(self.catalog)
+
+    @cached_property
+    def p(self) -> np.ndarray | None:
+        storage = self.catalog.storage
+        if float(storage).is_integer() and self.catalog.n_files % int(storage) == 0:
+            return group_popularity(self.t, int(storage))
+        return None
 
 
 def zipf_rows(n: int, exponents) -> np.ndarray:
@@ -124,10 +136,4 @@ def vr_preference(config: VrConfig) -> np.ndarray:
 
 def build_popularity(catalog: CatalogConfig, vrs: VrConfig) -> PopularityVectors:
     """Assemble all popularity vectors for one scenario."""
-    t = file_popularity(catalog)
-    storage = catalog.storage
-    if float(storage).is_integer() and catalog.n_files % int(storage) == 0:
-        p = group_popularity(t, int(storage))
-    else:
-        p = None
-    return PopularityVectors(t=t, p=p, q=vr_preference(vrs))
+    return PopularityVectors(catalog, vr_preference(vrs))

@@ -35,11 +35,9 @@ from .economics import (
 __all__ = [
     "GameRows",
     "RowOutcomes",
-    "ParticipationThresholds",
     "VerificationFailure",
     "VerificationRecord",
     "best_response_fraction",
-    "participation_threshold_rows",
     "nups_solve",
     "ups_solve",
     "solve_rows",
@@ -60,22 +58,14 @@ class VerificationFailure(AssertionError):
 
 
 @dataclass(frozen=True)
-class ParticipationThresholds:
-    """Minimum-storage thresholds U_v (per-VR pricing) and Ubar_v (shared price)."""
-
-    u_values: np.ndarray
-    u_bar_values: np.ndarray
-
-
-@dataclass(frozen=True)
 class GameRows:
     """R markets solved together, one per row; make_instance builds one row.
 
     The rows share V, N, (delta, alpha) and the economics; a sweep varies Q
-    (so Lambda and the brackets) or gamma (so q, Gamma and the thresholds).
+    (so Lambda and the brackets) or gamma (so q, Gamma and the brackets).
     q is the (R, V) retailer preferences, possibly one row broadcast to all
     (np.broadcast_to); storage and constants.lambda_big are (R, 1)
-    columns.  Gamma and the thresholds are derived from q's distinct rows.
+    columns.  Gamma and the brackets are derived from q's distinct rows.
     """
 
     q: np.ndarray
@@ -107,11 +97,6 @@ class GameRows:
         gammas = self.distinct_gammas
         return gammas if gammas.shape == self.shape else np.broadcast_to(gammas, self.shape)
 
-    @cached_property
-    def thresholds(self) -> ParticipationThresholds:
-        """U_v and Ubar_v of q's distinct rows; they broadcast against gammas."""
-        return ParticipationThresholds(self.brackets("NUPS"), self.brackets("UPS"))
-
     def _per_scheme(self, name: str, scheme: str, make) -> np.ndarray:
         """make(scheme), formed on the first call for that scheme and kept."""
         kept = self.__dict__.setdefault(name, {})
@@ -120,7 +105,10 @@ class GameRows:
         return kept[scheme]
 
     def brackets(self, scheme: str) -> np.ndarray:
-        """U_v (NUPS) or Ubar_v (UPS) of q's distinct rows; a solve reads its scheme's."""
+        """U_v (NUPS) or Ubar_v (UPS) of q's distinct rows (_thresholds_of).
+
+        They broadcast against gammas; a solve reads its scheme's.
+        """
         return self._per_scheme(
             "_brackets",
             scheme,
@@ -212,29 +200,17 @@ def best_response_fraction(
     return np.maximum(root - lam_big / theta, 0.0)
 
 
-def participation_threshold_rows(
-    q: np.ndarray, n_files: int, constants: CoverageConstants
-) -> ParticipationThresholds:
-    """Storage thresholds of each row of an (R, V) block of preferences.
-
-    U_v    = N C (sum_{j<=v} (q_j/q_v)^(1/3) - v) / Theta
-    Ubar_v = same with square roots; Ubar_v >= U_v, both 0 at v = 1.
-    Retailer v can take part under NUPS (UPS) only when U_v (Ubar_v)
-    lies below Q.  A retailer whose weight q_v underflowed to 0 can
-    never take part: its thresholds are +inf.
-    """
-    return ParticipationThresholds(
-        *(_thresholds_of(_ROOTS[k](q), n_files, constants) for k in _ROOTS)
-    )
-
-
 def _thresholds_of(
     roots: np.ndarray, n_files: int, constants: CoverageConstants
 ) -> np.ndarray:
     """U_v (roots = q^(1/3)) or Ubar_v (roots = q^(1/2)) of each row of roots.
 
-    One of the two threshold arrays of participation_threshold_rows, bit
-    for bit; an overflowing N C / Theta raises first.
+    U_v    = N C (sum_{j<=v} (q_j/q_v)^(1/3) - v) / Theta
+    Ubar_v = same with square roots; Ubar_v >= U_v, both 0 at v = 1.
+    Retailer v can take part under NUPS (UPS) only when U_v (Ubar_v)
+    lies below Q.  A retailer whose weight q_v underflowed to 0 can
+    never take part: its thresholds are +inf.  An overflowing
+    N C / Theta raises first.
     """
     scale = n_files * constants.c / constants.theta
     if not scale <= sys.float_info.max:

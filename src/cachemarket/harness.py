@@ -161,40 +161,27 @@ def load_config(path: str, base: ExperimentConfig | None = None) -> ExperimentCo
     return replace(cfg, **updates)
 
 
-def _fmt(value) -> str:
-    if value is EXCLUDED:
-        return "EXCLUDED"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
+def _row_format(types: tuple) -> str:
+    """One %-format string for rows of these cell types.
 
-
-def _row_format(types: tuple) -> str | None:
-    """One %-format string for rows of these cell types, None if one is neither.
-
-    '%.12g' % x equals _fmt(x) for every float, '%d' % n for every int,
-    bool and numpy integer, and '%.0sEXCLUDED' % EXCLUDED is the literal
-    cell ('%.0s' consumes the value and prints nothing).
+    Ints, Python bools and numpy integers are spelled '%d', EXCLUDED
+    '%.0sEXCLUDED' ('%.0s' consumes the value and prints nothing), and
+    every other cell, numpy bools and floats included, '%.12g'.  A cell
+    that '%.12g' cannot spell raises %'s own TypeError.
     """
-    cells = []
-    for kind in types:
-        if issubclass(kind, (int, np.integer)):
-            cells.append("%d")
-        elif issubclass(kind, (float, np.floating)):
-            cells.append("%.12g")
-        elif kind is type(EXCLUDED):
-            cells.append("%.0sEXCLUDED")
-        else:
-            return None
-    return ",".join(cells)
+    return ",".join(
+        "%d" if issubclass(kind, (int, np.integer))
+        else "%.0sEXCLUDED" if kind is type(EXCLUDED)
+        else "%.12g"
+        for kind in types
+    )  # fmt: skip
 
 
 def format_rows(header: list[str], rows: list[tuple]) -> str:
-    """Render rows to CSV text with stable numeric formatting (_fmt per cell).
+    """Render rows to CSV text with stable numeric formatting.
 
-    Rows of numbers and EXCLUDED are formatted by a %-format string of
-    their cell types, built again where they differ from the row before;
-    a row holding any other type goes cell by cell through _fmt.
+    Each row is spelled by the %-format string of its cell types
+    (_row_format), built again where they differ from the row before.
     """
     lines = [",".join(header)]
     last = form = None
@@ -202,7 +189,7 @@ def format_rows(header: list[str], rows: list[tuple]) -> str:
         types = tuple(map(type, row))
         if types != last:
             last, form = types, _row_format(types)
-        lines.append(",".join(map(_fmt, row)) if form is None else form % tuple(row))
+        lines.append(form % tuple(row))
     return "\n".join(lines) + "\n"
 
 
@@ -455,7 +442,7 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, values: list, verify: bool) -> 
             ups.report.global_total,
         ]
         if kind == "gamma":
-            cells[:0] = rows.thresholds.u_values[:, -1], rows.thresholds.u_bar_values[:, -1]
+            cells[:0] = rows.brackets("NUPS")[:, -1], rows.brackets("UPS")[:, -1]
         for column, cell in zip(columns, cells):
             column += cell.tolist()
 
@@ -570,9 +557,9 @@ def run_solve(
         )
     )
     totals = [rep.nsp_leasing, rep.nsp_backhaul_saving, rep.nsp_total, rep.global_total]
-    cells = [outcome.scheme, _fmt(outcome.n_participants[0])] + [_fmt(t[0]) for t in totals]
-    summary = ["scheme,participants,s_rt,s_bh,s_nsp,s_glb", ",".join(cells)]
-    return rows, summary
+    cells = (outcome.scheme, outcome.n_participants[0], *(t[0] for t in totals))
+    header = "scheme,participants,s_rt,s_bh,s_nsp,s_glb"
+    return rows, [header, "%s,%d,%.12g,%.12g,%.12g,%.12g" % cells]
 
 
 def sweep_values(start: float, stop: float, step: float) -> list[float]:

@@ -160,8 +160,8 @@ def test_criterion_5_sum_profit_identity(capsys):
 def test_criterion_6_participation_thresholds(capsys):
     """Threshold ordering and the bracket boundary drive the participant count."""
     cfg = ExperimentConfig()
-    th = make_instance(cfg).thresholds
-    u_values, u_bar_values = th.u_values[0], th.u_bar_values[0]
+    instance = make_instance(cfg)
+    u_values, u_bar_values = instance.brackets("NUPS")[0], instance.brackets("UPS")[0]
     increasing = all(b > a for a, b in zip(u_values, u_values[1:]))
     dominated = all(
         ub >= u - 1e-12 for u, ub in zip(u_values, u_bar_values)

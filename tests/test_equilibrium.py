@@ -87,9 +87,8 @@ class TestBestResponse:
 
 
 def thresholds(instance):
-    """The market's U_v and Ubar_v: the one row of instance.thresholds."""
-    th = instance.thresholds
-    return th.u_values[0], th.u_bar_values[0]
+    """The market's U_v and Ubar_v: the one row of its NUPS and UPS brackets."""
+    return instance.brackets("NUPS")[0], instance.brackets("UPS")[0]
 
 
 class TestParticipationThresholds:

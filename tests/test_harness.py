@@ -38,6 +38,15 @@ CANCELLING = ["--alpha", "2.2193288013645645", "--delta", "80.49250043716155",
 SMALL_SIM = dict(tau_grid=(0.2, 0.8), q_grid=(50,), lambda_grid=(10.0,), trials=300)
 
 
+def _fmt(value) -> str:
+    """The reference spelling of one CSV cell, which format_rows must match."""
+    if value is EXCLUDED:
+        return "EXCLUDED"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".12g")
+
+
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -132,12 +141,12 @@ class TestHelpers:
             (7, 0.75, np.float64(0.0), np.int64(0), np.bool_(True), np.float32(-1.5)),
             (8, 0.875, np.float64(1e-300), np.int64(5), False, np.float32(8.0)),
         ]
-        expected = [",".join(header)] + [",".join(map(harness._fmt, row)) for row in table]
+        expected = [",".join(header)] + [",".join(map(_fmt, row)) for row in table]
         assert format_rows(header, table) == "\n".join(expected) + "\n"
 
-    def test_format_rows_formats_rows_of_numbers_at_once(self, monkeypatch):
-        # rows of int, float and EXCLUDED cells take one %-format string
-        # each, never _fmt, and spell every cell as _fmt does
+    def test_format_rows_formats_rows_of_numbers_at_once(self):
+        # rows of int, float and EXCLUDED cells, the runners' rows among
+        # them, spell every cell as _fmt does
         header = ["a", "b", "c", "d", "e", "f"]
         table = [
             (1, EXCLUDED, 0.5, np.int64(-3), True, -0.0),
@@ -145,17 +154,23 @@ class TestHelpers:
             (3, EXCLUDED, EXCLUDED, np.uint8(255), True, -math.inf),
             (4, EXCLUDED, 0.125, np.int64(0), False, np.float64(-0.0)),
         ]
-        expected = [",".join(header)] + [",".join(map(harness._fmt, row)) for row in table]
-        solved, _ = run_solve(ExperimentConfig(storage=10), "nups")
+        solved, summary = run_solve(ExperimentConfig(storage=10), "nups")
         assert solved[-1][1] is EXCLUDED
-        calls = []
-        real = harness._fmt
-        monkeypatch.setattr(harness, "_fmt", lambda value: calls.append(value) or real(value))
-        assert format_rows(header, table) == "\n".join(expected) + "\n"
-        format_rows(harness.OUTCOME_HEADER, solved)
         rows = run_sweep_gamma(ExperimentConfig(), sweep_values(0.1, 2.5, 0.1))
-        format_rows(harness.SWEEP_GAMMA_HEADER, rows)
-        assert calls == []
+        for head, body in [(header, table), (harness.OUTCOME_HEADER, solved),
+                           (harness.SWEEP_GAMMA_HEADER, rows)]:  # fmt: skip
+            expected = [",".join(head)] + [",".join(map(_fmt, row)) for row in body]
+            assert format_rows(head, body) == "\n".join(expected) + "\n"
+        nups = nups_solve(make_instance(ExperimentConfig(storage=10)))
+        rep = nups.report
+        totals = [rep.nsp_leasing, rep.nsp_backhaul_saving, rep.nsp_total, rep.global_total]
+        cells = ["NUPS", nups.n_participants[0], *(t[0] for t in totals)]
+        assert summary[1] == ",".join(cells[:1] + list(map(_fmt, cells[1:])))
+
+    def test_format_rows_refuses_a_cell_it_cannot_spell(self):
+        # %'s own error: a string is not spelled as the number it reads as
+        with pytest.raises(TypeError, match="must be real number, not str"):
+            format_rows(["a", "b"], [(1, 0.5), (2, "1.5")])
 
     def test_make_instance_clamps_storage(self):
         cfg = ExperimentConfig(n_files=100, storage=1000)
@@ -682,7 +697,7 @@ class TestCli:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--V", "--N"])
+    @pytest.mark.parametrize("flag", ["--V"])
     @pytest.mark.parametrize("command", ["solve", "per-vr", "sweep-gamma"])
     def test_market_too_large_for_memory_exit_code(self, capsys, tmp_path, command, flag):
         # 10^15 float64 values (7.1 PiB): numpy refuses the allocation
@@ -693,6 +708,16 @@ class TestCli:
         assert err.startswith("config error: the market does not fit in memory: Unable to allocate")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "per-vr"])
+    def test_catalog_of_any_size_solves_as_its_group_count(self, tmp_path, command):
+        # N = 10^15 files at Q = 2 10^13 is F = 50 groups, as N = 500 at Q = 10;
+        # the closed forms never build an N-long popularity vector
+        huge, small = tmp_path / "huge.csv", tmp_path / "small.csv"
+        argv = ["--N", str(10**15), "--Q", str(2 * 10**13), "--out", str(huge)]
+        assert cli.main([command, *argv]) == 0
+        assert cli.main([command, "--N", "500", "--Q", "10", "--out", str(small)]) == 0
+        assert huge.read_bytes() == small.read_bytes()
 
     def test_subcommand_skips_the_top_level_parse(self, monkeypatch, tmp_path):
         cli.build_parser()

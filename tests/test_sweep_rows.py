@@ -41,8 +41,7 @@ def point_rows(cfg, kind, values):
             nups, ups = nups_solve(instance), ups_solve(instance)
         except (ValueError, ArithmeticError, VerificationFailure) as exc:
             return rows, exc
-        th = instance.thresholds
-        last = (float(th.u_values[0, -1]), float(th.u_bar_values[0, -1]))
+        last = (float(instance.brackets("NUPS")[0, -1]), float(instance.brackets("UPS")[0, -1]))
         front = last if kind == "gamma" else ()
         rows.append(
             (
@@ -86,9 +85,9 @@ def _market(rng):
 def test_storage_sweep_equals_point_solves(seed):
     rng = np.random.default_rng([seed, 7])
     cfg = _market(rng)
-    th = make_instance(cfg).thresholds
+    instance = make_instance(cfg)
     # non-integer Q, Q > N, and Q on and around the first few bracket edges
-    edges = [float(x) for x in np.concatenate([th.u_values[0, 1:4], th.u_bar_values[0, 1:4]])]
+    edges = [float(x) for k in ("NUPS", "UPS") for x in instance.brackets(k)[0, 1:4]]
     values = sorted(
         {q for q in rng.uniform(1.0, 1.3 * cfg.n_files, 12).tolist()}
         | {q + d for q in edges if q + 1e-12 >= 1.0 for d in (-1e-12, 0.0, 1e-12)}
@@ -364,9 +363,9 @@ def test_one_point_block_is_its_market(kind, seed):
         got, want = harness._block_rows(first, kind, [value]), make_instance(cfg, **{kind: value})
         for name in ("q", "gammas", "storage"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (name, value)
-        for name in ("u_values", "u_bar_values"):
-            got_th, want_th = getattr(got.thresholds, name), getattr(want.thresholds, name)
-            assert got_th.tobytes() == want_th.tobytes(), (name, value)
+        for scheme in ("NUPS", "UPS"):
+            got_th, want_th = got.brackets(scheme), want.brackets(scheme)
+            assert got_th.tobytes() == want_th.tobytes(), (scheme, value)
         assert got.constants.lambda_big.tobytes() == want.constants.lambda_big.tobytes(), value
         assert got.shape == want.shape == (1, cfg.n_vrs)
 
@@ -469,17 +468,19 @@ def two_root_thresholds(q, n_files, constants):
     ],
 )
 def test_scheme_brackets_are_the_threshold_rows(kind, n_vrs, values):
-    """Each solve forms its own scheme's brackets: the rows of participation_threshold_rows."""
-    rows = harness._block_rows(make_instance(ExperimentConfig(n_vrs=n_vrs)), kind, values)
-    q = np.ascontiguousarray(rows.q)
-    want = equilibrium.participation_threshold_rows(q, rows.n_files, rows.constants)
-    stacked = two_root_thresholds(q, rows.n_files, rows.constants)
-    for k, (scheme, name) in enumerate([("NUPS", "u_values"), ("UPS", "u_bar_values")]):
+    """Each scheme's brackets are U_v and Ubar_v; sweep-gamma's q_min and qp_min are the last."""
+    cfg = ExperimentConfig(n_vrs=n_vrs)
+    rows = harness._block_rows(make_instance(cfg), kind, values)
+    stacked = two_root_thresholds(np.ascontiguousarray(rows.q), rows.n_files, rows.constants)
+    for k, scheme in enumerate(("NUPS", "UPS")):
         got = rows.brackets(scheme)
         assert got.shape == ((1, n_vrs) if kind == "storage" else rows.shape)
-        assert np.array_equal(np.broadcast_to(got, rows.shape), getattr(want, name))
         assert np.array_equal(np.broadcast_to(got, rows.shape), stacked[k])
-        assert getattr(rows.thresholds, name) is got
+        assert rows.brackets(scheme) is got
+    if kind == "gamma":
+        swept = list(zip(*run_sweep_gamma(cfg, values)))
+        for k in (0, 1):  # the q_min and qp_min columns
+            assert np.array(swept[1 + k]).tobytes() == stacked[k, :, -1].tobytes()
     if kind == "gamma" and n_vrs == 1000:
         assert np.isinf(stacked[:, :, -1]).all()
 
@@ -494,11 +495,11 @@ def test_broadcast_row_equals_its_materialised_copy(n_vrs, gamma):
     copy = dataclasses.replace(rows, q=np.ascontiguousarray(rows.q))
     assert rows.q.strides[0] == 0 and copy.q.strides[0] != 0
     assert rows.gammas.strides[0] == 0 and copy.gammas.strides[0] != 0
-    # the block's thresholds are taken on its one q row and broadcast
-    assert rows.thresholds.u_values.shape == rows.thresholds.u_bar_values.shape == (1, n_vrs)
-    for name in ("u_values", "u_bar_values"):
-        want = getattr(copy.thresholds, name)
-        assert np.array_equal(np.broadcast_to(getattr(rows.thresholds, name), want.shape), want)
+    # the block's brackets are taken on its one q row and broadcast
+    for scheme in ("NUPS", "UPS"):
+        assert rows.brackets(scheme).shape == (1, n_vrs)
+        want = copy.brackets(scheme)
+        assert np.array_equal(np.broadcast_to(rows.brackets(scheme), want.shape), want)
     for name, value in rows.pricing_products.items():
         assert np.array_equal(value, copy.pricing_products[name]), name
     schemes, widths = ("NUPS", "UPS"), [n_vrs, n_vrs]
