@@ -118,7 +118,7 @@ class GameRows:
     def roots(self, scheme: str) -> np.ndarray:
         """Gamma^(1/3) (NUPS) or Gamma^(1/2) (UPS) of distinct_gammas.
 
-        The surrogates and the posted prices both read them.
+        The posted prices and the pricing-product bounds read them.
         """
         return self._per_scheme("_roots", scheme, lambda k: _ROOTS[k](self.distinct_gammas))
 
@@ -346,51 +346,26 @@ def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
     return np.where(posted, scales * roots if scheme == "NUPS" else scales, 0.0), posted
 
 
-def _surrogates(schemes: tuple, rows: GameRows, widths: list) -> list:
-    """Negated leader objective of keeping u retailers, u = 1..widths[k], for schemes[k].
-
-    One (R, widths[k]) array per scheme.  The terms the schemes share,
-    Lambda^2, (u Lambda + Theta)^2 and s^bh sum_{j<=u} Gamma_j, are
-    formed once, at the widest width; a prefix of their columns is what
-    a narrower width forms.
-    """
-    width = max(widths)
-    lam_big = rows.constants.lambda_big
-    s_bh = rows.econ.backhaul_cost
-    u = np.arange(1.0, width + 1)
-    # Lambda^2 as CPython forms it (pow), which numpy's square may round otherwise
-    lam_sq = np.array([lam**2 for lam in lam_big[:, 0].tolist()])[:, None]
-    denominators = (u * lam_big + rows.constants.theta) ** 2
-    demand = s_bh * np.add.accumulate(rows.distinct_gammas[:, :width], axis=1)
-    surrogates = []
-    for scheme, w in zip(schemes, widths):
-        root_sums = np.add.accumulate(rows.roots(scheme)[:, :w], axis=1)
-        if scheme == "NUPS":
-            lead = lam_sq * s_bh * root_sums**3
-        else:
-            lead = u[:w] * lam_sq * s_bh * root_sums**2
-        surrogates.append(lead / denominators[:, :w] - demand[:, :w])
-    return surrogates
-
-
 def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
     """NUPS or UPS equilibrium of every row of a GameRows.
 
-    Each row determines its feasible participant range from the U_v
-    (NUPS) or Ubar_v (UPS) brackets, minimizes the surrogate
-    S_u = Lambda^2 s^bh (sum_{j<=u} Gamma_j^(1/3))^3 / (u Lambda + Theta)^2
-          - s^bh sum_{j<=u} Gamma_j                              (NUPS)
-    S_u = u Lambda^2 s^bh (sum_{j<=u} Gamma_j^(1/2))^2 / (u Lambda + Theta)^2
-          - s^bh sum_{j<=u} Gamma_j                              (UPS)
-    over it, posts the closed-form prices for the winning count u, lets
-    the followers best-respond and reports every row's profits.  Raises
-    on the first failed check, with the message of the first failing row;
-    a row whose count of positive fractions is not its u raises
-    VerificationFailure.
+    Each row keeps the u retailers whose U_v (NUPS) or Ubar_v (UPS) lies
+    below Q (_bracket_count), posts the closed-form prices for u, lets
+    the followers best-respond and reports every row's profits.  That
+    count is the leader's optimum: its objective is concave and
+    separable in the fractions, so its maximiser keeps exactly the
+    retailers whose KKT fraction is positive (Boyd & Vandenberghe,
+    Convex Optimization, 5.5.3).  With Lambda = C N / Q,
+    U_v < Q  <=>  Lambda (R_v / r_v - v) < Theta  <=>  tau_v > 0 in the
+    v-participant solution, where r_v is q_v^(1/3) (NUPS) or q_v^(1/2)
+    (UPS) and R_v the sum of r_j over j <= v.  U_1 = 0 and Q >= 1, so
+    u >= 1.  Raises on the first failed check, with the message of the
+    first failing row; a row whose count of positive fractions is not
+    its u raises VerificationFailure.
 
     scheme may also be a tuple of schemes, such as ("NUPS", "UPS"): they
     are solved in one pass and one RowOutcomes is returned per scheme, in
-    order, each the same as its own call would give.  Each scheme picks
+    order, each the same as its own call would give.  Each scheme counts
     its u and posts its prices; the checks and best responses after that
     run once, on the schemes' rows stacked in order, so a failure names
     the first failing row of the first check that fails (and the budget
@@ -400,21 +375,9 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
     # an overflowing N C / Theta raises before the pricing checks
     brackets = [rows.brackets(name) for name in schemes]
     _require_pricing_domain(rows)
-    t_max, widths = [], []
-    for name, bracket in zip(schemes, brackets):
-        counts = _bracket_count(bracket, rows.storage)
-        fewest, most = int(counts.min()), int(counts.max())
-        if not fewest:
-            raise ValueError("no retailer lies below the first participation threshold")
-        # rows with fewer brackets than the widest mask the columns past theirs
-        t_max.append(counts if fewest < most else None)
-        # no column past the widest bracket: a lone row forms what it always formed
-        widths.append(most)
     heads = []
-    for name, counts, surrogates in zip(schemes, t_max, _surrogates(schemes, rows, widths)):
-        if counts is not None:
-            surrogates[np.arange(1, surrogates.shape[1] + 1) > counts[:, None]] = np.inf
-        u = 1 + surrogates.argmin(axis=1)  # argmin takes the smallest u on ties
+    for name, bracket in zip(schemes, brackets):
+        u = _bracket_count(bracket, rows.storage)
         prices, posted = _posted_prices(name, rows, u)
         # Gamma, and so the price, falls along a row: s_u is the smallest posted price
         at_u = (np.arange(u.size), u - 1)
@@ -432,9 +395,6 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
             np.concatenate([constants.lambda_big] * len(schemes))
         )
     econ = rows.econ
-    if not s_u.min() > 0:  # a NaN fails too
-        r = int(np.argmin(s_u > 0))
-        raise ValueError(f"price must be positive, got {prices[r, : u[r]].min()}")
     # The best responses' numerator and denominator at retailer u of each
     # row.  Gamma and the price, and so both products, are smallest there.
     # If both are normal floats (at least sys.float_info.min), no posted

@@ -7,6 +7,11 @@ row only once per u.  ``posted_prices`` is the loop it replaced: one
 1-D pairwise sum and one scale per row.  Both must give the same
 prices, bit for bit.
 
+``surrogates`` is the minimisation the solver's participant count
+replaced: the negated leader objective S_u of keeping the u most
+popular retailers.  Its arg-min over the retailers whose threshold lies
+below Q is that count, which ``solve_rows`` now takes directly.
+
 ``nups_prices_for_u``, ``backhaul_saving``, ``vr_profit`` and
 ``row_constants`` are the one-market views the tests read: the NUPS
 prices at a given participant count, the provider's back-haul saving,
@@ -53,6 +58,25 @@ def posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
     )[:, None]
     posted = np.arange(1, rows.shape[1] + 1) <= u[:, None]
     return np.where(posted, scales * roots if nups else scales, 0.0), posted
+
+
+def surrogates(scheme: str, rows: GameRows, width: int) -> np.ndarray:
+    """(R, width) negated leader objective of keeping u retailers, u = 1..width.
+
+    S_u = Lambda^2 s^bh (sum_{j<=u} Gamma_j^(1/3))^3 / (u Lambda + Theta)^2
+          - s^bh sum_{j<=u} Gamma_j                              (NUPS)
+    S_u = u Lambda^2 s^bh (sum_{j<=u} Gamma_j^(1/2))^2 / (u Lambda + Theta)^2
+          - s^bh sum_{j<=u} Gamma_j                              (UPS)
+    """
+    lam_big = rows.constants.lambda_big
+    s_bh = rows.econ.backhaul_cost
+    u = np.arange(1.0, width + 1)
+    gammas = rows.gammas[:, :width]
+    nups = scheme == "NUPS"
+    root_sums = np.add.accumulate(np.cbrt(gammas) if nups else np.sqrt(gammas), axis=1)
+    lead = lam_big**2 * s_bh * (root_sums**3 if nups else u * root_sums**2)
+    denominators = (u * lam_big + rows.constants.theta) ** 2
+    return lead / denominators - s_bh * np.add.accumulate(gammas, axis=1)
 
 
 def nups_prices_for_u(u: int, rows: GameRows) -> np.ndarray:

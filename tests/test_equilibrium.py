@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from price_oracle import nups_prices_for_u, row_constants
+from price_oracle import nups_prices_for_u, row_constants, surrogates
 from scipy import optimize
 from test_sweep_rows import _market
 from test_verifier import with_fractions, with_prices
@@ -327,6 +327,83 @@ def test_waterfill_count_is_the_ups_bracket_count(seed):
             want, fractions = waterfill_fractions(instance)
             assert v_bar == want, storage
             assert np.array_equal(outcome.fractions[0], fractions), storage
+
+
+def _pricing_market(rng):
+    return ExperimentConfig(
+        alpha=float(rng.uniform(2.05, 8.0)),
+        delta=float(10.0 ** rng.uniform(-4.0, 3.0)),
+        n_vrs=int(rng.integers(1, 201)),
+        gamma=float(rng.uniform(0.0, 3.0)),
+        storage=int(rng.integers(1, 501)),
+    )
+
+
+def _solve_or_none(scheme, instance):
+    """solve_rows's outcome, or None where the best responses break the budget.
+
+    Where Lambda / Theta is large the best responses cancel, and their sum
+    can round past 1 + 1e-9 (a numerical failure, exit 4).
+    """
+    try:
+        return equilibrium.solve_rows(scheme, instance)
+    except ArithmeticError as exc:
+        assert str(exc).startswith(f"{scheme} best responses sum to "), exc
+        return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_participant_count_is_the_bracket_count(seed):
+    # the seeds are fixed: a failure is a finding, not a reason to re-seed
+    rng = np.random.default_rng([seed, 32])
+    for _ in range(250):
+        cfg = _pricing_market(rng)
+        a, b = (10.0 ** rng.uniform(-3.0, 3.0, 2)).tolist()
+        c = 10.0 ** rng.uniform(-2.0, 3.0)
+        instance = make_instance(cfg)
+        # s^bh (and so s^ld) by a, zeta K by b, lambda by c
+        scaled = make_instance(
+            replace(
+                cfg,
+                s_bh=a * cfg.s_bh,
+                requests_per_mu=b * cfg.requests_per_mu,
+                sbs_intensity=c * cfg.sbs_intensity,
+            )
+        )
+        for scheme in ("NUPS", "UPS"):
+            count = equilibrium._bracket_count(instance.brackets(scheme), instance.storage)
+            # the surrogate minimisation over [1, count] that the count replaced
+            assert 1 + surrogates(scheme, instance, int(count[0])).argmin() == count[0]
+            outcome, moved = _solve_or_none(scheme, instance), _solve_or_none(scheme, scaled)
+            if outcome is None or moved is None:
+                continue
+            assert outcome.n_participants[0] == moved.n_participants[0] == count[0]
+            # every price scales by a b / c, up to rounding
+            np.testing.assert_allclose(moved.prices, outcome.prices * (a * b / c), rtol=1e-13)
+
+
+def test_surrogates_tying_in_floats_keep_the_second_retailer():
+    # Retailer 2's threshold, 326.8, lies below Q = 500, so it takes part.
+    # The surrogates' minimisation put u at 1: S_2 - S_1 is -1.9e-15 at 60
+    # digits, 3.8e-18 of S_1, below a float's resolution.
+    mpmath = pytest.importorskip("mpmath")
+    instance = make_instance(ExperimentConfig(delta=1e-12, n_vrs=2, gamma=56))
+    assert surrogates("NUPS", instance, 2).argmin() == 0
+    with mpmath.workdps(60):
+        lam_big = mpmath.mpf(float(instance.constants.lambda_big[0, 0]))
+        theta = mpmath.mpf(instance.constants.theta)
+        gammas = [mpmath.mpf(g) for g in instance.gammas[0].tolist()]
+
+        def surrogate(u):
+            root_sum = sum(mpmath.cbrt(g) for g in gammas[:u])
+            return lam_big**2 * root_sum**3 / (u * lam_big + theta) ** 2 - sum(gammas[:u])
+
+        assert surrogate(2) - surrogate(1) < -1e-15
+    outcome = nups_solve(instance)
+    assert outcome.n_participants[0] == 2
+    assert outcome.fractions[0, 1] == pytest.approx(8.32311672435e-07, rel=1e-9)
+    assert outcome.prices[0, 1] == pytest.approx(1.88740029492e-10, rel=1e-9)
+    assert verify_equilibrium(outcome, instance).leader_max_gain < 1e-20
 
 
 class TestSchemeComparisons:

@@ -24,7 +24,7 @@ CASES = {
     "sweep_storage_half_steps": [
         "sweep-storage", "--start", "10", "--stop", "500", "--step", "7.5", "--verify",
     ],
-    # all 120 retailers participate, so the surrogate argmin spans many u
+    # all 120 retailers participate: u is the full bracket count
     "solve_nups_v120": ["solve", "--scheme", "nups", "--V", "120", "--gamma", "0"],
     "solve_ups_v120": ["solve", "--scheme", "ups", "--V", "120", "--gamma", "0"],
     "solve_waterfill_v120": [

@@ -463,11 +463,39 @@ class TestCli:
         ],
     )  # fmt: skip
     def test_underflowing_product_exit_code(self, capsys, argv, product):
+        # u is the first failing row's count of retailers below their
+        # threshold: for the 99-retailer market, 30 at the default Q = 500,
+        # 1 at the storage sweep's Q = 10 and all 99 at the gamma sweep's
+        # gamma = 0.1; for the 17-retailer one, 1
+        u = 1
+        if product == "Gamma_u * Lambda * s_ld":
+            u = {"solve": 30, "sweep-storage": 1, "sweep-gamma": 99}[argv[0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err == f"config error: {product} underflows to 0 at u = 1\n"
+        assert err == f"config error: {product} underflows to 0 at u = {u}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the NUPS price scale is positive, but the last posted price,
+            # scale * Gamma_15^(1/3), underflows to 0
+            (["sweep-gamma", "--s-bh", "1e-164", "--K", "3.162277660168379e-160",
+              "--lambda", "1", "--V", "20", "--Q", "20",
+              "--start", "0.05", "--stop", "2.5", "--step", "0.05"],
+             "Theta^2 * lambda * s_u underflows to 0 at u = 15"),
+            # q_2 > 0, but Gamma_2 = q_2 zeta K underflows to 0
+            (["solve", "--delta", "1e-12", "--V", "2", "--gamma", "56",
+              "--zeta", "1", "--K", "2.3e-308"],
+             "Gamma_u * Lambda * s_ld underflows to 0 at u = 2"),
+        ],
+    )  # fmt: skip
+    def test_zero_floor_names_its_product(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("command", ["solve", "sweep-storage"])
     def test_price_underflowing_to_zero_exit_code(self, capsys, command):
@@ -491,9 +519,9 @@ class TestCli:
             ["sweep-storage", "--start", "1", "--stop", "12", "--step", "1"],
         ],
     )
-    def test_surrogates_stop_at_the_bracket(self, tmp_path, command):
+    def test_demand_past_the_bracket_forms_no_overflow(self, tmp_path, command):
         # (sum_{j<=u} Gamma_j^(1/3))^3 overflows only for u past the 4
-        # retailers Q = 5 admits; forming it there would warn
+        # retailers Q = 5 admits; nothing the solver forms may warn
         argv = [*command, "--s-bh", "1e-10", "--zeta", "1", "--K", "5.623413251903491e+305",
                 "--lambda", "1", "--V", "20", "--gamma", "0.05"]  # fmt: skip
         with warnings.catch_warnings():

@@ -58,6 +58,10 @@ FLOOR_S = [
     "--lambda", "0.105123", "--delta", "0.22613121306098913",
 ]  # fmt: skip
 HUGE_N = ["solve", "per-vr", "sweep-gamma"]
+# Two NUPS retailers whose leader surrogates S_1 and S_2 tie in floats;
+# with --zeta 1 --K 2.3e-308, Gamma_2 underflows to 0 while q_2 > 0.
+TIE = ["--delta", "1e-12", "--V", "2", "--gamma", "56"]
+TIE_UNDERFLOW = [*TIE, "--zeta", "1", "--K", "2.3e-308"]
 EDGE = [
     ["sweep-storage", *SUBNORMAL, "--gamma", "1", "--start", "10", "--stop", "500", "--step", "10"],
     ["sweep-gamma", *SUBNORMAL, "--Q", "20", "--start", "0.05", "--stop", "2.5", "--step", "0.05"],
@@ -188,6 +192,9 @@ EDGE = [
     # were memory errors while the N-long popularity vectors were built
     *[[cmd, "--N", "1000000000000000", "--Q", "20000000000000"] for cmd in HUGE_N],
     *[[cmd, "--N", "1000000000000000"] for cmd in HUGE_N],
+    # the participant count when the surrogates tie, and a demand that
+    # underflows at it (config error)
+    *[[cmd, *market] for market in (TIE, TIE_UNDERFLOW) for cmd in ("solve", "per-vr")],
 ]  # fmt: skip
 
 _WARNING_AT = re.compile(r"^\S+\.py:\d+: (?=\w+Warning: )", re.MULTILINE)
