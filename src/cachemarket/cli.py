@@ -11,12 +11,12 @@ verify-coverage reads its grid from lambda_grid and q_grid (--config);
 --lambda or --Q on its command line is a config error that names the grid.
 Exit codes: 0 success, 1 config error (including a usage error, a
 non-finite number in a flag or config file, an --out path that cannot be
-written, a pricing product below the smallest normal float, a coverage
-window whose expected cell count lambda pi R^2 is not finite, and a market
-whose arrays do not fit in memory, with numpy's message), 2 equilibrium
-verification failure, 3 simulator-analytic mismatch beyond tolerance,
-4 numerical failure (an ArithmeticError, such as best responses that break
-the budget because rounding spoiled their closed form).
+written, a posted price s_u, or Theta^2 lambda s_u, below the smallest
+normal float, a coverage window whose expected cell count lambda pi R^2 is
+not finite, and a market whose arrays do not fit in memory, with numpy's
+message), 2 equilibrium verification failure, 3 simulator-analytic
+mismatch beyond tolerance, 4 numerical failure (an ArithmeticError, such
+as fractions that break the budget; no market is known to reach it).
 main can be called repeatedly in one process; it builds its parser on the
 first call and reuses it.  When argv is a subcommand followed by that
 subcommand's exact long flags, each value flag followed by a value that

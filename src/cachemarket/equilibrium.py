@@ -7,10 +7,14 @@ solved in closed form:
   NUPS      - per-retailer prices, maximizing the provider's profit
   UPS       - one shared price, maximizing back-haul savings
   WATERFILL - direct maximization of the sum profit over the fractions;
-              its allocation coincides with the UPS one
+              its allocation is the UPS one
 
 Participation is always a prefix of the popularity order: when storage
-shrinks, the least popular retailers drop out first.
+shrinks, the least popular retailers drop out first.  solve_rows solves
+all three: each keeps the retailers whose participation threshold lies
+below the storage, and takes their fractions from one budget identity
+in q, Lambda and Theta, in which the prices cancel.  Only the verifier
+best-responds to the posted prices.
 """
 
 from __future__ import annotations
@@ -104,6 +108,13 @@ class GameRows:
             kept[scheme] = make(scheme)
         return kept[scheme]
 
+    def q_roots(self, scheme: str) -> np.ndarray:
+        """q^(1/3) (NUPS) or q^(1/2) (UPS) of q's distinct rows.
+
+        The brackets and the fractions read them.
+        """
+        return self._per_scheme("_q_roots", scheme, lambda k: _ROOTS[k](self._distinct_q))
+
     def brackets(self, scheme: str) -> np.ndarray:
         """U_v (NUPS) or Ubar_v (UPS) of q's distinct rows (_thresholds_of).
 
@@ -112,7 +123,7 @@ class GameRows:
         return self._per_scheme(
             "_brackets",
             scheme,
-            lambda k: _thresholds_of(_ROOTS[k](self._distinct_q), self.n_files, self.constants),
+            lambda k: _thresholds_of(self.q_roots(k), self.n_files, self.constants),
         )
 
     def roots(self, scheme: str) -> np.ndarray:
@@ -160,11 +171,10 @@ def _pricing_formulas(rows: GameRows, lam, g1, s3, s2, maximum) -> dict:
 class RowOutcomes:
     """Solved outcomes of R markets, one per row, with their profits.
 
-    scheme is NUPS, UPS or WATERFILL.  Under NUPS and UPS, solve_rows has
-    checked every row: its u participants are the retailers with a
-    posted price and the ones with a positive fraction.  WATERFILL posts
-    no prices: every price is 0, and u is the vbar retailers the
-    allocation fills.
+    scheme is NUPS, UPS or WATERFILL.  solve_rows has checked every row:
+    its u participants are the ones with a positive fraction and, under
+    NUPS and UPS, the retailers with a posted price.  WATERFILL posts no
+    prices: every price is 0, and u and the fractions are UPS's.
     """
 
     scheme: str
@@ -181,6 +191,9 @@ def best_response_fraction(
     constants: CoverageConstants,
 ) -> np.ndarray | float:
     """Followers' optimal rental fractions at the given prices, elementwise.
+
+    verify_equilibrium's follower check; solve_rows forms its fractions
+    from the budget identity instead (_budget_fractions).
 
     tau* = (sqrt(Gamma Lambda s^ld / (Theta^2 lambda s_v)) - Lambda/Theta)+.
     prices, gammas and constants.lambda_big broadcast against each other;
@@ -265,27 +278,6 @@ def _require_pricing_domain(rows: GameRows) -> None:
         raise ValueError(f"{name} = {products[name][r]:.3g} overflows a float")
 
 
-def _require_normal_floors(floors: dict, u: np.ndarray) -> None:
-    """Name the first floor product that is 0 on a row, else the first subnormal one."""
-    # fmin skips NaNs, so this is "some product is 0 or subnormal"
-    if not np.fmin.reduce(np.fmin(*floors.values())) < sys.float_info.min:
-        return
-    for name, values in floors.items():
-        if not values.all():
-            r = int(np.argmin(values != 0))
-            raise ValueError(f"{name} underflows to 0 at u = {u[r]}")
-    # a subnormal product has lost digits: the best responses built on it
-    # can break the budget or vanish although a price is posted
-    for name, values in floors.items():
-        subnormal = values < sys.float_info.min
-        if subnormal.any():
-            r = int(np.argmax(subnormal))
-            raise ValueError(
-                f"{name} = {values[r]:.3g} at u = {u[r]} is below the smallest "
-                f"normal float, {sys.float_info.min:.3g}"
-            )
-
-
 def _root_sums(roots: np.ndarray, u: np.ndarray) -> list:
     """sum_{j<=u[r]} roots[r, j] for each row r, one numpy sum per distinct u.
 
@@ -310,7 +302,7 @@ def _root_sums(roots: np.ndarray, u: np.ndarray) -> list:
     return sums.tolist()
 
 
-def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
+def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> np.ndarray:
     """(R, V) prices keeping exactly the u[r] most popular retailers of row r.
 
     NUPS: s_i = Lambda s^bh (sum_{j<=u} Gamma_j^(1/3))^2 Gamma_i^(1/3)
@@ -320,9 +312,7 @@ def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
     Retailers past u get 0.  The root sums are numpy's pairwise sums of
     each row's first u roots, taken once per distinct u (_root_sums).
     Each scale is formed from Python floats, whose squares are libm's
-    pow: numpy's array square rounds otherwise.  A scale that underflows
-    to 0 raises ValueError naming it.  Returns the prices and the (R, V)
-    mask of posted retailers.
+    pow: numpy's array square rounds otherwise.
     """
     roots = rows.roots(scheme)
     s_bh = rows.econ.backhaul_cost
@@ -334,90 +324,112 @@ def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
             u.tolist(), _root_sums(roots, u), rows.constants.lambda_big[:, 0].tolist()
         )
     ]
-    if 0.0 in scales:
-        r = scales.index(0.0)
-        root = "1/3" if scheme == "NUPS" else "1/2"
-        raise ValueError(
-            f"Lambda * s_bh * (sum_(j<=u) Gamma_j^({root}))^2 / (lambda * (u Lambda + Theta)^2) "
-            f"underflows to 0 at u = {u[r]}"
-        )
     scales = np.array(scales)[:, None]
     posted = np.arange(1, rows.shape[1] + 1) <= u[:, None]
-    return np.where(posted, scales * roots if scheme == "NUPS" else scales, 0.0), posted
+    return np.where(posted, scales * roots if scheme == "NUPS" else scales, 0.0)
+
+
+def _budget_fractions(roots: np.ndarray, u: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """(R, V) fractions of the u[r] retailers row r keeps, 0 past u.
+
+    The followers' best responses to the posted prices, with the prices
+    substituted: tau_v = r_v / R + (Lambda/Theta) (u d_v - D) / R, where r
+    is the row of roots (q^(1/3) under NUPS, q^(1/2) under UPS and
+    water-filling), R = sum_{j<=u} r_j, d_v = r_v - r_1 and
+    D = sum_{j<=u} d_j.  ratio is the (R, 1) column Lambda/Theta.  No
+    money enters, and the terms (u d_v - D) sum to exactly 0 over v <= u,
+    so a row fills the budget up to rounding at any Lambda/Theta; u = 1
+    gives tau_1 = 1 exactly.  Each term is at most R in size, so nothing
+    overflows.  A fraction that rounds below 0 is 0.
+    """
+    count = u[:, None]
+    posted = np.arange(1, roots.shape[1] + 1) <= count
+    total = np.where(posted, roots, 0.0).sum(axis=1, keepdims=True)
+    spread = np.where(posted, roots - roots[:, :1], 0.0)
+    at_u = spread.sum(axis=1, keepdims=True)
+    tau = roots / total + ratio * (count * spread - at_u) / total
+    return np.where(posted, np.maximum(tau, 0.0), 0.0)
 
 
 def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
-    """NUPS or UPS equilibrium of every row of a GameRows.
+    """NUPS, UPS or water-filling equilibrium of every row of a GameRows.
 
-    Each row keeps the u retailers whose U_v (NUPS) or Ubar_v (UPS) lies
-    below Q (_bracket_count), posts the closed-form prices for u, lets
-    the followers best-respond and reports every row's profits.  That
-    count is the leader's optimum: its objective is concave and
-    separable in the fractions, so its maximiser keeps exactly the
-    retailers whose KKT fraction is positive (Boyd & Vandenberghe,
-    Convex Optimization, 5.5.3).  With Lambda = C N / Q,
-    U_v < Q  <=>  Lambda (R_v / r_v - v) < Theta  <=>  tau_v > 0 in the
-    v-participant solution, where r_v is q_v^(1/3) (NUPS) or q_v^(1/2)
-    (UPS) and R_v the sum of r_j over j <= v.  U_1 = 0 and Q >= 1, so
-    u >= 1.  Raises on the first failed check, with the message of the
-    first failing row; a row whose count of positive fractions is not
-    its u raises VerificationFailure.
+    Each row keeps the u retailers whose U_v (NUPS) or Ubar_v (UPS and
+    water-filling) lies below Q (_bracket_count), posts the closed-form
+    prices for u (none under water-filling), takes the followers'
+    fractions from the budget identity (_budget_fractions) and reports
+    every row's profits.  That count is the leader's optimum: its
+    objective is concave and separable in the fractions, so its
+    maximiser keeps exactly the retailers whose KKT fraction is positive
+    (Boyd & Vandenberghe, Convex Optimization, 5.5.3).  With
+    Lambda = C N / Q, U_v < Q  <=>  Lambda (R_v / r_v - v) < Theta  <=>
+    tau_v > 0 in the v-participant solution, where r_v is q_v^(1/3) (NUPS)
+    or q_v^(1/2) (UPS) and R_v the sum of r_j over j <= v.  U_1 = 0 and
+    Q >= 1, so u >= 1.  Water-filling maximises the sum profit over the
+    fractions directly; its allocation is the UPS one, and as it uses no
+    pricing closed form, s^ld may differ from s^bh there.  Raises on the
+    first failed check, with the message of the first failing row; a row
+    whose count of positive fractions is not its u raises
+    VerificationFailure.
 
     scheme may also be a tuple of schemes, such as ("NUPS", "UPS"): they
     are solved in one pass and one RowOutcomes is returned per scheme, in
     order, each the same as its own call would give.  Each scheme counts
-    its u and posts its prices; the checks and best responses after that
-    run once, on the schemes' rows stacked in order, so a failure names
-    the first failing row of the first check that fails (and the budget
-    message the scheme of that row) rather than the first scheme's error.
+    its u, posts its prices and forms its fractions; the checks after
+    that run once, on the schemes' rows stacked in order, so a failure
+    names the first failing row of the first check that fails (and the
+    budget message the scheme of that row) rather than the first scheme's
+    error.
     """
     schemes = (scheme,) if isinstance(scheme, str) else tuple(scheme)
+    bases = ["UPS" if name == "WATERFILL" else name for name in schemes]
     # an overflowing N C / Theta raises before the pricing checks
-    brackets = [rows.brackets(name) for name in schemes]
-    _require_pricing_domain(rows)
+    brackets = [rows.brackets(base) for base in bases]
+    if set(schemes) != {"WATERFILL"}:
+        _require_pricing_domain(rows)
+    theta_lam = rows.constants.theta**2 * rows.econ.sbs_intensity
     heads = []
-    for name, bracket in zip(schemes, brackets):
+    for name, base, bracket in zip(schemes, bases, brackets):
         u = _bracket_count(bracket, rows.storage)
-        prices, posted = _posted_prices(name, rows, u)
-        # Gamma, and so the price, falls along a row: s_u is the smallest posted price
-        at_u = (np.arange(u.size), u - 1)
-        heads.append((u, rows.gammas[at_u], prices[at_u], prices, posted))
+        if name == "WATERFILL":
+            prices = np.zeros(rows.shape)
+        else:
+            prices = _posted_prices(name, rows, u)
+            # Gamma, and so the price, falls along a row: s_u is the smallest
+            # posted price, and Theta^2 lambda s_u the smallest divisor of the
+            # verifier's best responses.  A subnormal one has lost digits.
+            smallest = prices[np.arange(u.size), u - 1] * min(1.0, theta_lam)
+            if not smallest.min() >= sys.float_info.min:  # a NaN fails too
+                r = int(np.argmin(smallest >= sys.float_info.min))
+                raise ValueError(
+                    f"min(s_u, Theta^2 * lambda * s_u) = {smallest[r]:.3g} at u = {u[r]} is below "
+                    f"the smallest normal float, {sys.float_info.min:.3g}"
+                )
+        heads.append((u, prices, rows.q_roots(base)))
     # Past the heads, one pass over the schemes' rows stacked in order.
-    # Gamma stays one broadcast row when the rows share it.
+    # Gamma stays one broadcast row when the rows share it; the schemes'
+    # roots differ, so stacked they take one row per market.
     gammas, constants = rows.distinct_gammas, rows.constants
     if len(schemes) == 1:
-        u, gamma_u, s_u, prices, posted = heads[0]
+        u, prices, roots = heads[0]
     else:
-        u, gamma_u, s_u, prices, posted = map(np.concatenate, zip(*heads))
-        if gammas.shape[0] > 1:
+        u, prices, roots = map(np.concatenate, zip(*heads))
+        if gammas.shape[0] == 1:
+            roots = np.repeat(roots, rows.shape[0], axis=0)
+        else:
             gammas = np.concatenate([gammas] * len(schemes))
         constants = constants.with_lambda_big(
             np.concatenate([constants.lambda_big] * len(schemes))
         )
-    econ = rows.econ
-    # The best responses' numerator and denominator at retailer u of each
-    # row.  Gamma and the price, and so both products, are smallest there.
-    # If both are normal floats (at least sys.float_info.min), no posted
-    # retailer's best response divides by 0 or loses digits of its
-    # numerator or denominator to underflow.
-    floors = {
-        "Gamma_u * Lambda * s_ld": gamma_u * constants.lambda_big[:, 0] * econ.local_surcharge,
-        "Theta^2 * lambda * s_u": constants.theta**2 * econ.sbs_intensity * s_u,
-    }
-    _require_normal_floors(floors, u)
-    # past u a row repeats its last posted price, which keeps those entries finite
-    responses = best_response_fraction(
-        np.where(posted, prices, s_u[:, None]), gammas, econ, constants
-    )
-    responses = np.where(posted, responses, 0.0)
-    totals = ordered_sums(responses)
+    fractions = _budget_fractions(roots, u, constants.lambda_big / constants.theta)
+    totals = ordered_sums(fractions)
     if np.fmax.reduce(totals) > 1.0 + 1e-9:  # fmax skips NaNs, as the comparison does
         r = int(np.argmax(totals > 1.0 + 1e-9))
         raise ArithmeticError(
             f"{schemes[r // rows.shape[0]]} best responses sum to {float(totals[r])}; "
             "the posted prices are broken"
         )
-    fractions = np.minimum(responses, 1.0)
+    fractions = np.minimum(fractions, 1.0)
     check_fraction_rows(fractions)
     # prices past u are 0 and s_u > 0, so each row posts exactly u prices
     positive = (fractions > 0).sum(axis=1)
@@ -427,7 +439,7 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
             f"inconsistent outcome: participants={u[r]}, "
             f"posted prices={u[r]}, positive fractions={positive[r]}"
         )
-    report = profit_report(fractions, prices, gammas, econ, constants)
+    report = profit_report(fractions, prices, gammas, rows.econ, constants)
     if len(schemes) == 1:
         return RowOutcomes(scheme, u, prices, fractions, report)
     n_rows = rows.shape[0]
@@ -451,31 +463,8 @@ def ups_solve(rows: GameRows) -> RowOutcomes:
 
 
 def waterfill_solve(rows: GameRows) -> RowOutcomes:
-    """Sum-profit maximizer over the fractions of row 0 (water-filling structure).
-
-    tau_v = (sqrt(q_v)/eta - Lambda) / Theta for the vbar retailers
-    whose Ubar_v lies below Q (the UPS bracket count), 0 for the rest;
-    the water level eta = sum_{v<=vbar} sqrt(q_v) / (vbar Lambda + Theta)
-    makes them fill the SBS budget exactly.  In exact arithmetic
-    sqrt(q_v)/eta > Lambda holds exactly when Ubar_v < Q.  The one-row
-    RowOutcomes posts no prices (every price is 0): rent is a pure
-    transfer.  No pricing closed form is used, so s^ld may differ from
-    s^bh here.
-    """
-    v_bar = _bracket_count(rows.brackets("UPS")[:1], rows.storage[:1])
-    theta = rows.constants.theta
-    lam_big = float(rows.constants.lambda_big[0, 0])
-    sqrt_q = np.sqrt(rows.q[0])
-    k = int(v_bar[0])
-    eta = sqrt_q[:k].sum() / (k * lam_big + theta)
-    fractions = np.zeros((1, sqrt_q.size))
-    fractions[0, :k] = (sqrt_q[:k] / eta - lam_big) / theta
-    fractions = np.minimum(fractions, 1.0)
-    check_fraction_rows(fractions)
-    prices = np.zeros(fractions.shape)
-    constants = rows.constants.with_lambda_big(lam_big)
-    report = profit_report(fractions, prices, rows.gammas[:1], rows.econ, constants)
-    return RowOutcomes("WATERFILL", v_bar, prices, fractions, report)
+    """Sum-profit maximizer over the fractions (solve_rows, scheme WATERFILL)."""
+    return solve_rows("WATERFILL", rows)
 
 
 @dataclass(frozen=True)

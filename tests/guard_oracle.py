@@ -1,12 +1,10 @@
-"""The overflow and underflow guards of the NUPS/UPS solver, row by row.
+"""The overflow guard of the NUPS/UPS solver, row by row.
 
 ``require_pricing_domain`` forms the three pricing products on every row
 of a block and names the first product, then the first row, above half
-the float range.  ``require_normal_floors`` names the first
-best-response floor product that is 0 on some row, else the first that
-is subnormal.  ``cachemarket.equilibrium`` decides most blocks with one
-test on their extremes; it must raise exactly when these do, with the
-same message.
+the float range.  ``cachemarket.equilibrium`` decides most blocks with
+one test on their extremes; it must raise exactly when this does, with
+the same message.
 """
 
 from __future__ import annotations
@@ -52,19 +50,3 @@ def require_pricing_domain(rows: GameRows) -> None:
         k, r = np.unravel_index(np.argmax(bad), bad.shape)  # first product, first row
         name = list(products)[k]
         raise ValueError(f"{name} = {products[name][r]:.3g} overflows a float")
-
-
-def require_normal_floors(floors: dict, u: np.ndarray) -> None:
-    """The first product that is 0 on some row, else the first subnormal one."""
-    for name, values in floors.items():
-        if not values.all():
-            r = int(np.argmin(values != 0))
-            raise ValueError(f"{name} underflows to 0 at u = {u[r]}")
-    for name, values in floors.items():
-        subnormal = values < sys.float_info.min
-        if subnormal.any():
-            r = int(np.argmax(subnormal))
-            raise ValueError(
-                f"{name} = {values[r]:.3g} at u = {u[r]} is below the smallest "
-                f"normal float, {sys.float_info.min:.3g}"
-            )

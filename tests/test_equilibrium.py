@@ -9,9 +9,9 @@ from price_oracle import nups_prices_for_u, row_constants, surrogates
 from scipy import optimize
 from test_sweep_rows import _market
 from test_verifier import with_fractions, with_prices
-from waterfill_oracle import waterfill_fractions
+from waterfill_oracle import waterfill_count
 
-from cachemarket import economics, equilibrium
+from cachemarket import cli, economics, equilibrium
 from cachemarket.economics import check_fraction_rows
 from cachemarket.equilibrium import (
     VerificationFailure,
@@ -323,10 +323,10 @@ def test_waterfill_count_is_the_ups_bracket_count(seed):
         outcome = waterfill_solve(instance)
         v_bar = outcome.n_participants[0]
         assert v_bar == ups_solve(instance).n_participants[0], storage
+        # water-filling's allocation is the UPS one, bit for bit
+        assert np.array_equal(outcome.fractions, ups_solve(instance).fractions), storage
         if clear:
-            want, fractions = waterfill_fractions(instance)
-            assert v_bar == want, storage
-            assert np.array_equal(outcome.fractions[0], fractions), storage
+            assert v_bar == waterfill_count(instance), storage
 
 
 def _pricing_market(rng):
@@ -337,19 +337,6 @@ def _pricing_market(rng):
         gamma=float(rng.uniform(0.0, 3.0)),
         storage=int(rng.integers(1, 501)),
     )
-
-
-def _solve_or_none(scheme, instance):
-    """solve_rows's outcome, or None where the best responses break the budget.
-
-    Where Lambda / Theta is large the best responses cancel, and their sum
-    can round past 1 + 1e-9 (a numerical failure, exit 4).
-    """
-    try:
-        return equilibrium.solve_rows(scheme, instance)
-    except ArithmeticError as exc:
-        assert str(exc).startswith(f"{scheme} best responses sum to "), exc
-        return None
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -374,12 +361,38 @@ def test_participant_count_is_the_bracket_count(seed):
             count = equilibrium._bracket_count(instance.brackets(scheme), instance.storage)
             # the surrogate minimisation over [1, count] that the count replaced
             assert 1 + surrogates(scheme, instance, int(count[0])).argmin() == count[0]
-            outcome, moved = _solve_or_none(scheme, instance), _solve_or_none(scheme, scaled)
-            if outcome is None or moved is None:
-                continue
+            outcome = equilibrium.solve_rows(scheme, instance)
+            moved = equilibrium.solve_rows(scheme, scaled)
             assert outcome.n_participants[0] == moved.n_participants[0] == count[0]
+            # no money enters the fractions
+            assert np.array_equal(moved.fractions, outcome.fractions)
             # every price scales by a b / c, up to rounding
             np.testing.assert_allclose(moved.prices, outcome.prices * (a * b / c), rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "market, money",
+    [
+        (["--alpha", "2.1391711342108097", "--delta", "373.44113653610594", "--V", "167",
+          "--gamma", "2.594443147151155", "--Q", "66"],
+         ["--s-bh", "2.5050652229881076", "--K", "0.8986582582648939",
+          "--lambda", "1.211609016343346"]),
+        (["--alpha", "2.173897233287741", "--delta", "455.43138917144233", "--V", "198",
+          "--gamma", "1.0593005048061093", "--Q", "141"],
+         ["--s-bh", "16.291162579795106", "--K", "493.94924839758585",
+          "--lambda", "7.988755649388311"]),
+    ],
+)  # fmt: skip
+def test_money_scale_leaves_the_verdict(tmp_path, market, money):
+    # Draws of the test above.  Best responses to the rounded prices broke
+    # the budget (exit 4) in one of each pair of markets, which differ
+    # only in money; both solve, with the same fractions
+    fractions = []
+    for argv in (market, [*market, *money]):
+        out = tmp_path / "out.csv"
+        assert cli.main(["solve", *argv, "--out", str(out)]) == 0
+        fractions.append([row.split(",")[2] for row in out.read_text().splitlines()[1:-2]])
+    assert fractions[0] == fractions[1]
 
 
 def test_surrogates_tying_in_floats_keep_the_second_retailer():

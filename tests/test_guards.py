@@ -1,22 +1,19 @@
-"""The solver's overflow and underflow guards decide like their per-row form.
+"""The solver's overflow guard decides like its per-row form.
 
 _require_pricing_domain accepts most blocks with one bound per product
 at the block's extremes and forms every row's products only to decide
-the rest; _require_normal_floors runs its per-product loops only when
-the smallest floor product is 0 or subnormal.  guard_oracle holds both
-checks in their per-row form.  The pricing guard once also bounded
+the rest.  guard_oracle holds the check in its per-row form.  The pricing guard once also bounded
 Gamma_1 Lambda s_bh and Lambda^2 s_bh S_3^3, which the other three
 bound in exact arithmetic; five_pricing_products keeps all five.
 """
 
 import dataclasses
-import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
-from guard_oracle import pricing_products, require_normal_floors, require_pricing_domain
+from guard_oracle import pricing_products, require_pricing_domain
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_sweep_rows import row_of
@@ -27,7 +24,6 @@ from cachemarket.economics import EconomicConfig, ProfitReport
 from cachemarket.equilibrium import GameRows, solve_rows
 
 HALF = sys.float_info.max / 2
-TINY = sys.float_info.min
 
 
 def game_rows(gammas, lams, s_bh=1.0, intensity=1.0, theta=1.0) -> GameRows:
@@ -179,35 +175,6 @@ def test_draws_do_not_depend_on_the_invocation():
     lines = [line[len(prefix) :] for line in alone.stdout.splitlines() if line.startswith(prefix)]
     assert len(lines) == 60
     assert lines == drawn_blocks()
-
-
-_FLOOR_VALUES = [
-    0.0,
-    5e-324,
-    1e-310,
-    math.nextafter(TINY, 0.0),
-    TINY,
-    math.nextafter(TINY, 1.0),
-    1.0,
-    1e300,
-    math.nan,
-]
-
-
-@settings(max_examples=500, derandomize=True, deadline=None, database=None)
-@given(n_rows=st.integers(1, 4), data=st.data())
-def test_floor_guard_decides_like_every_row(n_rows, data):
-    def column():
-        return data.draw(st.lists(st.sampled_from(_FLOOR_VALUES), min_size=n_rows, max_size=n_rows))
-
-    floors = {
-        "Gamma_u * Lambda * s_ld": np.array(column()),
-        "Theta^2 * lambda * s_u": np.array(column()),
-    }
-    u = np.array(data.draw(st.lists(st.integers(1, 9), min_size=n_rows, max_size=n_rows)))
-    assert raised(equilibrium._require_normal_floors, floors, u) == raised(
-        require_normal_floors, floors, u
-    )
 
 
 def test_a_tripped_bound_is_no_error():

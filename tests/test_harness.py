@@ -265,14 +265,14 @@ class TestCli:
         # every retailer takes part under both schemes at the defaults and Q >= 400
         instance = make_instance(ExperimentConfig())
         assert nups_solve(instance).n_participants == ups_solve(instance).n_participants == 15
-        real = equilibrium.best_response_fraction
+        real = equilibrium._budget_fractions
 
-        def last_response_lost(*args):
-            responses = real(*args)
-            responses[..., -1] = 0.0  # the last posted retailer's
-            return responses
+        def last_fraction_lost(*args):
+            fractions = real(*args)
+            fractions[..., -1] = 0.0  # the last posted retailer's
+            return fractions
 
-        monkeypatch.setattr(equilibrium, "best_response_fraction", last_response_lost)
+        monkeypatch.setattr(equilibrium, "_budget_fractions", last_fraction_lost)
         message = "inconsistent outcome: participants=15, posted prices=15, positive fractions=14"
         with pytest.raises(VerificationFailure) as exc:
             run_per_vr(ExperimentConfig())
@@ -287,64 +287,92 @@ class TestCli:
             assert capsys.readouterr().err == f"verification failure: {message}\n"
 
     def test_nan_best_response_exit_code(self, capsys, monkeypatch):
-        # a NaN best response passes the budget check (its sum is NaN) and
-        # is named by the fraction check, as the first fraction outside [0, 1]
-        real = equilibrium.best_response_fraction
+        # a NaN fraction passes the budget check (its sum is NaN) and is
+        # named by the fraction check, as the first fraction outside [0, 1]
+        real = equilibrium._budget_fractions
 
-        def third_response_nan(*args):
-            responses = real(*args)
-            responses[..., 2] = math.nan
-            return responses
+        def third_fraction_nan(*args):
+            fractions = real(*args)
+            fractions[..., 2] = math.nan
+            return fractions
 
-        monkeypatch.setattr(equilibrium, "best_response_fraction", third_response_nan)
+        monkeypatch.setattr(equilibrium, "_budget_fractions", third_fraction_nan)
         assert cli.main(["solve", "--scheme", "ups"]) == 1
         assert capsys.readouterr().err == "config error: fraction 3 must lie in [0, 1], got nan\n"
+
+    @pytest.mark.parametrize("argv", [["solve", "--V", "1"], ["solve", "--scheme", "ups", "--V", "1"]])
+    def test_numerical_failure_exit_code(self, capsys, monkeypatch, argv):
+        # fractions that break the budget: the identity keeps a row's sum
+        # within rounding of 1, so only a planted fault reaches this check
+        real = equilibrium._budget_fractions
+        monkeypatch.setattr(equilibrium, "_budget_fractions", lambda *args: 2.0 * real(*args))
+        assert cli.main(argv) == 4
+        scheme = "UPS" if "ups" in argv else "NUPS"
+        assert capsys.readouterr().err == (
+            f"numerical failure: {scheme} best responses sum to 2.0; the posted prices are broken\n"
+        )
+
+    @pytest.mark.parametrize("scheme", ["nups", "ups", "waterfill"])
+    def test_idle_budget_exit_code(self, capsys, monkeypatch, scheme):
+        # fractions that leave 1e-5 of the budget idle, which the leader
+        # could use: the certificate rejects the outcome
+        real = equilibrium._budget_fractions
+        monkeypatch.setattr(
+            equilibrium, "_budget_fractions", lambda *args: (1.0 - 1e-5) * real(*args)
+        )
+        condition, label = {
+            "nups": ("leader", "provider profit"),
+            "ups": ("leader", "back-haul saving"),
+            "waterfill": ("sum-profit", "sum profit"),
+        }[scheme]
+        assert cli.main(["solve", "--scheme", scheme, "--V", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"verification failure: {condition} condition violated: ")
+        assert err.endswith(f"(relative); retailer 1 has the largest marginal {label}\n")
 
     @pytest.mark.parametrize(
         "argv",
         [
-            # rounding spoils the closed form: the best responses sum to
-            # 1.0000000018626451 and 1.00390625
+            # Lambda / Theta is 1.3e7 to 2.3e10 here, and the best responses
+            # to the rounded prices cancelled: their sum broke the budget
+            # (exit 4) or left 2e-6 of it idle (exit 2)
             ["solve", "--delta", "2e4"],
             ["solve", "--scheme", "ups", "--alpha", "2.000000000001", "--delta", "2.1"],
+            ["solve", "--alpha", "2.000000000001", "--delta", "2.1"],
+            ["solve", "--alpha", "2.1", "--delta", "2e4", "--V", "1"],
+            ["solve", "--scheme", "ups", "--alpha", "2.1", "--delta", "2e4", "--V", "1"],
+            ["solve", "--scheme", "waterfill", "--alpha", "2.3", "--delta", "3000", "--V", "1",
+             "--Q", "1"],
+            ["solve", "--N", "1000000000000000"],
+            ["per-vr", "--N", "1000000000000000", "--verify"],
+            ["sweep-gamma", "--N", "1000000000000000", "--verify"],
         ],
-    )
-    def test_numerical_failure_exit_code(self, capsys, argv):
-        assert cli.main(argv) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: ")
-        assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("scheme", ["nups", "ups", "waterfill"])
-    def test_idle_budget_exit_code(self, capsys, scheme):
-        # Lambda / Theta = 1.03e10: the best response cancels, and the lone
-        # retailer takes 0.999998092651 of the budget instead of 1.  The
-        # leader could use the rest, so the certificate rejects the outcome.
-        # Water-filling cancels the same way in (Lambda + Theta - Lambda) /
-        # Theta: at Lambda / Theta = 2.3e10 its lone fraction is
-        # 0.999997256407, where NUPS and UPS solve.
-        idle = ["--alpha", "2.1", "--delta", "2e4", "--V", "1"]
-        lone = ["--alpha", "2.3", "--delta", "3000", "--V", "1", "--Q", "1"]
-        market, condition, gap, label = {
-            "nups": (idle, "leader", "1.907e-06", "provider profit"),
-            "ups": (idle, "leader", "1.907e-06", "back-haul saving"),
-            "waterfill": (lone, "sum-profit", "2.744e-06", "sum profit"),
-        }[scheme]
-        assert cli.main(["solve", "--scheme", scheme, *market]) == 2
-        assert capsys.readouterr().err == (
-            f"verification failure: {condition} condition violated: Frank-Wolfe gap {gap} "
-            f"(relative); retailer 1 has the largest marginal {label}\n"
-        )
+    )  # fmt: skip
+    def test_cancelling_markets_fill_the_budget(self, tmp_path, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        if argv[0] == "sweep-gamma":
+            return
+        rows = make_instance(cli._build_config(cli.build_parser().parse_args(argv)))
+        if "--scheme" in argv:
+            schemes = [argv[argv.index("--scheme") + 1].upper()]
+        else:
+            schemes = ["NUPS"] if argv[0] == "solve" else ["NUPS", "UPS"]
+        for scheme in schemes:
+            outcome = equilibrium.solve_rows(scheme, rows)
+            equilibrium.verify_equilibrium(outcome, rows)
+            assert abs(math.fsum(outcome.fractions[0].tolist()) - 1.0) <= 1e-15, scheme
 
     @pytest.mark.parametrize("scheme", ["nups", "ups"])
     def test_subnormal_product_exit_code(self, capsys, scheme):
-        # Gamma_1 * Lambda * s_ld = 1.7e-322 is subnormal: the best
-        # responses built on it summed to 1.31 before the floor
+        # the posted price is 5e-324: Gamma_1 * Lambda * s_ld = 1.7e-322 is
+        # subnormal too, and best responses built on them broke the budget
         argv = ["solve", "--scheme", scheme, "--s-bh", "1e-164", "--K", "3.162277660168379e-160",
                 "--lambda", "1", "--V", "20", "--gamma", "1", "--Q", "20"]  # fmt: skip
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == (
-            "config error: Gamma_u * Lambda * s_ld = 1.73e-322 at u = 1 is below the "
+            "config error: min(s_u, Theta^2 * lambda * s_u) = 4.94e-324 at u = 1 is below the "
             "smallest normal float, 2.23e-308\n"
         )
 
@@ -450,65 +478,48 @@ class TestCli:
         assert "overflows a float" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "argv, product",
+        "argv, u",
         [
-            # Gamma_u * Lambda * s_ld is about 1e-340: 0 / 0 in the best responses
-            *[([*command, "--s-bh", "4.51602e-171", "--K", "6.30277e-170",
-                "--lambda", "1.56591e-63", "--V", "99"], "Gamma_u * Lambda * s_ld")
-              for command in (["solve"], ["sweep-storage"], ["sweep-gamma"])],
-            # the posted price is 5e-324, and Theta^2 lambda times it is 0: x / 0
+            # lambda s_u is about 1e-340: the verifier's best responses
+            # would divide 0 by 0.  u is the first failing row's count: 30 at
+            # the default Q = 500, 1 at the storage sweep's Q = 10 and all 99
+            # at the gamma sweep's gamma = 0.1
+            *[([command, "--s-bh", "4.51602e-171", "--K", "6.30277e-170",
+                "--lambda", "1.56591e-63", "--V", "99"], u)
+              for command, u in (("solve", 30), ("sweep-storage", 1), ("sweep-gamma", 99))],
+            # the posted price is 5e-324, and Theta^2 lambda times it is 0
             (["solve", "--scheme", "ups", "--V", "17", "--Q", "17", "--s-bh", "1.15734e-146",
-              "--K", "1.07744e-178", "--lambda", "0.105123", "--delta", "0.22613121306098913"],
-             "Theta^2 * lambda * s_u"),
-        ],
-    )  # fmt: skip
-    def test_underflowing_product_exit_code(self, capsys, argv, product):
-        # u is the first failing row's count of retailers below their
-        # threshold: for the 99-retailer market, 30 at the default Q = 500,
-        # 1 at the storage sweep's Q = 10 and all 99 at the gamma sweep's
-        # gamma = 0.1; for the 17-retailer one, 1
-        u = 1
-        if product == "Gamma_u * Lambda * s_ld":
-            u = {"solve": 30, "sweep-storage": 1, "sweep-gamma": 99}[argv[0]]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        assert err == f"config error: {product} underflows to 0 at u = {u}\n"
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
+              "--K", "1.07744e-178", "--lambda", "0.105123", "--delta", "0.22613121306098913"], 1),
             # the NUPS price scale is positive, but the last posted price,
             # scale * Gamma_15^(1/3), underflows to 0
             (["sweep-gamma", "--s-bh", "1e-164", "--K", "3.162277660168379e-160",
               "--lambda", "1", "--V", "20", "--Q", "20",
-              "--start", "0.05", "--stop", "2.5", "--step", "0.05"],
-             "Theta^2 * lambda * s_u underflows to 0 at u = 15"),
-            # q_2 > 0, but Gamma_2 = q_2 zeta K underflows to 0
+              "--start", "0.05", "--stop", "2.5", "--step", "0.05"], 15),
+            # q_2 > 0, but Gamma_2 = q_2 zeta K, and so s_2, underflow to 0
             (["solve", "--delta", "1e-12", "--V", "2", "--gamma", "56",
-              "--zeta", "1", "--K", "2.3e-308"],
-             "Gamma_u * Lambda * s_ld underflows to 0 at u = 2"),
+              "--zeta", "1", "--K", "2.3e-308"], 2),
         ],
     )  # fmt: skip
-    def test_zero_floor_names_its_product(self, capsys, argv, message):
+    def test_underflowing_product_exit_code(self, capsys, argv, u):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(argv) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr().err == (
+            f"config error: min(s_u, Theta^2 * lambda * s_u) = 0 at u = {u} is below the "
+            "smallest normal float, 2.23e-308\n"
+        )
 
     @pytest.mark.parametrize("command", ["solve", "sweep-storage"])
     def test_price_underflowing_to_zero_exit_code(self, capsys, command):
-        # the posted-price scale is below the smallest float; this check
-        # comes before the floors, so its message is the one printed.  All
-        # 15 retailers take part at the defaults, 1 at the sweep's Q = 10.
+        # the posted-price scale is below the smallest float.  All 15
+        # retailers take part at the defaults, 1 at the sweep's Q = 10.
         u = 15 if command == "solve" else 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main([command, "--s-bh", "1e-300", "--lambda", "1e300"]) == 1
         assert capsys.readouterr().err == (
-            "config error: Lambda * s_bh * (sum_(j<=u) Gamma_j^(1/3))^2 / "
-            f"(lambda * (u Lambda + Theta)^2) underflows to 0 at u = {u}\n"
+            f"config error: min(s_u, Theta^2 * lambda * s_u) = 0 at u = {u} is below the "
+            "smallest normal float, 2.23e-308\n"
         )
 
     @pytest.mark.parametrize(

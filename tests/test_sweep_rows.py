@@ -125,7 +125,7 @@ def test_subnormal_market_fails_at_its_first_point():
     values = sweep_values(10, 500, 10)
     rows, error = point_rows(SUBNORMAL, "storage", values)
     assert rows == [] and type(error) is ValueError
-    assert str(error).startswith("Gamma_u * Lambda * s_ld = 3.46e-322 at u = 1 is below")
+    assert str(error).startswith("min(s_u, Theta^2 * lambda * s_u) = 4.94e-324 at u = 1 is below")
     assert_sweep_matches_points(SUBNORMAL, "storage", values)
 
 
@@ -141,7 +141,7 @@ def test_per_vr_fails_like_the_sweep_point(capsys):
 
 @pytest.mark.parametrize("scheme", ["nups", "ups"])
 def test_solve_fails_like_per_vr(capsys, scheme):
-    # solve checks the floors before any fraction is formed
+    # solve and per-vr fail on the same price check, which names no scheme
     _, error = point_rows(SUBNORMAL, "storage", [10.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -241,16 +241,17 @@ def test_small_blocks_give_the_same_bytes(tmp_path, monkeypatch, argv):
     assert len(sizes) == -(-points // 3) and max(sizes) == 3
 
 
-# Gamma_u * Lambda * s_ld falls as Q or gamma grows; in this market it
-# passes the normal floor at the first points and drops below it later
-LATE_MARKET = ["--s-bh", "1e-164", "--K", "8e-144", "--lambda", "1", "--V", "20"]
+# Theta^2 lambda s_u falls as gamma grows, and drops where Q admits one
+# more retailer; in these markets it passes the normal floor at the first
+# points and drops below it later
+LATE_MARKET = ["--s-bh", "1e-164", "--lambda", "1", "--V", "20"]
 LATE_FAILURES = {
-    # ... first at Q = 360
-    "storage": ["sweep-storage", *LATE_MARKET, "--gamma", "1", "--start", "340", "--stop",
-                "370", "--step", "10"],
+    # ... first at Q = 360, where an 11th NUPS retailer joins
+    "storage": ["sweep-storage", *LATE_MARKET, "--K", "5.32e-145", "--gamma", "1",
+                "--start", "340", "--stop", "370", "--step", "10"],
     # ... and first at gamma = 0.35 for Q = 500
-    "gamma": ["sweep-gamma", *LATE_MARKET, "--Q", "500", "--start", "0.25", "--stop", "0.4",
-              "--step", "0.05"],
+    "gamma": ["sweep-gamma", *LATE_MARKET, "--K", "3.52e-145", "--Q", "500",
+              "--start", "0.25", "--stop", "0.4", "--step", "0.05"],
 }  # fmt: skip
 
 
@@ -444,10 +445,10 @@ def test_posted_prices_equal_the_row_loop(kind, spread, long_rows, data):
     rows = harness._block_rows(make_instance(cfg, **{kind: values[0]}), kind, values)
     assert n_rows == 1 or (rows.gammas.strides[0] == 0) == (kind == "storage")
     for scheme in ("NUPS", "UPS"):
-        prices, posted = equilibrium._posted_prices(scheme, rows, u)
         want_prices, want_posted = posted_prices(scheme, rows, u)
+        prices = equilibrium._posted_prices(scheme, rows, u)
         assert np.array_equal(prices, want_prices)
-        assert np.array_equal(posted, want_posted)
+        assert np.array_equal(prices > 0, want_posted)
 
 
 def two_root_thresholds(q, n_files, constants):
@@ -534,10 +535,18 @@ def test_pair_pass_equals_one_scheme_calls(kind, n_vrs):
             assert np.array_equal(getattr(got.report, name), getattr(want.report, name)), name
 
 
-def test_pair_budget_failure_names_its_scheme():
+def test_pair_budget_failure_names_its_scheme(monkeypatch):
     # UPS solves this market; NUPS, second in the stack, breaks the budget
-    rows = make_instance(ExperimentConfig(delta=2e4))
+    rows = make_instance(ExperimentConfig())
     solve_rows("UPS", rows)
+    real = equilibrium._budget_fractions
+
+    def nups_doubled(roots, *args):
+        fractions = real(roots, *args)
+        fractions[(roots == rows.q_roots("NUPS")).all(axis=1)] *= 2.0  # the NUPS rows
+        return fractions
+
+    monkeypatch.setattr(equilibrium, "_budget_fractions", nups_doubled)
     with pytest.raises(ArithmeticError) as one:
         solve_rows("NUPS", rows)
     with pytest.raises(ArithmeticError) as pair:

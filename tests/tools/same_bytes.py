@@ -40,7 +40,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[2]
 
 # The subnormal FOUND market: "inconsistent outcome" at Q = 10, broken
-# best responses at Q = 20.
+# best responses at Q = 20; its posted price is subnormal at both.
 SUBNORMAL = ["--s-bh", "1e-164", "--K", "3.162277660168379e-160", "--lambda", "1", "--V", "20"]
 # Theta = A - C + 1 cancels here (nine digits lost).  Computed as the
 # difference, it broke NUPS at Q = 10 and at gamma = 1.05.
@@ -50,8 +50,9 @@ CANCELLING = [
 ]  # fmt: skip
 CANCEL_GAMMA = ["--gamma", "0.18531846939972652"]
 UNDERFLOW = ["--s-bh", "4.51602e-171", "--K", "6.30277e-170", "--lambda", "1.56591e-63"]
-# Markets whose smaller floor product is Gamma_u * Lambda * s_ld (FLOOR_U)
-# or Theta^2 * lambda * s_u (FLOOR_S); both products scale with K.
+# Markets where the price check's min(s_u, Theta^2 lambda s_u) is
+# Theta^2 lambda s_u; it scales with K.  FLOOR_U's Gamma_u Lambda s_ld
+# was the smaller of the two best-response floors the check replaced.
 FLOOR_U = ["solve", "--s-bh", "1e-164", "--lambda", "1", "--V", "20", "--gamma", "1"]
 FLOOR_S = [
     "solve", "--scheme", "ups", "--V", "17", "--Q", "17", "--s-bh", "1.15734e-146",
@@ -62,6 +63,17 @@ HUGE_N = ["solve", "per-vr", "sweep-gamma"]
 # with --zeta 1 --K 2.3e-308, Gamma_2 underflows to 0 while q_2 > 0.
 TIE = ["--delta", "1e-12", "--V", "2", "--gamma", "56"]
 TIE_UNDERFLOW = [*TIE, "--zeta", "1", "--K", "2.3e-308"]
+# (market, money): two draws whose verdict depended on the money scale
+MONEY_SCALED = [
+    (["solve", "--alpha", "2.1391711342108097", "--delta", "373.44113653610594", "--V", "167",
+      "--gamma", "2.594443147151155", "--Q", "66"],
+     ["--s-bh", "2.5050652229881076", "--K", "0.8986582582648939",
+      "--lambda", "1.211609016343346"]),
+    (["solve", "--alpha", "2.173897233287741", "--delta", "455.43138917144233", "--V", "198",
+      "--gamma", "1.0593005048061093", "--Q", "141"],
+     ["--s-bh", "16.291162579795106", "--K", "493.94924839758585",
+      "--lambda", "7.988755649388311"]),
+]  # fmt: skip
 EDGE = [
     ["sweep-storage", *SUBNORMAL, "--gamma", "1", "--start", "10", "--stop", "500", "--step", "10"],
     ["sweep-gamma", *SUBNORMAL, "--Q", "20", "--start", "0.05", "--stop", "2.5", "--step", "0.05"],
@@ -95,10 +107,10 @@ EDGE = [
     ["solve", "--V", "1000", "--gamma", "1", "--delta", "4e-7", "--s-bh", "6.094886709483607e+304"],
     ["solve", "--gamma", "0", "--lambda", "1e-6", "--s-bh", "5.5499318472482185e+298"],
     ["solve", "--gamma", "0", "--lambda", "1e-6", "--s-bh", "5.549931850023185e+298"],
-    # each best-response floor product at the smallest normal float, then
-    # one ulp of K below it
-    [*FLOOR_U, "--K", "1.4269617077629532e-143"],
-    [*FLOOR_U, "--K", "1.426961707762953e-143"],
+    # the price check's product at the smallest normal float, then one ulp
+    # of K below it
+    [*FLOOR_U, "--K", "4.981577190958313e-145"],
+    [*FLOOR_U, "--K", "4.9815771909583126e-145"],
     [*FLOOR_S, "--K", "2.8242286258941863e-161"],
     [*FLOOR_S, "--K", "2.824228625894186e-161"],
     # Q < 1
@@ -140,26 +152,33 @@ EDGE = [
     # every retailer posted: the certificates' array passes at large u
     ["solve", "--V", "20000", "--gamma", "0"],
     ["solve", "--V", "20000", "--gamma", "0", "--scheme", "ups"],
-    # the best response cancels and leaves budget idle, which the leader's
-    # certificate rejects (exit 2)
+    # best responses to the rounded prices cancelled here and left budget
+    # idle, which the leader's certificate rejected (exit 2)
     ["solve", "--alpha", "2.1", "--delta", "2e4", "--V", "1"],
     ["solve", "--scheme", "ups", "--alpha", "2.1", "--delta", "2e4", "--V", "1"],
     # the posted-price scale underflows to 0 (a config error)
     ["solve", "--s-bh", "1e-300", "--lambda", "1e300"],
-    # markets still broken or inexact: best responses that break the budget
-    # (exit 4), Theta rounding to 0 (exit 1), and a profit cell that
-    # cancellation leaves off in its 12th digit (exit 0)
+    # best responses to the rounded prices broke the budget here (exit 4);
+    # Theta still rounds to 0 (exit 1) at delta = 2 and to 0.25 against
+    # 0.30686 at delta = 1, and cancellation leaves a profit cell off in its
+    # 12th digit (exit 0)
     ["solve", "--delta", "2e4"],
+    ["solve", "--scheme", "ups", "--delta", "2e4"],
     ["solve", "--alpha", "2.000000000001", "--delta", "2.1"],
+    ["solve", "--scheme", "ups", "--alpha", "2.000000000001", "--delta", "2.1"],
     ["solve", "--alpha", "2.00000000000001", "--delta", "2"],
     ["solve", "--alpha", "2.00000000000001", "--delta", "1"],
+    ["solve", "--scheme", "waterfill", "--alpha", "2.00000000000001", "--delta", "1"],
     ["solve", "--delta", "1e3"],
+    # markets that differ only in money, of which the best responses to the
+    # rounded prices broke the budget in one of each pair (exit 4)
+    *[[*market, *money] for market, money in MONEY_SCALED for money in ([], money)],
     # the water-filling count at large V, with few and with all retailers in
     ["solve", "--scheme", "waterfill", "--V", "20000", "--gamma", "0.5", "--no-verify"],
     ["solve", "--scheme", "waterfill", "--V", "20000", "--gamma", "0", "--no-verify"],
     # water-filling outside the pricing domain (s_ld != s_bh), where the Zipf
     # weights underflow (every price cell 0, none EXCLUDED), with one
-    # retailer, and its lone fraction left short of the budget (exit 2)
+    # retailer, and where its lone fraction fell short of the budget (exit 2)
     ["solve", "--scheme", "waterfill", "--s-ld", "2"],
     ["solve", "--scheme", "waterfill", "--V", "5000", "--gamma", "300"],
     ["solve", "--scheme", "waterfill", "--V", "1"],
@@ -188,8 +207,9 @@ EDGE = [
     # an expected cell count past numpy's Poisson limit (a config error)
     ["verify-coverage", "--radius", "1e9", "--trials", "1"],
     # N = 10^15 files: at Q = 2 10^13 (F = 50) the same CSV as N = 500 at
-    # Q = 10, and at the default Q broken best responses (exit 4); both
-    # were memory errors while the N-long popularity vectors were built
+    # Q = 10; at the default Q best responses to the rounded prices broke
+    # the budget (exit 4); both were memory errors while the N-long
+    # popularity vectors were built
     *[[cmd, "--N", "1000000000000000", "--Q", "20000000000000"] for cmd in HUGE_N],
     *[[cmd, "--N", "1000000000000000"] for cmd in HUGE_N],
     # the participant count when the surrogates tie, and a demand that
