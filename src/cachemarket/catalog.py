@@ -101,12 +101,12 @@ def zipf_rows(n: int, exponents) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=float)
     exponents = np.asarray(exponents, dtype=float)
     weights = ranks ** -exponents[:, None]
-    # ndarray ** a scalar power of -1 or 0 takes a shortcut (ranks ** -1.0 is
-    # 1 / ranks) that the broadcast column skips; rows with e = 1 or 0 take it
-    # too.  Its other shortcut powers (0.5, 1, 2) would need e < 0.
+    # ndarray ** -1.0 is 1 / ranks, correctly rounded; the broadcast column's
+    # power is an ulp off for some k, so rows with e = 1 divide too.  At
+    # e = 0 every power is 1 exactly.
     for i, exponent in enumerate(exponents.tolist()):
-        if exponent == 1 or exponent == 0:
-            weights[i] = ranks ** -exponent
+        if exponent == 1:
+            weights[i] = 1 / ranks
     return weights / weights.sum(axis=1, keepdims=True)
 
 

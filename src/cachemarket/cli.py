@@ -12,9 +12,11 @@ verify-coverage reads its grid from lambda_grid and q_grid (--config);
 Exit codes: 0 success, 1 config error (including a usage error, a
 non-finite number in a flag or config file, an --out path that cannot be
 written, a posted price s_u, or Theta^2 lambda s_u, below the smallest
-normal float, a coverage window whose expected cell count lambda pi R^2 is
-not finite, and a market whose arrays do not fit in memory, with numpy's
-message), 2 equilibrium verification failure, 3 simulator-analytic
+normal float, a price above half the float range or another money cell
+that is not finite, a product of the verifier that overflows, a coverage
+window whose expected cell count lambda pi R^2 is not finite, and a
+market whose arrays do not fit in memory, with numpy's message), 2
+equilibrium verification failure, 3 simulator-analytic
 mismatch beyond tolerance, 4 numerical failure (an ArithmeticError, such
 as fractions that break the budget; no market is known to reach it).
 main can be called repeatedly in one process; it builds its parser on the

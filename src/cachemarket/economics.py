@@ -137,6 +137,7 @@ def profit_report(
     gammas: np.ndarray,
     cfg: EconomicConfig,
     constants: CoverageConstants,
+    best_response=False,
 ) -> ProfitReport:
     """Profit aggregates of R operating points at once, one per row of tau.
 
@@ -144,11 +145,22 @@ def profit_report(
     gammas broadcasts against tau; so does constants.lambda_big, which
     may be an (R, 1) column.  Every total is a left-to-right fold along
     the last axis, so a 1-D tau is a single operating point.
+
+    A retailer's profit is its surcharge less its rent.  Where tau is the
+    followers' best response to the prices (best_response True, or an
+    (R, 1) mask of such rows), the rent is Lambda / (Theta tau + Lambda)
+    of the surcharge, and the profit is the rest, Theta tau / (Theta tau
+    + Lambda) of it: formed so, it has no subtraction to cancel.
     """
     hits = hit_probability(tau, constants)
     surcharges = gammas * cfg.local_surcharge * hits
     rents = tau * cfg.sbs_intensity * prices
-    profits = surcharges - rents
+    if best_response is False:
+        profits = surcharges - rents
+    else:
+        profits = surcharges * (constants.theta * hits)
+        if best_response is not True:
+            profits = np.where(best_response, profits, surcharges - rents)
     nsp_leasing = ordered_sums(rents)
     nsp_saving = ordered_sums(gammas * hits * cfg.backhaul_cost)
     nsp_total = nsp_leasing + nsp_saving

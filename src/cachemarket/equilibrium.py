@@ -13,8 +13,12 @@ Participation is always a prefix of the popularity order: when storage
 shrinks, the least popular retailers drop out first.  solve_rows solves
 all three: each keeps the retailers whose participation threshold lies
 below the storage, and takes their fractions from one budget identity
-in q, Lambda and Theta, in which the prices cancel.  Only the verifier
-best-responds to the posted prices.
+in q, Lambda and Theta, in which the prices cancel.  The same masked
+pass over q's roots prices NUPS and UPS: each price is the money scale
+s^bh zeta K / lambda times a value free of money, so the solver forms no
+product that could overflow before the price itself does.  One check on
+the money cells then names any price or profit cell out of range.  Only
+the verifier best-responds to the posted prices.
 """
 
 from __future__ import annotations
@@ -53,8 +57,10 @@ __all__ = [
 # the lower storage bracket.
 _BRACKET_TOL = 1e-12
 
-# The root each scheme takes of q and of Gamma
+# The root each scheme takes of q
 _ROOTS = {"NUPS": np.cbrt, "UPS": np.sqrt}
+# Prices stay below half the float range, room for the verifier's doubled prices
+_PRICE_MAX = sys.float_info.max / 2
 
 
 class VerificationFailure(AssertionError):
@@ -69,7 +75,9 @@ class GameRows:
     (so Lambda and the brackets) or gamma (so q, Gamma and the brackets).
     q is the (R, V) retailer preferences, possibly one row broadcast to all
     (np.broadcast_to); storage and constants.lambda_big are (R, 1)
-    columns.  Gamma and the brackets are derived from q's distinct rows.
+    columns.  The roots of q, the brackets and Gamma are derived from q's
+    distinct rows; u, the fractions and the prices read the roots, and
+    only the profits and the verifier read Gamma.
     """
 
     q: np.ndarray
@@ -90,8 +98,8 @@ class GameRows:
     def distinct_gammas(self) -> np.ndarray:
         """Gamma_v = q_v zeta K of q, or of its first row when that row is broadcast.
 
-        Roots, row sums and prefix sums taken on it broadcast back to
-        every row bit for bit: each is computed along a row.
+        Profits taken on it broadcast back to every row bit for bit: each
+        is computed along a row.
         """
         return gamma_vector(self._distinct_q, self.econ)
 
@@ -111,7 +119,7 @@ class GameRows:
     def q_roots(self, scheme: str) -> np.ndarray:
         """q^(1/3) (NUPS) or q^(1/2) (UPS) of q's distinct rows.
 
-        The brackets and the fractions read them.
+        The brackets, the fractions and the prices read them.
         """
         return self._per_scheme("_q_roots", scheme, lambda k: _ROOTS[k](self._distinct_q))
 
@@ -125,46 +133,6 @@ class GameRows:
             scheme,
             lambda k: _thresholds_of(self.q_roots(k), self.n_files, self.constants),
         )
-
-    def roots(self, scheme: str) -> np.ndarray:
-        """Gamma^(1/3) (NUPS) or Gamma^(1/2) (UPS) of distinct_gammas.
-
-        The posted prices and the pricing-product bounds read them.
-        """
-        return self._per_scheme("_roots", scheme, lambda k: _ROOTS[k](self.distinct_gammas))
-
-    @cached_property
-    def pricing_products(self) -> dict[str, np.ndarray]:
-        """Bounds, over u <= V, on products the NUPS/UPS closed forms form.
-
-        One value per row.  Each must stay below half the float range
-        (room for the verifier's doubled prices).  Only _require_pricing_domain's
-        per-row pass forms them, for a block its bounds do not accept.
-        """
-        # an overflow, or lambda Theta^2 underflowing to 0, shows as inf or
-        # nan in the bound, which fails its check
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sums = [self.roots(name).sum(axis=1) for name in ("NUPS", "UPS")]
-            lam, g1 = self.constants.lambda_big[:, 0], self.distinct_gammas[:, 0]
-            return _pricing_formulas(self, lam, g1, *sums, np.maximum)
-
-
-def _pricing_formulas(rows: GameRows, lam, g1, s3, s2, maximum) -> dict:
-    """The pricing products by name, from arrays (np.maximum) or floats (max).
-
-    The other products the closed forms form are bounded by these:
-    Gamma_1 Lambda s_bh by the numerator (S_3 >= Gamma_1^(1/3)) and
-    Lambda^2 s_bh S_3^3 by V Lambda^2 s_bh S_2^2 (power means).
-    """
-    s = rows.econ.backhaul_cost
-    numerator = lam * s * maximum(s3 * s3 * maximum(g1 ** (1 / 3), 1.0), s2 * s2)
-    return {
-        "V * Lambda^2 * s_bh * S_2^2": rows.shape[1] * lam * lam * s * s2 * s2,
-        "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2)": numerator,
-        "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2)": (
-            numerator / (rows.econ.sbs_intensity * rows.constants.theta**2)
-        ),
-    }
 
 
 @dataclass(frozen=True)
@@ -193,7 +161,7 @@ def best_response_fraction(
     """Followers' optimal rental fractions at the given prices, elementwise.
 
     verify_equilibrium's follower check; solve_rows forms its fractions
-    from the budget identity instead (_budget_fractions).
+    from the budget identity instead (_fractions_and_prices).
 
     tau* = (sqrt(Gamma Lambda s^ld / (Theta^2 lambda s_v)) - Lambda/Theta)+.
     prices, gammas and constants.lambda_big broadcast against each other;
@@ -245,137 +213,128 @@ def _bracket_count(brackets: np.ndarray, storage) -> np.ndarray:
     return (brackets < storage - _BRACKET_TOL).sum(axis=-1)
 
 
-def _require_pricing_domain(rows: GameRows) -> None:
-    """Preconditions of the NUPS and UPS closed forms: s^ld = s^bh, no overflow."""
-    econ = rows.econ
-    if abs(econ.local_surcharge - econ.backhaul_cost) > 1e-12 * econ.backhaul_cost:
-        raise ValueError(
-            "the pricing closed forms require the local surcharge to equal "
-            f"the back-haul cost, got s_ld={econ.local_surcharge}, "
-            f"s_bh={econ.backhaul_cost}"
-        )
-    # Each product at the block's largest Lambda and Gamma_v, with S_3 and S_2
-    # bounded by V Gamma_max^(1/3) and V Gamma_max^(1/2), bounds it on every
-    # row, up to the ulps by which Python's pow may differ from numpy's roots
-    # and sums: the 1e-9 margin covers them.  A NaN bound, or lambda Theta^2
-    # = 0 (Python's division refuses it), leaves it to the rows.
-    n_vrs = rows.shape[1]
-    lam = float(rows.constants.lambda_big.max())
-    g_max = float(rows.distinct_gammas.max())
-    try:
-        bounds = _pricing_formulas(
-            rows, lam, g_max, n_vrs * g_max ** (1 / 3), n_vrs * g_max**0.5, max
-        )
-        if all(bound <= sys.float_info.max / 2 * (1 - 1e-9) for bound in bounds.values()):
-            return
-    except ZeroDivisionError:
-        pass
-    products = rows.pricing_products
-    bad = ~(np.array(list(products.values())) <= sys.float_info.max / 2)
-    if bad.any():
-        k, r = np.unravel_index(np.argmax(bad), bad.shape)  # first product, first row
-        name = list(products)[k]
-        raise ValueError(f"{name} = {products[name][r]:.3g} overflows a float")
+def _fractions_and_prices(scheme: str, rows: GameRows, u: np.ndarray) -> tuple:
+    """(R, V) fractions and prices of the u[r] retailers row r keeps, 0 past u.
 
+    One masked pass over r, the row of q's roots (q^(1/3) under NUPS,
+    q^(1/2) under UPS and water-filling), with R = sum_{j<=u} r_j.
 
-def _root_sums(roots: np.ndarray, u: np.ndarray) -> list:
-    """sum_{j<=u[r]} roots[r, j] for each row r, one numpy sum per distinct u.
+    Fractions: the followers' best responses to the posted prices, with
+    the prices substituted: tau_v = r_v / R + (Lambda/Theta) (u d_v - D) / R,
+    where d_v = r_v - r_1 and D = sum_{j<=u} d_j.  No money enters, and
+    the terms (u d_v - D) sum to exactly 0 over v <= u, so a row fills
+    the budget up to rounding at any Lambda/Theta; u = 1 gives tau_1 = 1
+    exactly.  Each term is at most R in size, so nothing overflows.  A
+    fraction that rounds below 0 is 0.
 
-    Each value is numpy's pairwise sum of roots[r, :u[r]], bit for bit.
-    roots with a single row stands for that row broadcast to every row,
-    and is summed once per distinct u.  Otherwise the rows are sorted by
-    u once, and the rows sharing a u are summed as one contiguous
-    (rows x u) slice along axis 1, which numpy sums row by row exactly
-    as it sums one row.
+    Prices: s_v = (m / lambda) p_v with the money scale m = s^bh zeta K
+    and p_v = [Lambda / (u Lambda + Theta)] [R^2 / (u Lambda + Theta)] r_v
+    under NUPS; UPS drops the factor r_v, and water-filling posts none
+    (every price 0).  p_v is at most R^2 / (u Lambda), and no Lambda^2 is
+    formed.  m / lambda is applied as a fraction times a power of 2
+    (frexp, ldexp), so no step before the price itself overflows or
+    leaves the normal range; _require_money_cells names a price that does.
     """
-    counts = u.tolist()
-    if roots.shape[0] == 1:
-        sum_of = {k: float(roots[0, :k].sum()) for k in set(counts)}
-        return [sum_of[k] for k in counts]
-    order = np.argsort(u, kind="stable")
-    ordered = u[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1]))).tolist()
-    by_u = roots[order]
-    sums = np.empty(u.size)
-    for lo, hi in zip(starts, starts[1:] + [u.size]):
-        sums[order[lo:hi]] = by_u[lo:hi, : ordered[lo]].sum(axis=1)
-    return sums.tolist()
-
-
-def _posted_prices(scheme: str, rows: GameRows, u: np.ndarray) -> np.ndarray:
-    """(R, V) prices keeping exactly the u[r] most popular retailers of row r.
-
-    NUPS: s_i = Lambda s^bh (sum_{j<=u} Gamma_j^(1/3))^2 Gamma_i^(1/3)
-                / (lambda (u Lambda + Theta)^2);
-    UPS:  the shared s = Lambda s^bh (sum_{j<=u} Gamma_j^(1/2))^2
-                / (lambda (u Lambda + Theta)^2).
-    Retailers past u get 0.  The root sums are numpy's pairwise sums of
-    each row's first u roots, taken once per distinct u (_root_sums).
-    Each scale is formed from Python floats, whose squares are libm's
-    pow: numpy's array square rounds otherwise.
-    """
-    roots = rows.roots(scheme)
-    s_bh = rows.econ.backhaul_cost
-    intensity = rows.econ.sbs_intensity
-    theta = rows.constants.theta
-    scales = [
-        lam * s_bh * root_sum**2 / (intensity * (u_r * lam + theta) ** 2)
-        for u_r, root_sum, lam in zip(
-            u.tolist(), _root_sums(roots, u), rows.constants.lambda_big[:, 0].tolist()
-        )
-    ]
-    scales = np.array(scales)[:, None]
-    posted = np.arange(1, rows.shape[1] + 1) <= u[:, None]
-    return np.where(posted, scales * roots if scheme == "NUPS" else scales, 0.0)
-
-
-def _budget_fractions(roots: np.ndarray, u: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """(R, V) fractions of the u[r] retailers row r keeps, 0 past u.
-
-    The followers' best responses to the posted prices, with the prices
-    substituted: tau_v = r_v / R + (Lambda/Theta) (u d_v - D) / R, where r
-    is the row of roots (q^(1/3) under NUPS, q^(1/2) under UPS and
-    water-filling), R = sum_{j<=u} r_j, d_v = r_v - r_1 and
-    D = sum_{j<=u} d_j.  ratio is the (R, 1) column Lambda/Theta.  No
-    money enters, and the terms (u d_v - D) sum to exactly 0 over v <= u,
-    so a row fills the budget up to rounding at any Lambda/Theta; u = 1
-    gives tau_1 = 1 exactly.  Each term is at most R in size, so nothing
-    overflows.  A fraction that rounds below 0 is 0.
-    """
+    roots = rows.q_roots("UPS" if scheme == "WATERFILL" else scheme)
+    lam_big, theta = rows.constants.lambda_big, rows.constants.theta
     count = u[:, None]
     posted = np.arange(1, roots.shape[1] + 1) <= count
     total = np.where(posted, roots, 0.0).sum(axis=1, keepdims=True)
     spread = np.where(posted, roots - roots[:, :1], 0.0)
     at_u = spread.sum(axis=1, keepdims=True)
-    tau = roots / total + ratio * (count * spread - at_u) / total
-    return np.where(posted, np.maximum(tau, 0.0), 0.0)
+    tau = roots / total + lam_big / theta * (count * spread - at_u) / total
+    fractions = np.where(posted, np.maximum(tau, 0.0), 0.0)
+    if scheme == "WATERFILL":
+        return fractions, np.zeros(fractions.shape)
+    level = count * lam_big + theta
+    price = lam_big / level * (total * total / level)
+    if scheme == "NUPS":
+        price = price * roots
+    econ = rows.econ
+    s_bh, e_s = math.frexp(econ.backhaul_cost)
+    demand, e_d = math.frexp(econ.mu_intensity * econ.requests_per_mu)
+    intensity, e_i = math.frexp(econ.sbs_intensity)
+    with np.errstate(over="ignore"):
+        price = np.ldexp(price * (s_bh * demand / intensity), e_s + e_d - e_i)
+    return fractions, np.where(posted, price, 0.0)
+
+
+def _require_money_cells(
+    schemes: tuple, u: np.ndarray, prices: np.ndarray, report: ProfitReport, theta_lam: float
+) -> None:
+    """The solved rows' money: cells the CSV can print and the verifier can divide by.
+
+    Every price is at most half the float range, which leaves room for the
+    verifier's doubled prices, and every profit cell is finite.  A cell
+    that is not finite reaches s_glb, whose terms hold every rent, saving
+    and profit, and each surcharge through its profit, so two reductions
+    pass a sound block; otherwise the error names the first failing row's
+    first failing cell, with its scheme and u.  Then, on the priced rows:
+    q, and so the price, falls along a row, so s_u is the smallest posted
+    price and Theta^2 lambda s_u the smallest divisor of the verifier's
+    best responses.  A subnormal one has lost digits.
+    """
+    if not (prices.max(initial=0.0) <= _PRICE_MAX and np.isfinite(report.global_total).all()):
+        cells = dict(
+            price=prices, surcharge=report.vr_surcharge, rent=report.vr_rent,
+            profit=report.vr_profits, s_rt=report.nsp_leasing, s_bh=report.nsp_backhaul_saving,
+            s_nsp=report.nsp_total, s_glb=report.global_total,
+        )  # fmt: skip
+        cells = {name: cell.reshape(u.size, -1) for name, cell in cells.items()}
+        bad = {  # a NaN fails too
+            name: ~(np.abs(cell) <= (_PRICE_MAX if name == "price" else sys.float_info.max))
+            for name, cell in cells.items()
+        }
+        r = int(np.argmax(np.any([b.any(axis=1) for b in bad.values()], axis=0)))
+        name = next(name for name, b in bad.items() if b[r].any())
+        v = int(np.argmax(bad[name][r]))
+        cell = name if name.startswith("s_") else f"{name} {v + 1}"
+        limit = f"at most half the float range, {_PRICE_MAX:.3g}" if name == "price" else "finite"
+        raise ValueError(
+            f"{schemes[r * len(schemes) // u.size]} {cell} = {cells[name][r, v]:.3g} "
+            f"at u = {u[r]} is not {limit}"
+        )
+    if set(schemes) == {"WATERFILL"}:
+        return
+    smallest = prices[np.arange(u.size), u - 1] * min(1.0, theta_lam)
+    if "WATERFILL" in schemes:  # it posts no prices
+        smallest[np.repeat([name == "WATERFILL" for name in schemes], u.size // len(schemes))] = 1
+    if not smallest.min() >= sys.float_info.min:
+        r = int(np.argmin(smallest >= sys.float_info.min))
+        raise ValueError(
+            f"min(s_u, Theta^2 * lambda * s_u) = {smallest[r]:.3g} at u = {u[r]} is below "
+            f"the smallest normal float, {sys.float_info.min:.3g}"
+        )
 
 
 def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
     """NUPS, UPS or water-filling equilibrium of every row of a GameRows.
 
     Each row keeps the u retailers whose U_v (NUPS) or Ubar_v (UPS and
-    water-filling) lies below Q (_bracket_count), posts the closed-form
-    prices for u (none under water-filling), takes the followers'
-    fractions from the budget identity (_budget_fractions) and reports
-    every row's profits.  That count is the leader's optimum: its
-    objective is concave and separable in the fractions, so its
-    maximiser keeps exactly the retailers whose KKT fraction is positive
-    (Boyd & Vandenberghe, Convex Optimization, 5.5.3).  With
+    water-filling) lies below Q (_bracket_count), takes the followers'
+    fractions from the budget identity and posts the closed-form prices
+    for u (none under water-filling) in one pass (_fractions_and_prices),
+    and reports every row's profits, a posted retailer's in the form
+    without a subtraction (profit_report's best_response).  That count
+    is the leader's optimum: its objective is concave and separable in
+    the fractions, so its maximiser keeps exactly the retailers whose
+    KKT fraction is positive (Boyd & Vandenberghe, Convex Optimization,
+    5.5.3).  With
     Lambda = C N / Q, U_v < Q  <=>  Lambda (R_v / r_v - v) < Theta  <=>
     tau_v > 0 in the v-participant solution, where r_v is q_v^(1/3) (NUPS)
     or q_v^(1/2) (UPS) and R_v the sum of r_j over j <= v.  U_1 = 0 and
     Q >= 1, so u >= 1.  Water-filling maximises the sum profit over the
     fractions directly; its allocation is the UPS one, and as it uses no
     pricing closed form, s^ld may differ from s^bh there.  Raises on the
-    first failed check, with the message of the first failing row; a row
-    whose count of positive fractions is not its u raises
-    VerificationFailure.
+    first failed check, with the message of the first failing row: the
+    budget, the fractions, the count of positive fractions (a row whose
+    count is not its u raises VerificationFailure), then the money cells
+    (_require_money_cells).
 
     scheme may also be a tuple of schemes, such as ("NUPS", "UPS"): they
     are solved in one pass and one RowOutcomes is returned per scheme, in
     order, each the same as its own call would give.  Each scheme counts
-    its u, posts its prices and forms its fractions; the checks after
+    its u and forms its fractions and prices; the checks after
     that run once, on the schemes' rows stacked in order, so a failure
     names the first failing row of the first check that fails (and the
     budget message the scheme of that row) rather than the first scheme's
@@ -385,53 +344,43 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
     bases = ["UPS" if name == "WATERFILL" else name for name in schemes]
     # an overflowing N C / Theta raises before the pricing checks
     brackets = [rows.brackets(base) for base in bases]
-    if set(schemes) != {"WATERFILL"}:
-        _require_pricing_domain(rows)
-    theta_lam = rows.constants.theta**2 * rows.econ.sbs_intensity
+    econ = rows.econ
+    # the pricing closed forms' precondition; water-filling uses none
+    pricing = set(schemes) != {"WATERFILL"}
+    if pricing and abs(econ.local_surcharge - econ.backhaul_cost) > 1e-12 * econ.backhaul_cost:
+        raise ValueError(
+            "the pricing closed forms require the local surcharge to equal "
+            f"the back-haul cost, got s_ld={econ.local_surcharge}, "
+            f"s_bh={econ.backhaul_cost}"
+        )
     heads = []
-    for name, base, bracket in zip(schemes, bases, brackets):
+    for name, bracket in zip(schemes, brackets):
         u = _bracket_count(bracket, rows.storage)
-        if name == "WATERFILL":
-            prices = np.zeros(rows.shape)
-        else:
-            prices = _posted_prices(name, rows, u)
-            # Gamma, and so the price, falls along a row: s_u is the smallest
-            # posted price, and Theta^2 lambda s_u the smallest divisor of the
-            # verifier's best responses.  A subnormal one has lost digits.
-            smallest = prices[np.arange(u.size), u - 1] * min(1.0, theta_lam)
-            if not smallest.min() >= sys.float_info.min:  # a NaN fails too
-                r = int(np.argmin(smallest >= sys.float_info.min))
-                raise ValueError(
-                    f"min(s_u, Theta^2 * lambda * s_u) = {smallest[r]:.3g} at u = {u[r]} is below "
-                    f"the smallest normal float, {sys.float_info.min:.3g}"
-                )
-        heads.append((u, prices, rows.q_roots(base)))
+        heads.append((u, *_fractions_and_prices(name, rows, u)))
     # Past the heads, one pass over the schemes' rows stacked in order.
-    # Gamma stays one broadcast row when the rows share it; the schemes'
-    # roots differ, so stacked they take one row per market.
+    # Gamma stays one broadcast row when the rows share it.
     gammas, constants = rows.distinct_gammas, rows.constants
+    n_rows = rows.shape[0]
     if len(schemes) == 1:
-        u, prices, roots = heads[0]
+        u, fractions, prices = heads[0]
     else:
-        u, prices, roots = map(np.concatenate, zip(*heads))
-        if gammas.shape[0] == 1:
-            roots = np.repeat(roots, rows.shape[0], axis=0)
-        else:
+        u, fractions, prices = map(np.concatenate, zip(*heads))
+        if gammas.shape[0] != 1:
             gammas = np.concatenate([gammas] * len(schemes))
         constants = constants.with_lambda_big(
             np.concatenate([constants.lambda_big] * len(schemes))
         )
-    fractions = _budget_fractions(roots, u, constants.lambda_big / constants.theta)
     totals = ordered_sums(fractions)
     if np.fmax.reduce(totals) > 1.0 + 1e-9:  # fmax skips NaNs, as the comparison does
         r = int(np.argmax(totals > 1.0 + 1e-9))
         raise ArithmeticError(
-            f"{schemes[r // rows.shape[0]]} best responses sum to {float(totals[r])}; "
+            f"{schemes[r // n_rows]} best responses sum to {float(totals[r])}; "
             "the posted prices are broken"
         )
     fractions = np.minimum(fractions, 1.0)
     check_fraction_rows(fractions)
-    # prices past u are 0 and s_u > 0, so each row posts exactly u prices
+    # prices past u are 0 and _require_money_cells keeps s_u > 0, so each
+    # row posts exactly u prices
     positive = (fractions > 0).sum(axis=1)
     if positive.tolist() != u.tolist():
         r = int(np.argmax(positive != u))
@@ -439,10 +388,14 @@ def solve_rows(scheme: str | tuple, rows: GameRows) -> RowOutcomes | tuple:
             f"inconsistent outcome: participants={u[r]}, "
             f"posted prices={u[r]}, positive fractions={positive[r]}"
         )
-    report = profit_report(fractions, prices, gammas, rows.econ, constants)
+    # a priced row's fractions are the best responses to its prices
+    priced = [name != "WATERFILL" for name in schemes]
+    best_response = priced[0] if len(set(priced)) == 1 else np.repeat(priced, n_rows)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_money_cells names an overflow
+        report = profit_report(fractions, prices, gammas, econ, constants, best_response)
+    _require_money_cells(schemes, u, prices, report, rows.constants.theta**2 * econ.sbs_intensity)
     if len(schemes) == 1:
         return RowOutcomes(scheme, u, prices, fractions, report)
-    n_rows = rows.shape[0]
     outcomes = []
     for k, name in enumerate(schemes):
         part = slice(k * n_rows, (k + 1) * n_rows)
@@ -502,6 +455,19 @@ def _frank_wolfe_gap(grad: np.ndarray, tau: np.ndarray) -> tuple[float, int]:
     return (top - grad) @ tau + top * (max(1.0, total) - total), j
 
 
+def _require_no_overflow(value, where: str, *inputs) -> None:
+    """ValueError if a certificate value is not finite though its inputs are.
+
+    Then the verifier's own products left the float range, and the value
+    certifies nothing either way.
+    """
+    if not math.isfinite(value) and all(np.isfinite(x).all() for x in inputs):
+        raise ValueError(f"{where} overflows a float")
+
+
+# a product past the float range makes a gain or the gap inf or NaN,
+# which _require_no_overflow names
+@np.errstate(over="ignore", invalid="ignore")
 def verify_equilibrium(
     outcome: RowOutcomes,
     rows: GameRows,
@@ -541,7 +507,9 @@ def verify_equilibrium(
     The gap is taken relative to max(|objective|, 1e-9).
 
     Raises VerificationFailure naming the first retailer that gains,
-    else the gap and the retailer of largest marginal objective.
+    else the gap and the retailer of largest marginal objective.  A gain
+    or gap that is not finite, from a finite candidate and market, is the
+    verifier's own overflow: ValueError names the check.
     """
     econ = rows.econ
     constants = rows.constants.with_lambda_big(float(rows.constants.lambda_big[i, 0]))
@@ -564,6 +532,10 @@ def verify_equilibrium(
     follower_gain, follower_checks = math.nan, 0
     if outcome.scheme != "WATERFILL":
         gamma, t = gammas[:u], tau[:u]
+        # an overflowing Gamma Lambda s^ld would read as a best response above
+        # 1; the largest Gamma_v's product overflows if any does
+        if gamma.max(initial=0.0) * lam_big * s_ld == math.inf:
+            raise ValueError("Gamma * Lambda * s_ld = inf overflows a float")
         best = np.minimum(best_response_fraction(price, gamma, econ, constants), 1.0)
         surcharge = gamma * s_ld
         rent = econ.sbs_intensity * price
@@ -573,6 +545,8 @@ def verify_equilibrium(
         top_gain = gains.max(initial=-math.inf)
         if not top_gain <= rel_tol:  # a NaN gain certifies nothing
             v = int(np.argmax(~(gains <= rel_tol)))
+            where = f"retailer {v + 1}'s follower check"
+            _require_no_overflow(gains[v], where, gamma, t, price)
             raise VerificationFailure(
                 f"follower condition violated: retailer {v + 1} gains "
                 f"{gains[v]:.3e} (relative) by moving tau from {t[v]:.6g} to {best[v]:.6g}"
@@ -598,6 +572,7 @@ def verify_equilibrium(
     gap, j = _frank_wolfe_gap(grad, tau)
     gap = (gap + shortfall) / max(abs(total), 1e-9)
     if not gap <= rel_tol:  # a NaN gap certifies nothing
+        _require_no_overflow(gap, f"the marginal {label}", gammas, tau, price)
         raise VerificationFailure(
             f"{condition} condition violated: Frank-Wolfe gap {gap:.3e} (relative); "
             f"retailer {j + 1} has the largest marginal {label}"

@@ -1,11 +1,9 @@
 """Price and profit oracles kept out of the library.
 
-``posted_prices`` is the per-row posted-price pass.  ``_posted_prices``
-in ``cachemarket.equilibrium`` takes one numpy root sum per distinct
-participant count u of a block, and sums a Gamma row broadcast to every
-row only once per u.  ``posted_prices`` is the loop it replaced: one
-1-D pairwise sum and one scale per row.  Both must give the same
-prices, bit for bit.
+``posted_prices`` is the per-row posted-price pass: one 1-D pairwise
+sum of Gamma's roots and one scale in Python floats per row.  The
+solver's masked pass over q's roots, with the money scale applied last,
+must give the same prices up to a few ulps.
 
 ``surrogates`` is the minimisation the solver's participant count
 replaced: the negated leader objective S_u of keeping the u most

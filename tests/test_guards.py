@@ -1,10 +1,10 @@
-"""The solver's overflow guard decides like its per-row form.
+"""The solver's money check decides like a look at every cell.
 
-_require_pricing_domain accepts most blocks with one bound per product
-at the block's extremes and forms every row's products only to decide
-the rest.  guard_oracle holds the check in its per-row form.  The pricing guard once also bounded
-Gamma_1 Lambda s_bh and Lambda^2 s_bh S_3^3, which the other three
-bound in exact arithmetic; five_pricing_products keeps all five.
+_require_money_cells passes a block on two reductions (the largest
+price, and s_glb, which every non-finite cell reaches) and names the
+first failing row's first failing cell otherwise.  Here it is held to a
+check of every price and every profit cell, on drawn blocks whose
+largest price sits at half the float range.
 """
 
 import dataclasses
@@ -13,15 +13,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from guard_oracle import pricing_products, require_pricing_domain
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_sweep_rows import row_of
 
 from cachemarket import equilibrium
 from cachemarket.coverage import CoverageConstants
 from cachemarket.economics import EconomicConfig, ProfitReport
-from cachemarket.equilibrium import GameRows, solve_rows
+from cachemarket.equilibrium import GameRows, VerificationFailure, solve_rows
 
 HALF = sys.float_info.max / 2
 
@@ -31,8 +30,8 @@ def game_rows(gammas, lams, s_bh=1.0, intensity=1.0, theta=1.0) -> GameRows:
 
     zeta K = 1, so q is Gamma; N = 1, s^ld = s^bh and C = 1; storage 1
     keeps the first retailer of each row (its thresholds are 0).
-    Thresholds past the first may overflow to inf: the pricing guard
-    does not read them.
+    Thresholds past the first may overflow to inf: only the bracket
+    count reads them.
     """
     econ = EconomicConfig(
         backhaul_cost=s_bh,
@@ -51,24 +50,11 @@ def game_rows(gammas, lams, s_bh=1.0, intensity=1.0, theta=1.0) -> GameRows:
     )
 
 
-def five_pricing_products(rows: GameRows) -> dict[str, np.ndarray]:
-    """guard_oracle's three products after the two they bound, one value per row."""
-    lam = rows.constants.lambda_big[:, 0]
-    s = rows.econ.backhaul_cost
-    s3 = np.cbrt(rows.gammas).sum(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bounded = {
-            "Gamma_1 * Lambda * s_bh": rows.gammas[:, 0] * lam * s,
-            "Lambda^2 * s_bh * S_3^3": lam * lam * s * s3 * s3 * s3,
-        }
-    return {**bounded, **pricing_products(rows)}
-
-
 def raised(check, *args):
     """(type, message) of the error check raises, None if it returns."""
     try:
         check(*args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, VerificationFailure) as exc:
         return type(exc), str(exc)
     return None
 
@@ -81,10 +67,10 @@ def _powers_of_ten(lo: float, hi: float):
 def pricing_blocks(draw):
     """Blocks of 1-3 markets with Gamma, Lambda, lambda, Theta and s_bh log-uniform.
 
-    Every product is linear in s_bh, so in most draws s_bh is rescaled
-    to put one product's largest row within 3e-9 of half the float range,
-    on either side of it.  A Gamma row may be shared by every row, as in
-    a storage sweep.
+    Every price is linear in s_bh, so in most draws s_bh is rescaled to
+    put the block's largest NUPS or UPS price within 3e-9 of half the
+    float range, on either side of it.  A Gamma row may be shared by
+    every row, as in a storage sweep.
     """
     n_rows, n_vrs = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     shared = draw(st.booleans())
@@ -100,31 +86,67 @@ def pricing_blocks(draw):
         theta=draw(_powers_of_ten(-200.0, 150.0)),
     )
     rows = game_rows(**market)
-    snap = draw(st.sampled_from([None, 0, 1, 2, 3, 4]))
+    snap = draw(st.sampled_from([None, "NUPS", "UPS"]))
     if snap is not None:
-        largest = max(list(five_pricing_products(rows).values())[snap].tolist())
         offset = draw(st.floats(-3e-9, 3e-9))
-        s_bh = market["s_bh"] * (HALF * (1 + offset) / largest) if largest > 0 else 0.0
+        with np.errstate(all="ignore"):
+            u = equilibrium._bracket_count(rows.brackets(snap), rows.storage)
+            largest = equilibrium._fractions_and_prices(snap, rows, u)[1].max()
+            s_bh = market["s_bh"] * (HALF * (1 + offset) / largest)
         if 0 < s_bh <= HALF:
             rows = game_rows(**{**market, "s_bh": s_bh})
     return rows
 
 
-@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+def every_cell_verdict(schemes, u, prices, report, theta_lam):
+    """What a look at every money cell says: None, or (scheme, cell, u) of the first bad one.
+
+    Rows first, then price, surcharge, rent, profit and the four totals.
+    """
+    cells = {
+        "price": prices <= HALF,
+        "surcharge": np.isfinite(report.vr_surcharge),
+        "rent": np.isfinite(report.vr_rent),
+        "profit": np.isfinite(report.vr_profits),
+        "s_rt": np.isfinite(report.nsp_leasing)[:, None],
+        "s_bh": np.isfinite(report.nsp_backhaul_saving)[:, None],
+        "s_nsp": np.isfinite(report.nsp_total)[:, None],
+        "s_glb": np.isfinite(report.global_total)[:, None],
+    }
+    for r in range(u.size):
+        for name, ok in cells.items():
+            if not ok[r].all():
+                cell = name if name.startswith("s_") else f"{name} {int(np.argmin(ok[r])) + 1}"
+                return schemes[r * len(schemes) // u.size], cell, int(u[r])
+    return None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(rows=pricing_blocks())
-# a tie: at V = 1 and Lambda = 1 all five products are s_bh Gamma_1 in
-# exact arithmetic; here Gamma_1 Lambda s_bh rounds to one ulp above half
-# the float range, V Lambda^2 s_bh S_2^2 to it and the rest below it
-@example(rows=game_rows([[1.0471285480508996]], [1.0], s_bh=8.583918078675725e307))
-def test_pricing_guard_decides_like_every_row(rows):
-    verdict = raised(equilibrium._require_pricing_domain, rows)
-    assert verdict == raised(require_pricing_domain, rows)
-    five = list(five_pricing_products(rows).values())
-    if (verdict is None) != all((product <= HALF).all() for product in five):
-        # only a dropped product, rounded above its bound, can tell the forms apart
-        assert verdict is None
-        for dropped, bound in zip(five[:2], (five[3], five[2])):
-            assert (dropped <= bound * (1 + 1e-14)).all()
+def test_money_check_decides_like_every_cell(rows):
+    calls = []
+    real = equilibrium._require_money_cells
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    equilibrium._require_money_cells = spy
+    try:
+        with np.errstate(all="ignore"):
+            verdict = raised(solve_rows, ("NUPS", "UPS"), rows)
+    finally:
+        equilibrium._require_money_cells = real
+    if not calls:  # an earlier check decided
+        assert verdict is not None
+        return
+    want = every_cell_verdict(*calls[0])
+    if want is None:
+        assert verdict is None or "below the smallest normal float" in verdict[1]
+    else:
+        scheme, cell, u = want
+        assert verdict is not None and verdict[0] is ValueError
+        assert verdict[1].startswith(f"{scheme} {cell} = ") and f" at u = {u} is not " in verdict[1]
 
 
 def drawn_blocks() -> list[str]:
@@ -178,18 +200,17 @@ def test_draws_do_not_depend_on_the_invocation():
 
 
 def test_a_tripped_bound_is_no_error():
-    """A block whose bounds overflow, though no row's products do, is solved.
+    """A block whose largest Gamma_1 and largest Lambda sit in different rows is solved.
 
     Row 0 holds the larger Lambda, row 1 the larger Gamma_1: taken
-    together, Lambda s_bh max(S_3^2 Gamma_1^(1/3), S_2^2) is 1e308 (at
-    V = 1 it is Gamma_1 Lambda s_bh), above half the float range, while
-    every product of each row stays below it.
+    together they form 1e308 (at V = 1, Gamma_1 Lambda s_bh), above half
+    the float range, which the guard that bounded a block by its extremes
+    once refused.  The money check reads each row's own cells, so each
+    row solves as it does alone.
     """
     gammas, lams = [[1e305], [1e307]], [10.0, 1.0]
     rows = game_rows(gammas, lams)
     assert max(map(max, gammas)) * max(lams) > HALF
-    for name, values in rows.pricing_products.items():
-        assert (values <= HALF).all(), name
     pair = solve_rows(("NUPS", "UPS"), rows)
     for r in range(2):
         alone = solve_rows(("NUPS", "UPS"), game_rows(gammas[r : r + 1], lams[r : r + 1]))

@@ -47,6 +47,16 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
+def scaled_fractions(real, factor):
+    """real (the solver's _fractions_and_prices), its fractions scaled by factor."""
+
+    def scaled(*args):
+        fractions, prices = real(*args)
+        return factor * fractions, prices
+
+    return scaled
+
+
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -265,14 +275,14 @@ class TestCli:
         # every retailer takes part under both schemes at the defaults and Q >= 400
         instance = make_instance(ExperimentConfig())
         assert nups_solve(instance).n_participants == ups_solve(instance).n_participants == 15
-        real = equilibrium._budget_fractions
+        real = equilibrium._fractions_and_prices
 
         def last_fraction_lost(*args):
-            fractions = real(*args)
+            fractions, prices = real(*args)
             fractions[..., -1] = 0.0  # the last posted retailer's
-            return fractions
+            return fractions, prices
 
-        monkeypatch.setattr(equilibrium, "_budget_fractions", last_fraction_lost)
+        monkeypatch.setattr(equilibrium, "_fractions_and_prices", last_fraction_lost)
         message = "inconsistent outcome: participants=15, posted prices=15, positive fractions=14"
         with pytest.raises(VerificationFailure) as exc:
             run_per_vr(ExperimentConfig())
@@ -289,14 +299,14 @@ class TestCli:
     def test_nan_best_response_exit_code(self, capsys, monkeypatch):
         # a NaN fraction passes the budget check (its sum is NaN) and is
         # named by the fraction check, as the first fraction outside [0, 1]
-        real = equilibrium._budget_fractions
+        real = equilibrium._fractions_and_prices
 
         def third_fraction_nan(*args):
-            fractions = real(*args)
+            fractions, prices = real(*args)
             fractions[..., 2] = math.nan
-            return fractions
+            return fractions, prices
 
-        monkeypatch.setattr(equilibrium, "_budget_fractions", third_fraction_nan)
+        monkeypatch.setattr(equilibrium, "_fractions_and_prices", third_fraction_nan)
         assert cli.main(["solve", "--scheme", "ups"]) == 1
         assert capsys.readouterr().err == "config error: fraction 3 must lie in [0, 1], got nan\n"
 
@@ -304,8 +314,8 @@ class TestCli:
     def test_numerical_failure_exit_code(self, capsys, monkeypatch, argv):
         # fractions that break the budget: the identity keeps a row's sum
         # within rounding of 1, so only a planted fault reaches this check
-        real = equilibrium._budget_fractions
-        monkeypatch.setattr(equilibrium, "_budget_fractions", lambda *args: 2.0 * real(*args))
+        real = equilibrium._fractions_and_prices
+        monkeypatch.setattr(equilibrium, "_fractions_and_prices", scaled_fractions(real, 2.0))
         assert cli.main(argv) == 4
         scheme = "UPS" if "ups" in argv else "NUPS"
         assert capsys.readouterr().err == (
@@ -316,10 +326,8 @@ class TestCli:
     def test_idle_budget_exit_code(self, capsys, monkeypatch, scheme):
         # fractions that leave 1e-5 of the budget idle, which the leader
         # could use: the certificate rejects the outcome
-        real = equilibrium._budget_fractions
-        monkeypatch.setattr(
-            equilibrium, "_budget_fractions", lambda *args: (1.0 - 1e-5) * real(*args)
-        )
+        real = equilibrium._fractions_and_prices
+        monkeypatch.setattr(equilibrium, "_fractions_and_prices", scaled_fractions(real, 1 - 1e-5))
         condition, label = {
             "nups": ("leader", "provider profit"),
             "ups": ("leader", "back-haul saving"),
@@ -460,13 +468,18 @@ class TestCli:
             # the shared price divides by a tiny lambda
             (["solve", "--scheme", "ups", "--s-bh", "6.65169e+37",
               "--K", "1.33107e+69", "--zeta", "3.69877e+31", "--lambda", "4.65231e-186"],
-             "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2)"),
-            # Lambda = C N / Q is large at Q = 1
-            (["solve", "--zeta", "1", "--K", "1e307", "--Q", "1"],
-             "V * Lambda^2 * s_bh * S_2^2 = inf"),
-            # Theta < 1 at delta = 10, so lambda * Theta^2 underflows to 0
+             "UPS price 1 = inf at u = 15"),
+            # lambda = 5e-324 leaves every price past the float range
             (["solve", "--lambda", "5e-324", "--delta", "10"],
-             "Lambda * s_bh * max(S_3^2 Gamma_1^(1/3), S_2^2) / (lambda * Theta^2) = inf"),
+             "NUPS price 1 = inf at u = 1"),
+            # the verifier's best response forms Gamma_1 Lambda s_ld, about
+            # 1.3e309 at Lambda = C N / Q = 785; the solver's cells are finite
+            (["solve", "--zeta", "1", "--K", "1e307", "--Q", "1", "--N", "5000"],
+             "Gamma * Lambda * s_ld = inf"),
+            # the NUPS certificate's marginal provider profit passes the float
+            # range, though every printed cell is finite
+            (["solve", "--s-bh", "8e307", "--zeta", "1", "--K", "1", "--delta", "1e-3"],
+             "the marginal provider profit"),
         ],
     )  # fmt: skip
     def test_overflowing_product_exit_code(self, capsys, argv, product):
@@ -475,7 +488,28 @@ class TestCli:
             assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {product}")
-        assert "overflows a float" in err and err.count("\n") == 1
+        half = "is not at most half the float range, 8.99e+307"
+        assert err.endswith(("overflows a float\n", f"{half}\n")) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # markets the pricing-product guard refused, whose printed money
+            # and verifier products all lie in the float range: Lambda at Q = 1
+            ["solve", "--zeta", "1", "--K", "1e307", "--Q", "1"],
+            ["solve", "--scheme", "ups", "--zeta", "1", "--K", "1e307", "--Q", "1"],
+            # each within 1e-9 of a guard bound, and one ulp past it
+            ["solve", "--Q", "1", "--s-bh", "1.468095370174356e+304"],
+            ["solve", "--s-bh", "3.378493109831058e+304"],
+            ["solve", "--V", "1000", "--gamma", "1", "--delta", "4e-7",
+             "--s-bh", "6.094886709483607e+304"],
+            ["solve", "--gamma", "0", "--lambda", "1e-6", "--s-bh", "5.549931850023185e+298"],
+        ],
+    )  # fmt: skip
+    def test_money_in_range_solves(self, tmp_path, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
 
     @pytest.mark.parametrize(
         "argv, u",
@@ -495,7 +529,7 @@ class TestCli:
             (["sweep-gamma", "--s-bh", "1e-164", "--K", "3.162277660168379e-160",
               "--lambda", "1", "--V", "20", "--Q", "20",
               "--start", "0.05", "--stop", "2.5", "--step", "0.05"], 15),
-            # q_2 > 0, but Gamma_2 = q_2 zeta K, and so s_2, underflow to 0
+            # q_2 > 0, but Gamma_2 = q_2 zeta K, and so s_2, are subnormal
             (["solve", "--delta", "1e-12", "--V", "2", "--gamma", "56",
               "--zeta", "1", "--K", "2.3e-308"], 2),
         ],
@@ -504,8 +538,10 @@ class TestCli:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(argv) == 1
+        # the money scale applied last leaves s_2 subnormal where Gamma_2 is
+        printed = "8.68e-321" if "2.3e-308" in argv else "0"
         assert capsys.readouterr().err == (
-            f"config error: min(s_u, Theta^2 * lambda * s_u) = 0 at u = {u} is below the "
+            f"config error: min(s_u, Theta^2 * lambda * s_u) = {printed} at u = {u} is below the "
             "smallest normal float, 2.23e-308\n"
         )
 

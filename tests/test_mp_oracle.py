@@ -1,10 +1,9 @@
 """Printed cells against the 50-digit game (mp_oracle).
 
 A cell within 1 unit of its 12th significant digit is at most one
-rounding step off.  The retailer profit is the difference of the
-surcharge and the rent, and cancels where Lambda/Theta is large, so a
-profit cell is held to 1 unit of the surcharge's 12th digit: the
-precision of its terms.
+rounding step off.  Every cell is held to its own digit, a retailer's
+profit too: the solver forms it as the surcharge's share Theta tau /
+(Theta tau + Lambda), with no subtraction to cancel.
 """
 
 import csv
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from mp_oracle import market_of, solve_rows, sweep_rows, units
+from mp_oracle import coverage, market_of, per_vr_rows, solve_rows, sweep_rows, units
 
 from cachemarket import cli
 from cachemarket.harness import sweep_values
@@ -27,10 +26,17 @@ def cells(text: str) -> list:
     return list(csv.reader(io.StringIO(text)))[1:]
 
 
-def assert_within_k(rows, truth, label):
+def assert_within_k(rows, truth, label, term_of=None):
+    """Every cell within K units of its truth's 12th digit.
+
+    term_of maps a column to a term its cells subtract: those are held
+    to the 12th digit of the larger of the term and the truth.
+    """
     for i, (row, want) in enumerate(zip(rows, truth, strict=True)):
         for j, (cell, value) in enumerate(zip(row, want, strict=True)):
-            assert units(cell, value) <= K, (label, i + 1, j + 1, cell, value)
+            term = None if term_of is None else term_of.get(j)
+            digit = None if term is None else max(abs(value), term)
+            assert units(cell, value, digit) <= K, (label, i + 1, j + 1, cell, value)
 
 
 @pytest.mark.parametrize(
@@ -73,17 +79,58 @@ def _fuzz_markets(seed: int, count: int) -> list:
     ]
 
 
+def assert_command_within_k(tmp_path, argv, truth, term_of=None):
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0, argv
+    assert_within_k(cells(out.read_text()), truth, argv, term_of)
+
+
 @pytest.mark.parametrize("scheme", ["NUPS", "UPS", "WATERFILL"])
 def test_solved_cells_are_within_k_units(tmp_path, scheme):
     # the seed is fixed: a failure is a finding, not a reason to re-seed
-    out = tmp_path / "out.csv"
     for market in _fuzz_markets(0, 20):
         argv = ["solve", "--scheme", scheme.lower(), *market]
-        assert cli.main([*argv, "--out", str(out)]) == 0, argv
-        rows = cells(out.read_text())
-        truth = solve_rows(market_of(argv), scheme)
-        for i, (row, want) in enumerate(zip(rows, truth, strict=True)):
-            for j, (cell, value) in enumerate(zip(row, want, strict=True)):
-                # a retailer's profit, in units of its surcharge's digit
-                digit_of = want[3] if j == 5 and i < len(rows) - 2 else None
-                assert units(cell, value, digit_of) <= K, (argv, i + 1, j + 1, cell, value)
+        assert_command_within_k(tmp_path, argv, solve_rows(market_of(argv), scheme))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Lambda/Theta is large in both: surcharge - rent cancelled, and the
+        # profit of retailer 1 was 1920 and 3.6 units off
+        ["solve", "--alpha", "2.9934024522209404", "--delta", "4132.702565370218",
+         "--V", "33", "--gamma", "1.5309097492160562", "--Q", "78"],
+        ["solve", "--delta", "1e3"],
+    ],
+)  # fmt: skip
+def test_cancelling_profits_are_within_k_units(tmp_path, argv):
+    assert_command_within_k(tmp_path, argv, solve_rows(market_of(argv), "NUPS"))
+
+
+def test_per_vr_cells_are_within_k_units(tmp_path):
+    for market in _fuzz_markets(0, 20):
+        argv = ["per-vr", *market]
+        assert_command_within_k(tmp_path, argv, per_vr_rows(market_of(argv)))
+
+
+@pytest.mark.parametrize(
+    "kind, grid", [("storage", ["1", "500", "50"]), ("gamma", ["0", "2.5", "0.5"])]
+)
+def test_swept_cells_are_within_k_units(tmp_path, kind, grid):
+    # each fuzz market at eleven storages or six exponents; the swept
+    # flag replaces the market's own
+    swept = "--Q" if kind == "storage" else "--gamma"
+    for market in _fuzz_markets(0, 20):
+        flags = dict(zip(market[::2], market[1::2]))
+        del flags[swept]
+        argv = [f"sweep-{kind}", *[x for flag in flags.items() for x in flag]]
+        argv += ["--start", grid[0], "--stop", grid[1], "--step", grid[2]]
+        values = sweep_values(*map(float, grid))
+        parsed = market_of(argv)
+        # U_V and Ubar_V, N C (sum_j r_j / r_V - V) / Theta, are 0 at gamma = 0,
+        # where they print the rounding of their terms: they are held to the
+        # digit of the term N C V / Theta
+        c, theta = coverage(parsed.alpha, parsed.delta)
+        term = parsed.N * c * parsed.V / theta
+        term_of = {1: term, 2: term} if kind == "gamma" else None
+        assert_command_within_k(tmp_path, argv, sweep_rows(parsed, kind, values), term_of)

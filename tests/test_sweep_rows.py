@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from price_oracle import posted_prices, row_constants
 
 from cachemarket import cli, equilibrium, harness
-from cachemarket.economics import ProfitReport, profit_report
+from cachemarket.economics import ProfitReport, ordered_sums, profit_report
 from cachemarket.equilibrium import (
     RowOutcomes,
     VerificationFailure,
@@ -162,10 +162,28 @@ def row_of(outcomes, i):
 
 
 def assert_report_is_profit_report(outcome, instance):
-    """A one-row outcome's report holds, bit for bit, what profit_report computes from it."""
+    """A one-row outcome's report holds, bit for bit, what profit_report computes from it.
+
+    A posted retailer's profit is the exception: at its best response it
+    is its surcharge times Theta tau / (Theta tau + Lambda), which equals
+    the surcharge less the rent without the subtraction, and s_glb sums
+    those profits.
+    """
+    constants = row_constants(instance)
     expected = profit_report(
-        outcome.fractions, outcome.prices, instance.gammas[0], instance.econ, row_constants(instance)
+        outcome.fractions, outcome.prices, instance.gammas[0], instance.econ, constants
     )
+    if outcome.scheme != "WATERFILL":
+        profits = outcome.report.vr_profits
+        theta_tau = constants.theta * outcome.fractions
+        kept = expected.vr_surcharge * theta_tau / (theta_tau + constants.lambda_big)
+        np.testing.assert_allclose(profits, kept, rtol=1e-15, atol=0)
+        # the two forms agree up to the subtraction's rounding
+        np.testing.assert_allclose(
+            profits, expected.vr_profits, rtol=0, atol=1e-12 * expected.vr_surcharge.max()
+        )
+        global_total = expected.nsp_total + ordered_sums(profits)
+        expected = dataclasses.replace(expected, vr_profits=profits, global_total=global_total)
     for field in dataclasses.fields(ProfitReport):
         got, want = getattr(outcome.report, field.name), getattr(expected, field.name)
         assert type(got) is type(want), field.name
@@ -419,12 +437,16 @@ def test_bad_point_past_the_first_is_a_config_error():
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(long_rows=st.booleans(), data=st.data())
 def test_posted_prices_equal_the_row_loop(kind, spread, long_rows, data):
-    """One root sum per distinct u gives the per-row loop's prices, bit for bit.
+    """The masked pass posts the per-row loop's prices, to 1e-14 relative.
 
-    A storage block broadcasts one Gamma row, a gamma block has its own
-    Gamma per row.  Every row shares one u, has its own, or one of a
-    few; u <= 7 sums in order, u >= 8 takes numpy's unrolled pairwise
-    path.
+    The loop takes each row's root sum of Gamma^(1/3) or Gamma^(1/2) over
+    its first u entries and scales it in Python floats; the solver sums
+    q's roots over a masked row and applies the money scale last.  The
+    orders differ by a few ulps (at most 8 in a sample of 600 blocks),
+    far inside 1 unit of the printed 12th digit.  A storage block
+    broadcasts one Gamma row, a gamma block has its own Gamma per row.
+    Every row shares one u, has its own, or one of a few; u <= 7 sums in
+    order, u >= 8 takes numpy's unrolled pairwise path.
     """
     n_vrs = data.draw(st.integers(8, 3000) if long_rows else st.integers(1, 3000))
     lo, hi = (8, n_vrs) if long_rows else (1, min(n_vrs, 7))
@@ -446,8 +468,8 @@ def test_posted_prices_equal_the_row_loop(kind, spread, long_rows, data):
     assert n_rows == 1 or (rows.gammas.strides[0] == 0) == (kind == "storage")
     for scheme in ("NUPS", "UPS"):
         want_prices, want_posted = posted_prices(scheme, rows, u)
-        prices = equilibrium._posted_prices(scheme, rows, u)
-        assert np.array_equal(prices, want_prices)
+        _, prices = equilibrium._fractions_and_prices(scheme, rows, u)
+        np.testing.assert_allclose(prices, want_prices, rtol=1e-14, atol=0)
         assert np.array_equal(prices > 0, want_posted)
 
 
@@ -488,7 +510,7 @@ def test_scheme_brackets_are_the_threshold_rows(kind, n_vrs, values):
 
 @pytest.mark.parametrize("n_vrs, gamma", [(1, 0.8), (15, 0.8), (120, 0.2)])
 def test_broadcast_row_equals_its_materialised_copy(n_vrs, gamma):
-    """A storage block's roots and sums, taken on its one Gamma row, equal every row's."""
+    """A storage block's roots and sums, taken on its one q row, equal every row's."""
     values = sweep_values(1, 500, 5)
     first = make_instance(ExperimentConfig(n_vrs=n_vrs, gamma=gamma), storage=values[0])
     rows = harness._block_rows(first, "storage", values)
@@ -501,8 +523,6 @@ def test_broadcast_row_equals_its_materialised_copy(n_vrs, gamma):
         assert rows.brackets(scheme).shape == (1, n_vrs)
         want = copy.brackets(scheme)
         assert np.array_equal(np.broadcast_to(rows.brackets(scheme), want.shape), want)
-    for name, value in rows.pricing_products.items():
-        assert np.array_equal(value, copy.pricing_products[name]), name
     for scheme in ("NUPS", "UPS"):
         got, want = solve_rows(scheme, rows), solve_rows(scheme, copy)
         for field in ("n_participants", "prices", "fractions"):
@@ -539,14 +559,13 @@ def test_pair_budget_failure_names_its_scheme(monkeypatch):
     # UPS solves this market; NUPS, second in the stack, breaks the budget
     rows = make_instance(ExperimentConfig())
     solve_rows("UPS", rows)
-    real = equilibrium._budget_fractions
+    real = equilibrium._fractions_and_prices
 
-    def nups_doubled(roots, *args):
-        fractions = real(roots, *args)
-        fractions[(roots == rows.q_roots("NUPS")).all(axis=1)] *= 2.0  # the NUPS rows
-        return fractions
+    def nups_doubled(scheme, *args):
+        fractions, prices = real(scheme, *args)
+        return (2.0 if scheme == "NUPS" else 1.0) * fractions, prices
 
-    monkeypatch.setattr(equilibrium, "_budget_fractions", nups_doubled)
+    monkeypatch.setattr(equilibrium, "_fractions_and_prices", nups_doubled)
     with pytest.raises(ArithmeticError) as one:
         solve_rows("NUPS", rows)
     with pytest.raises(ArithmeticError) as pair:

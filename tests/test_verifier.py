@@ -146,17 +146,22 @@ def test_matches_loop_oracle_on_seeded_markets(scheme):
 
 
 def test_lone_retailer_above_one_skips_lower_prices():
-    # one of three retailers participates; its unclamped best response
-    # rounds above 1.  A lower price asks for tau > 1: the oracle skips
-    # those price factors, and the certificate takes the follower's
-    # maximizer on [0, 1], its fraction 1
+    # one of three retailers participates, at a planted price whose
+    # unclamped best response is 1 + 1e-11.  A lower price asks for
+    # tau > 1: the oracle skips those price factors, and the certificate
+    # takes the follower's maximizer on [0, 1], its fraction 1
     cfg = ExperimentConfig(n_vrs=3, alpha=4.0, delta=1.0, storage=10)
     instance = make_instance(cfg)
-    outcome = nups_solve(instance)
-    assert outcome.n_participants[0] == 1
-    tau0 = best_response_fraction(
-        outcome.prices[0, 0], instance.gammas[0, 0], instance.econ, row_constants(instance)
-    )
+    con, econ = row_constants(instance), instance.econ
+    gamma = instance.gammas[0, 0]
+    # invert tau = sqrt(Gamma * scale / s) - shift at tau = 1 + 1e-11
+    shift = con.lambda_big / con.theta
+    scale = con.lambda_big * econ.local_surcharge / (con.theta**2 * econ.sbs_intensity)
+    price = float(gamma * scale / (1 + 1e-11 + shift) ** 2)
+    solved = nups_solve(instance)
+    assert solved.n_participants[0] == 1
+    outcome = with_fractions(with_prices(solved, (price,)), instance, (1.0, 0.0, 0.0))
+    tau0 = best_response_fraction(price, gamma, econ, con)
     assert tau0 > 1.0
     record, oracle = assert_certificate_bounds_oracle(outcome, instance)
     assert oracle.leader_checks == 5  # the oracle's five factors above 1

@@ -91,10 +91,9 @@ EDGE = [
     ["sweep-storage", "--K", "1e300", "--zeta", "1e300"],
     ["sweep-storage", *UNDERFLOW, "--V", "99"],
     ["per-vr", *UNDERFLOW, "--V", "99"],
-    # each pricing product just inside half the float range (within the
-    # bounds' 1e-9 margin, so the rows decide) and one ulp of s_bh past it;
-    # the first two pairs place Gamma_1 Lambda s_bh and Lambda^2 s_bh S_3^3,
-    # which the guard no longer forms, so a product that bounds them decides
+    # each pair placed one of the five pricing products of a removed guard
+    # just inside half the float range and one ulp of s_bh past it; every
+    # one now solves and verifies, its money cells in range
     ["solve", "--Q", "1", "--s-bh", "1.468095369440308e+304"],
     ["solve", "--Q", "1", "--s-bh", "1.468095370174356e+304"],
     ["solve", "--gamma", "0", "--s-bh", "3.238122598380131e+304"],
@@ -107,10 +106,20 @@ EDGE = [
     ["solve", "--V", "1000", "--gamma", "1", "--delta", "4e-7", "--s-bh", "6.094886709483607e+304"],
     ["solve", "--gamma", "0", "--lambda", "1e-6", "--s-bh", "5.5499318472482185e+298"],
     ["solve", "--gamma", "0", "--lambda", "1e-6", "--s-bh", "5.549931850023185e+298"],
+    # money past the float range: a price (named with its cell), the
+    # verifier's Gamma_1 Lambda s_ld and its NUPS marginal (named
+    # products); the guard refused the first three, and --Q 1 alone
+    # solves now
+    ["solve", "--scheme", "ups", "--s-bh", "6.65169e+37", "--K", "1.33107e+69",
+     "--zeta", "3.69877e+31", "--lambda", "4.65231e-186"],
+    ["solve", "--lambda", "5e-324", "--delta", "10"],
+    ["solve", "--zeta", "1", "--K", "1e307", "--Q", "1"],
+    ["solve", "--zeta", "1", "--K", "1e307", "--Q", "1", "--N", "5000"],
+    ["solve", "--s-bh", "8e307", "--zeta", "1", "--K", "1", "--delta", "1e-3"],
     # the price check's product at the smallest normal float, then one ulp
     # of K below it
-    [*FLOOR_U, "--K", "4.981577190958313e-145"],
-    [*FLOOR_U, "--K", "4.9815771909583126e-145"],
+    [*FLOOR_U, "--K", "4.981577190958315e-145"],
+    [*FLOOR_U, "--K", "4.981577190958314e-145"],
     [*FLOOR_S, "--K", "2.8242286258941863e-161"],
     [*FLOOR_S, "--K", "2.824228625894186e-161"],
     # Q < 1
@@ -160,8 +169,8 @@ EDGE = [
     ["solve", "--s-bh", "1e-300", "--lambda", "1e300"],
     # best responses to the rounded prices broke the budget here (exit 4);
     # Theta still rounds to 0 (exit 1) at delta = 2 and to 0.25 against
-    # 0.30686 at delta = 1, and cancellation leaves a profit cell off in its
-    # 12th digit (exit 0)
+    # 0.30686 at delta = 1, and surcharge - rent left a profit cell 3.6 units
+    # off in its 12th digit (exit 0)
     ["solve", "--delta", "2e4"],
     ["solve", "--scheme", "ups", "--delta", "2e4"],
     ["solve", "--alpha", "2.000000000001", "--delta", "2.1"],
@@ -170,6 +179,9 @@ EDGE = [
     ["solve", "--alpha", "2.00000000000001", "--delta", "1"],
     ["solve", "--scheme", "waterfill", "--alpha", "2.00000000000001", "--delta", "1"],
     ["solve", "--delta", "1e3"],
+    # surcharge - rent cancelled here: retailer 1's profit was 1920 units off
+    ["solve", "--alpha", "2.9934024522209404", "--delta", "4132.702565370218", "--V", "33",
+     "--gamma", "1.5309097492160562", "--Q", "78"],
     # markets that differ only in money, of which the best responses to the
     # rounded prices broke the budget in one of each pair (exit 4)
     *[[*market, *money] for market, money in MONEY_SCALED for money in ([], money)],
